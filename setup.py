@@ -2,7 +2,7 @@
 
 The package is pure Python except for tsokey._radixcore, which holds the hot
 radix-sort loops.  If Cython or a C compiler is missing the extension is
-skipped and the package falls back to the pure-Python kernels at import time.
+skipped and the package falls back to the pure-Python argsort at import time.
 """
 
 from setuptools import Extension, setup

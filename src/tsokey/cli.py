@@ -85,7 +85,10 @@ def _float_field(doc, path: str) -> float:
     if isinstance(doc, bool):
         raise ElementMismatch(f"{path}: expected a number, got a bool")
     if isinstance(doc, (int, float)):
-        return float(doc)
+        try:
+            return float(doc)
+        except OverflowError:
+            raise ElementMismatch(f"{path}: integer too large for a float") from None
     if isinstance(doc, str):
         try:
             return float(doc)
@@ -210,7 +213,9 @@ def _encode_records(tree: OrderNode, path: str, mode: str, nan_high: bool, skip_
         try:
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError and integers past the
+                # interpreter's digit limit; RecursionError, deep nesting.
                 raise ElementMismatch(f"not valid JSON: {exc}") from None
             element = record_to_element(tree, doc)
             key = encode(tree, element, mode, nan_high=nan_high)

@@ -196,7 +196,11 @@ def _compare_builtin(leaf: Builtin, x, y, nan_high: bool) -> Ordering:
         for value in (x, y):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise IncompatibleElements(f"expected a float, got {type(value).__name__}")
-        return _float_cmp(float(x), float(y), kind, nan_high)
+        try:
+            x, y = float(x), float(y)
+        except OverflowError:
+            raise IncompatibleElements(f"integer too large for {kind.value}") from None
+        return _float_cmp(x, y, kind, nan_high)
 
     if kind is BuiltinKind.RATIONAL:
         try:

@@ -258,7 +258,10 @@ def primitive_key(kind: BuiltinKind, value, *, nan_high: bool = False) -> bytes:
 def _float_key(kind: BuiltinKind, value, nan_high: bool) -> bytes:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"expected a float, got {type(value).__name__}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise DomainError(f"integer too large for {kind.value}") from None
     width = kind.bit_width // 8
     fmt = ">f" if width == 4 else ">d"
     if math.isnan(value):
@@ -511,6 +514,10 @@ class _Encoder:
             if isinstance(value, str) or not hasattr(value, "__len__") or len(value) != 2:
                 raise ElementMismatch(f"{path}: expected a (master_rank, sub) pair")
             master_rank, sub = value
+            # _finite_data takes bools for leaves lowered from bool; a master
+            # rank is never one.
+            if not isinstance(master_rank, int) or isinstance(master_rank, bool):
+                raise ElementMismatch(f"{path}: master rank must be an integer")
             self.node(node.master, master_rank, depth + 1, path + ".master")
             self.node(node.cases[master_rank], sub, depth + 1, f"{path}.case({master_rank})")
             return

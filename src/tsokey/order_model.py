@@ -24,6 +24,7 @@ Sum nodes.  ``check_element`` spells out the exact conformance rules.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -681,6 +682,11 @@ def _check_element(node: OrderNode, value, path: str, nan_high: bool) -> None:
                 raise ElementMismatch(f"{path}: expected a float for {kind.value}")
             if isinstance(value, float) and math.isnan(value) and not nan_high:
                 raise NaNRejected(f"{path}: NaN needs the nan_high policy")
+            try:
+                # The encoder stores the value with this format: same range.
+                struct.pack(">f" if kind is BuiltinKind.FLOAT32 else ">d", float(value))
+            except OverflowError:
+                raise ElementMismatch(f"{path}: value does not fit in {kind.value}") from None
             return
         if kind is BuiltinKind.BOOL:
             if not isinstance(value, (bool, int)) or (isinstance(value, int) and value not in (0, 1)):

@@ -3,10 +3,11 @@
 Keys travel in cells that pair the key bytes with an opaque reference (a
 row id, an input line number, ...).  Short cells carry exactly eight key
 bytes, long cells any number.  ``sort_cells`` picks between a comparison
-sort (Python's built-in binary-insertion merge sort) below the policy's
-switch threshold and the MSD radix path above it; the radix path runs in
-the C extension ``tsokey._radixcore`` when the build produced it and in
-``tsokey._pure_sort`` otherwise.
+sort of the cells (Python's built-in timsort) below the policy's switch
+threshold and an argsort of their keys above it.  The argsort runs the MSD
+radix kernels of the C extension ``tsokey._radixcore`` when the build
+produced it; otherwise ``tsokey._pure_sort`` does it with the built-in
+timsort, in C, so a pure-Python install needs no build step.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "LongCell",
     "SortPolicy",
     "HAVE_COMPILED",
-    "counting_sort_pass",
     "choose_algorithm",
     "sort_cells",
 ]
@@ -63,10 +63,11 @@ class LongCell:
 class SortPolicy:
     """Tuning knobs for sort_cells.
 
-    Arrays shorter than switch_threshold go to the comparison sort; radix
-    buckets shorter than insertion_threshold finish with insertion sort.
-    backend picks the radix kernels: "auto" prefers the compiled core and
-    falls back to pure Python, the other two values force one of them.
+    Arrays shorter than switch_threshold go to the comparison sort; buckets
+    of the compiled radix kernels shorter than insertion_threshold finish
+    with insertion sort.  backend picks the kernels: "auto" prefers the
+    compiled core and falls back to pure Python, the other two values force
+    one of them.
     """
 
     switch_threshold: int = 64
@@ -77,47 +78,19 @@ class SortPolicy:
 DEFAULT_POLICY = SortPolicy()
 
 
-def choose_algorithm(n: int, cell_kind: str, policy: SortPolicy = DEFAULT_POLICY) -> str:
-    """"comparison" or "radix" for an array of n cells of the given kind."""
-    if cell_kind not in ("short", "long"):
-        raise ValueError(f"unknown cell kind {cell_kind!r}")
+def choose_algorithm(n: int, policy: SortPolicy = DEFAULT_POLICY) -> str:
+    """"comparison" or "radix" for an array of n cells."""
     return "comparison" if n < policy.switch_threshold else "radix"
 
 
-def counting_sort_pass(cells: list, byte_index: int) -> list[int]:
-    """One stable partition of cells by the key byte at byte_index.
-
-    Cells whose key is exhausted (shorter than byte_index + 1) come first,
-    then one class per byte value.  The list is reordered in place; the
-    return value has 258 entries, boundaries[c] being the start of class c
-    (class 0 = exhausted, class v + 1 = byte value v) and boundaries[257]
-    the total count.
-    """
-    if byte_index < 0:
-        raise ValueError("byte_index must be non-negative")
-    counts = [0] * 258
-    for cell in cells:
-        key = cell.key
-        cls = 0 if len(key) <= byte_index else key[byte_index] + 1
-        counts[cls] += 1
-    boundaries = [0] * 258
-    total = 0
-    for cls in range(257):
-        boundaries[cls] = total
-        total += counts[cls]
-    boundaries[257] = total
-    cursors = boundaries[:]
-    aux: list = [None] * len(cells)
-    for cell in cells:
-        key = cell.key
-        cls = 0 if len(key) <= byte_index else key[byte_index] + 1
-        aux[cursors[cls]] = cell
-        cursors[cls] += 1
-    cells[:] = aux
-    return boundaries
-
-
 def _cell_kind(cells: list) -> str:
+    # One C-level pass settles the usual uniform array; the loop below runs
+    # only to name what is wrong with a mixed one (or to accept subclasses).
+    types = set(map(type, cells))
+    if types == {LongCell}:
+        return "long"
+    if types == {ShortCell}:
+        return "short"
     first_short = isinstance(cells[0], ShortCell)
     for cell in cells:
         if isinstance(cell, ShortCell) != first_short:
@@ -144,14 +117,14 @@ def sort_cells(cells: list, policy: SortPolicy = DEFAULT_POLICY) -> list:
     if not cells:
         return []
     kind = _cell_kind(cells)
-    if choose_algorithm(len(cells), kind, policy) == "comparison":
+    if choose_algorithm(len(cells), policy) == "comparison":
         return sorted(cells, key=attrgetter("key"))
     backend = _resolve_backend(policy)
-    keys = [cell.key for cell in cells]
+    keys = list(map(attrgetter("key"), cells))
     if kind == "short" and backend is _radixcore:
         order = _radixcore.sort_short_keys(keys, policy.insertion_threshold)
     elif backend is _radixcore:
         order = _radixcore.sort_long_keys(keys, policy.insertion_threshold)
     else:
         order = _pure_sort.msd_sort_indices(keys, policy.insertion_threshold)
-    return [cells[i] for i in order]
+    return list(map(cells.__getitem__, order))

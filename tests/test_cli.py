@@ -192,6 +192,29 @@ class TestEncodeCommand:
         assert len(captured.out.splitlines()) == 2
         assert "warning: skipped line 2" in captured.err
 
+    def test_integer_too_large_for_float_leaf(self, tmp_path, capsys):
+        order = write(tmp_path, "o.tsodl", "lex(0, omega, ([float64]))")
+        data = write(tmp_path, "d.jsonl", f"[1.5]\n[2, {10**400}]\n[3]\n")
+        assert main(["encode", order, data, "--hex"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: $[1]: ") and "too large" in err
+        assert "Traceback" not in err
+        assert main(["encode", order, data, "--hex", "--skip-bad"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2
+        assert "warning: skipped line 2: $[1]: " in captured.err
+
+    def test_deep_nesting_is_invalid_json(self, tmp_path, capsys):
+        order = write(tmp_path, "o.tsodl", "lex(0, omega, ([uint8]))")
+        deep = "[" * 100_000 + "]" * 100_000
+        data = write(tmp_path, "d.jsonl", f"[1]\n{deep}\n[2]\n")
+        assert main(["encode", order, data, "--hex"]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: not valid JSON")
+        assert main(["encode", order, data, "--hex", "--skip-bad"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2
+        assert captured.err.startswith("warning: skipped line 2: not valid JSON")
+
     def test_blank_lines_are_ignored(self, tmp_path, capsys):
         order = write(tmp_path, "o.tsodl", "uint8")
         data = write(tmp_path, "d.jsonl", "1\n\n   \n2\n")

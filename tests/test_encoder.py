@@ -26,6 +26,7 @@ from tsokey import (
     DomainError,
     ElementMismatch,
     Finite,
+    IncompatibleElements,
     NaNRejected,
     Ordering,
     PackedModeUnavailable,
@@ -36,6 +37,7 @@ from tsokey import (
     anticontrelex,
     antihierar,
     antilex,
+    check_element,
     compare,
     compare_keys,
     contrehierar,
@@ -435,6 +437,29 @@ class TestEncodeErrors:
             encode(FLOAT64, math.nan)
         key = encode(FLOAT64, math.nan, nan_high=True)
         assert compare_keys(key, encode(FLOAT64, math.inf)) is Ordering.GREATER
+
+
+class TestValidatorsAgree:
+    """check_element, encode and compare accept and reject the same values."""
+
+    @pytest.mark.parametrize(
+        "tree, bad, good",
+        [
+            (sum_of(F2, (UINT8, UINT8)), (True, 3), (1, 3)),
+            (FLOAT32, 1e300, 1.0),
+            (FLOAT64, 10**400, 1.0),
+        ],
+        ids=["bool-master-rank", "float32-overflow", "float64-huge-int"],
+    )
+    def test_all_three_reject(self, tree, bad, good):
+        check_element(tree, good)
+        encode(tree, good)
+        with pytest.raises(ElementMismatch):
+            check_element(tree, bad)
+        with pytest.raises(ElementMismatch):
+            encode(tree, bad)
+        with pytest.raises(IncompatibleElements):
+            compare(tree, bad, good)
 
 
 class TestDirectInv:

@@ -15,11 +15,12 @@ from tsokey import (
     ShortCell,
     SortPolicy,
     choose_algorithm,
-    counting_sort_pass,
+    encode,
+    parse,
     sort_cells,
 )
-from tsokey import _pure_sort, sorter
-from tsokey._pure_sort import insertion_sort_indices, msd_sort_indices
+from tsokey import sorter
+from tsokey._pure_sort import msd_sort_indices
 
 BACKENDS = ["pure"] + (["compiled"] if HAVE_COMPILED else [])
 
@@ -38,6 +39,21 @@ def long_cells(rng, n, max_len=12, distinct_bytes=4):
             ref,
         )
         for ref in range(n)
+    ]
+
+
+def path_cells(rng, n):
+    """Padded keys of file paths: few distinct paths, long shared prefixes."""
+    bytes_order = parse("bytes")
+    root = b"/srv/projects/tsokey/build/"
+    dirs = [root + bytes(rng.choice(b"abc") for _ in range(6)) + b"/" for _ in range(3)]
+    paths = sorted(
+        {rng.choice(dirs) + b"file_%02d.py" % rng.randrange(100) for _ in range(200)}
+    )
+    keys = [encode(bytes_order, path) for path in paths]
+    # Zipf-like skew: low ranks repeat far more often than high ones.
+    return [
+        LongCell(keys[int(len(keys) * rng.random() ** 3)], ref) for ref in range(n)
     ]
 
 
@@ -69,82 +85,14 @@ class TestCells:
 class TestChooseAlgorithm:
     def test_threshold_boundary(self):
         policy = SortPolicy(switch_threshold=64)
-        assert choose_algorithm(63, "short", policy) == "comparison"
-        assert choose_algorithm(64, "short", policy) == "radix"
-        assert choose_algorithm(10**6, "long", policy) == "radix"
+        assert choose_algorithm(63, policy) == "comparison"
+        assert choose_algorithm(64, policy) == "radix"
+        assert choose_algorithm(10**6, policy) == "radix"
 
     def test_custom_threshold(self):
         policy = SortPolicy(switch_threshold=2)
-        assert choose_algorithm(1, "long", policy) == "comparison"
-        assert choose_algorithm(2, "long", policy) == "radix"
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="cell kind"):
-            choose_algorithm(10, "medium")
-
-
-class TestCountingSortPass:
-    def test_partitions_by_byte(self):
-        cells = [
-            LongCell(b"\x02", 0),
-            LongCell(b"\x00", 1),
-            LongCell(b"\x02", 2),
-            LongCell(b"\x01", 3),
-        ]
-        boundaries = counting_sort_pass(cells, 0)
-        assert [c.key[0] for c in cells] == [0, 1, 2, 2]
-        assert [c.ref for c in cells] == [1, 3, 0, 2]
-        assert len(boundaries) == 258
-        assert boundaries[257] == 4
-        # class 0 is the exhausted class, byte value v lives in class v + 1
-        assert boundaries[0] == boundaries[1] == 0
-        assert boundaries[2] == 1
-        assert boundaries[3] == 2
-        assert boundaries[4] == 4
-
-    def test_exhausted_keys_come_first(self):
-        cells = [
-            LongCell(b"a\x00", 0),
-            LongCell(b"a", 1),
-            LongCell(b"ab", 2),
-            LongCell(b"a", 3),
-        ]
-        boundaries = counting_sort_pass(cells, 1)
-        assert [c.ref for c in cells] == [1, 3, 0, 2]
-        assert boundaries[1] == 2  # two exhausted keys
-        assert boundaries[257] == 4
-
-    def test_stability_within_class(self):
-        rng = random.Random(5)
-        cells = [LongCell(bytes([rng.randrange(3)]), ref) for ref in range(200)]
-        snapshot = list(cells)
-        counting_sort_pass(cells, 0)
-        for value in range(3):
-            got = [c.ref for c in cells if c.key[0] == value]
-            expected = [c.ref for c in snapshot if c.key[0] == value]
-            assert got == expected
-
-    def test_boundaries_are_class_starts(self):
-        rng = random.Random(6)
-        cells = [
-            LongCell(bytes(rng.randrange(256) for _ in range(rng.randrange(3))), ref)
-            for ref in range(300)
-        ]
-        boundaries = counting_sort_pass(cells, 0)
-        for cls in range(257):
-            for i in range(boundaries[cls], boundaries[cls + 1]):
-                key = cells[i].key
-                assert (0 if len(key) == 0 else key[0] + 1) == cls
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            counting_sort_pass([LongCell(b"a", 0)], -1)
-
-    def test_empty_list(self):
-        cells = []
-        boundaries = counting_sort_pass(cells, 0)
-        assert cells == []
-        assert boundaries == [0] * 258
+        assert choose_algorithm(1, policy) == "comparison"
+        assert choose_algorithm(2, policy) == "radix"
 
 
 class TestSortCells:
@@ -192,6 +140,30 @@ class TestSortCells:
         policy = SortPolicy(switch_threshold=0, backend=backend)
         result = sort_cells(cells, policy)
         assert [c.key for c in result] == [b"", b"a", b"aa", b"ab", b"abc", b"b"]
+
+    @pytest.mark.parametrize("backend", BACKENDS + ["auto"])
+    def test_duplicate_heavy_path_keys(self, backend):
+        rng = random.Random(16)
+        cells = path_cells(rng, 5000)
+        assert len({cell.key for cell in cells}) < len(cells) // 10
+        result = sort_cells(cells, SortPolicy(backend=backend))
+        assert result == stable_oracle(cells)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_strict_prefixes_and_empty_keys(self, backend):
+        rng = random.Random(17)
+        stems = [b"", b"p", b"pa", b"pat", b"path", b"path\x00", b"path\x00\x00"]
+        cells = [LongCell(rng.choice(stems), ref) for ref in range(500)]
+        result = sort_cells(cells, SortPolicy(backend=backend))
+        assert result == stable_oracle(cells)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_equal_keys_keep_input_order(self, backend):
+        key = encode(parse("bytes"), b"/srv/projects/tsokey/same/path.py")
+        cells = [LongCell(key, ref) for ref in range(300)]
+        cells[100:200] = reversed(cells[100:200])
+        result = sort_cells(cells, SortPolicy(switch_threshold=0, backend=backend))
+        assert result == cells
 
     def test_input_not_mutated(self):
         rng = random.Random(4)
@@ -252,18 +224,6 @@ class TestSortCells:
 
 
 class TestPureKernels:
-    def test_insertion_sorts_a_slice(self):
-        keys = [b"d", b"c", b"b", b"a"]
-        order = [0, 1, 2, 3]
-        insertion_sort_indices(keys, order, 1, 3)
-        assert order == [0, 2, 1, 3]
-
-    def test_insertion_is_stable(self):
-        keys = [b"a", b"a", b"a"]
-        order = [0, 1, 2]
-        insertion_sort_indices(keys, order, 0, 3)
-        assert order == [0, 1, 2]
-
     def test_msd_trivial_sizes(self):
         assert msd_sort_indices([]) == []
         assert msd_sort_indices([b"z"]) == [0]
@@ -282,39 +242,27 @@ class TestPureKernels:
         keys = [prefix + bytes([b]) for b in (3, 1, 2, 0)] + [prefix]
         assert list(msd_sort_indices(keys, 0)) == [4, 3, 1, 2, 0]
 
-    def test_single_index_buffer(self, monkeypatch):
-        buffers = []
-        original = _pure_sort._new_buffer
+    @pytest.mark.parametrize("threshold", [0, 1, 32, 10**9])
+    def test_msd_on_path_keys(self, threshold):
+        rng = random.Random(14)
+        cells = path_cells(rng, 4000)
+        keys = [cell.key for cell in cells]
+        order = msd_sort_indices(keys, threshold)
+        assert [cells[i] for i in order] == stable_oracle(cells)
 
-        def counting_buffer(n):
-            buffers.append(n)
-            return original(n)
+    def test_msd_strict_prefixes_and_empty_keys(self):
+        keys = [b"abc", b"", b"ab", b"a", b"", b"abc\x00", b"ab", b"b"]
+        assert list(msd_sort_indices(keys)) == [1, 4, 3, 2, 6, 0, 5, 7]
 
-        monkeypatch.setattr(_pure_sort, "_new_buffer", counting_buffer)
-        rng = random.Random(10)
-        keys = [bytes(rng.randrange(256) for _ in range(4)) for _ in range(500)]
-        msd_sort_indices(keys, 8)
-        assert buffers == [500]
-
-    def test_count_table_per_partition_pass(self, monkeypatch):
-        tables = []
-        original = _pure_sort._new_counts
-
-        def counting_counts():
-            tables.append(1)
-            return original()
-
-        monkeypatch.setattr(_pure_sort, "_new_counts", counting_counts)
-        # Two distinct first bytes, each group a single key: one pass total.
-        msd_sort_indices([b"\x01", b"\x00"], 0)
-        assert len(tables) == 1
-
-    def test_insertion_cutoff_skips_counting(self, monkeypatch):
-        monkeypatch.setattr(
-            _pure_sort, "_new_counts", lambda: pytest.fail("counting pass ran")
-        )
-        keys = [b"c", b"a", b"b"]
-        assert list(msd_sort_indices(keys, 10)) == [1, 2, 0]
+    def test_msd_keeps_equal_keys_in_input_order(self):
+        rng = random.Random(15)
+        keys = [rng.choice([b"", b"\x00", b"\x00\x00", b"\xff"]) for _ in range(3000)]
+        order = list(msd_sort_indices(keys))
+        for position in range(1, len(order)):
+            before, after = order[position - 1], order[position]
+            assert keys[before] < keys[after] or (
+                keys[before] == keys[after] and before < after
+            )
 
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="extension not built")
