@@ -1,10 +1,11 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, initializedcheck=False, cdivision=True
 """Compiled MSD radix kernels over lists of byte-string keys.
 
-Mirrors tsokey._pure_sort: stable, most significant byte first, keys
-exhausted at the current position sorting first, insertion sort below the
-threshold.  Both entry points return a permutation of indices into the key
-list as an array('q').
+Stable, most significant byte first, keys exhausted at the current
+position sorting first, insertion sort below the threshold.  Both entry
+points return a permutation of indices into the key list as an array('q'):
+the same permutation as the argsort of tsokey._pure_sort, which is the
+fallback when this module is not built.
 """
 
 from cpython cimport array

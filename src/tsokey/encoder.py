@@ -82,13 +82,10 @@ __all__ = [
     "compare_keys",
     "wrap_finite_leaf",
     "empty_sequence_pattern",
-    "adjust_final_padding",
     "hierar_count_header",
     "primitive_key",
     "continued_fraction",
     "rational_key",
-    "flip_bits",
-    "swap_final_nibbles",
     "data_byte_count",
     "packed_width",
 ]
@@ -124,34 +121,6 @@ def empty_sequence_pattern(kind: SeqKind, depth: int) -> bytes:
         return bytes((0xF0 | (15 - depth), 0x00, PAD_DEFAULT))
     # lex family and next: sorts below every non-empty encoding
     return bytes(((depth << 4), 0x00, PAD_DEFAULT))
-
-
-def adjust_final_padding(key: bytes, kind: str) -> bytes:
-    """Apply a node's terminal counter step to the last padding byte of a key.
-
-    kind is "dec_lex" (lex family) or "inc_contrelex" (contrelex family).
-    The final byte of every encoding is a padding byte, so the adjustment is
-    plain nibble arithmetic on it.
-    """
-    if not key:
-        raise ValueError("cannot adjust an empty key")
-    out = bytearray(key)
-    _adjust_last(out, kind)
-    return bytes(out)
-
-
-def _adjust_last(buf: bytearray, kind: str) -> None:
-    last = buf[-1]
-    if kind == "dec_lex":
-        if last >> 4 == 0:
-            raise CounterUnderflow("lex counter already zero in final padding byte")
-        buf[-1] = last - 0x10
-    elif kind == "inc_contrelex":
-        if last & 0x0F == 0x0F:
-            raise CounterOverflow("contrelex counter already fifteen in final padding byte")
-        buf[-1] = last + 0x01
-    else:
-        raise ValueError(f"unknown adjustment {kind!r}")
 
 
 # Which sequence kinds leave a mark on the final byte of their encoding.
@@ -213,7 +182,10 @@ def _ending_values(base: int, kinds: tuple[str, ...]) -> tuple[int, ...]:
 
 
 def _count_header_unbounded(n: int) -> bytes:
-    """Count header without the 2**64 cap; only tests reach the wide range.
+    """Count header of any size: continued-fraction terms use it as is.
+
+    Sequence counts go through ``hierar_count_header``, which caps them
+    below 2**64; for counts in that range the bytes are the same.
 
     Layout: a unary run of U ones followed by a zero, padded out to whole
     bytes, where U is the byte length of B; then B, the byte length of n,
@@ -305,10 +277,10 @@ def rational_key(p: int, q: int) -> bytes:
     """Raw order-preserving bytes for an exact rational p/q with q > 0.
 
     A sign byte (0x00 negative, 0x01 otherwise) is followed by the
-    continued-fraction terms of |p|/q, each a flag byte 0x00 plus a count
-    header, closed by an infinity terminator flag 0x01; terms sitting at odd
-    ranks are bit-flipped, and for negative p the whole payload behind the
-    sign byte is bit-flipped.
+    continued-fraction terms of |p|/q, each a flag byte 0x00 plus an
+    uncapped count header, closed by an infinity terminator flag 0x01;
+    terms sitting at odd ranks are bit-flipped, and for negative p the
+    whole payload behind the sign byte is bit-flipped.
     """
     if q == 0:
         raise ZeroDenominator("denominator is zero")
@@ -319,7 +291,7 @@ def rational_key(p: int, q: int) -> bytes:
     payload = bytearray()
     rank = 0
     for term in terms:
-        chunk = b"\x00" + hierar_count_header(term)
+        chunk = b"\x00" + _count_header_unbounded(term)
         payload += chunk.translate(_FLIP) if rank & 1 else chunk
         rank += 1
     terminator = b"\x01"
@@ -327,21 +299,6 @@ def rational_key(p: int, q: int) -> bytes:
     if negative:
         payload = payload.translate(_FLIP)
     return bytes((0x00,) if negative else (0x01,)) + bytes(payload)
-
-
-def flip_bits(key: bytes) -> bytes:
-    """Invert every bit of a key (half of the direct-inversion experiment)."""
-    return key.translate(_FLIP)
-
-
-def swap_final_nibbles(key: bytes) -> bytes:
-    """Swap the two counters of the final padding byte (other half)."""
-    if not key:
-        raise ValueError("cannot swap nibbles of an empty key")
-    out = bytearray(key)
-    last = out[-1]
-    out[-1] = ((last & 0x0F) << 4) | (last >> 4)
-    return bytes(out)
 
 
 def compare_keys(a: bytes, b: bytes) -> Ordering:
@@ -466,13 +423,12 @@ class _Encoder:
     table instead of doing counter arithmetic on it.
     """
 
-    __slots__ = ("out", "packed", "nan_high", "direct_inv", "chain", "tail", "tail_level")
+    __slots__ = ("out", "packed", "nan_high", "chain", "tail", "tail_level")
 
-    def __init__(self, packed: bool, nan_high: bool, direct_inv: bool):
+    def __init__(self, packed: bool, nan_high: bool):
         self.out = bytearray()
         self.packed = packed
         self.nan_high = nan_high
-        self.direct_inv = direct_inv
         self.chain: list[str] = []
         self.tail: tuple[int, ...] = ()
         self.tail_level = 0
@@ -522,17 +478,7 @@ class _Encoder:
             self.node(node.cases[master_rank], sub, depth + 1, f"{path}.case({master_rank})")
             return
         if isinstance(node, Inv):
-            if not self.direct_inv:
-                raise AssertionError("Inv survived preparation")
-            # Experimental direct path: encode the child, then invert the
-            # whole fragment and exchange the counters of its last padding.
-            mark = len(self.out)
-            self.node(node.child, value, depth, path)
-            fragment = swap_final_nibbles(flip_bits(bytes(self.out[mark:])))
-            del self.out[mark:]
-            self.out += fragment
-            self._set_tail()
-            return
+            raise AssertionError("Inv survived preparation")
         raise ElementMismatch(f"{path}: not an order node: {type(node).__name__}")
 
     def seq(self, node: SeqOp, value, depth: int, path: str) -> None:
@@ -579,61 +525,20 @@ class _Encoder:
             self._mark_end()
 
 
-def _check_direct_inv(node: OrderNode, inside_inv: bool) -> None:
-    """Reject trees the flip-and-swap inversion cannot order correctly.
-
-    Swapping the final padding nibbles repairs the last byte of a flipped
-    fragment but not its interior ending marks, so a contrelex-family node
-    anywhere under an Inv would let a strict-prefix decision land on a byte
-    the swap never touched.
-    """
-    if isinstance(node, Inv):
-        _check_direct_inv(node.child, True)
-    elif isinstance(node, SeqOp):
-        if inside_inv and node.kind in (SeqKind.CONTRELEX, SeqKind.ANTICONTRELEX):
-            raise ValueError(
-                f"direct_inv cannot invert a {node.kind.value} node; "
-                "use the default rewriting pipeline"
-            )
-        for child in node.prelude + node.period:
-            _check_direct_inv(child, inside_inv)
-    elif isinstance(node, Sum):
-        _check_direct_inv(node.master, inside_inv)
-        for case in node.cases:
-            _check_direct_inv(case, inside_inv)
-
-
-def encode(
-    tree: OrderNode,
-    value,
-    mode: str = "padded",
-    *,
-    nan_high: bool = False,
-    direct_inv: bool = False,
-) -> bytes:
+def encode(tree: OrderNode, value, mode: str = "padded", *, nan_high: bool = False) -> bytes:
     """Encode one element of ``tree`` as an order-preserving byte key.
 
     mode "padded" works for every valid tree; mode "packed" omits the
-    padding and needs a fixed-length tree.  direct_inv switches to the
-    experimental flip-and-swap handling of Inv nodes instead of rewriting
-    them away; it is off by default and refuses trees with contrelex-family
-    nodes under an Inv (see _check_direct_inv).
+    padding and needs a fixed-length tree.  Inv nodes never reach the
+    walker: ``prepare`` rewrites them into inverted leaves and mirrored
+    operators.
     """
     if mode not in ("padded", "packed"):
         raise ValueError(f"unknown mode {mode!r}")
-    if direct_inv:
-        if mode == "packed":
-            raise PackedModeUnavailable("direct_inv supports padded mode only")
-        validate(tree)
-        lowered = expand_builtins(tree)
-        _check_direct_inv(lowered, False)
-        walker = _Encoder(False, nan_high, True)
-        walker.node(lowered, value, 0, "$")
-        return bytes(walker.out)
     prep = prepare(tree)
     if mode == "packed" and not prep.packed_ok:
         raise PackedModeUnavailable("tree has variable-length elements")
-    walker = _Encoder(mode == "packed", nan_high, False)
+    walker = _Encoder(mode == "packed", nan_high)
     walker.node(prep.tree, value, 0, "$")
     return bytes(walker.out)
 

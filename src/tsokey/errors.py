@@ -102,7 +102,7 @@ class DepthOverflow(EncodingError):
 
 
 class CountTooLarge(EncodingError):
-    """A sequence count or continued-fraction term at or above 2**64."""
+    """A sequence count at or above 2**64."""
 
 
 class PackedModeUnavailable(EncodingError):

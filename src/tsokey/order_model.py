@@ -28,7 +28,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import (
     AntiNotUniform,
@@ -83,7 +83,6 @@ __all__ = [
     "push_inv_to_leaves",
     "expand_builtins",
     "check_element",
-    "element_length_bounds",
 ]
 
 # Budgets imposed by the key format: padding nibbles hold 0..15 and the
@@ -92,7 +91,7 @@ MAX_DEPTH = 14
 MAX_LEX_PATH = 14  # one decrement is reserved for the leaf itself
 MAX_CONTRELEX_PATH = 15
 
-COUNT_CAP = 1 << 64  # sequence counts, ranks and CF terms must stay below this
+COUNT_CAP = 1 << 64  # sequence counts and finite ranks must stay below this
 
 
 class _Omega:
@@ -638,11 +637,6 @@ def expand_builtins(tree: OrderNode) -> OrderNode:
     return tree
 
 
-def element_length_bounds(node: SeqOp) -> tuple[int, Union[int, _Omega]]:
-    """Allowed sequence lengths as a half-open interval [min_len, max_len)."""
-    return node.min_len, node.max_len
-
-
 # ---------------------------------------------------------------------------
 # Element conformance
 
@@ -759,19 +753,3 @@ def check_element(tree: OrderNode, value, *, nan_high: bool = False) -> None:
 def rational_parts(value) -> tuple[int, int]:
     """Public helper: (num, den) with den > 0 for any accepted rational spelling."""
     return _rational_parts(value, "$")
-
-
-def iter_nodes(tree: OrderNode) -> Iterator[OrderNode]:
-    """Yield every node of a tree, root first."""
-    yield tree
-    if isinstance(tree, Inv):
-        yield from iter_nodes(tree.child)
-    elif isinstance(tree, SeqOp):
-        for child in tree.prelude:
-            yield from iter_nodes(child)
-        for child in tree.period:
-            yield from iter_nodes(child)
-    elif isinstance(tree, Sum):
-        yield from iter_nodes(tree.master)
-        for child in tree.cases:
-            yield from iter_nodes(child)

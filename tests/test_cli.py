@@ -204,6 +204,15 @@ class TestEncodeCommand:
         assert len(captured.out.splitlines()) == 2
         assert "warning: skipped line 2: $[1]: " in captured.err
 
+    def test_rational_terms_of_any_size(self, tmp_path, capsys):
+        order = write(tmp_path, "o.tsodl", "rational")
+        docs = [2**70, f"{10**30}/7", {"num": 1, "den": 2**70}, -(2**70)]
+        data = jsonl(tmp_path, "d.jsonl", docs)
+        assert main(["encode", order, data, "--hex"]) == 0
+        tree = parse("rational")
+        expected = [encode(tree, record_to_element(tree, doc)).hex().upper() for doc in docs]
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_deep_nesting_is_invalid_json(self, tmp_path, capsys):
         order = write(tmp_path, "o.tsodl", "lex(0, omega, ([uint8]))")
         deep = "[" * 100_000 + "]" * 100_000

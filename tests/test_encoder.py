@@ -32,7 +32,6 @@ from tsokey import (
     PackedModeUnavailable,
     PrefixAnomaly,
     SeqKind,
-    adjust_final_padding,
     anticontrehierar,
     anticontrelex,
     antihierar,
@@ -47,7 +46,6 @@ from tsokey import (
     encode,
     encode_batch,
     finite,
-    flip_bits,
     hierar,
     hierar_count_header,
     inv,
@@ -57,7 +55,6 @@ from tsokey import (
     prepare,
     primitive_key,
     sum_of,
-    swap_final_nibbles,
     wrap_finite_leaf,
 )
 from tsokey.encoder import _count_header_unbounded, _ending_values
@@ -88,20 +85,6 @@ class TestWrapping:
     def test_marker_depth_is_bounded(self):
         with pytest.raises(DepthOverflow):
             empty_sequence_pattern(SeqKind.LEX, 15)
-
-    def test_adjust_final_padding_steps_one_counter(self):
-        assert adjust_final_padding(bytes.fromhex("f061e0"), "dec_lex") == bytes.fromhex("f061d0")
-        assert adjust_final_padding(bytes.fromhex("f061e0"), "inc_contrelex") == bytes.fromhex(
-            "f061e1"
-        )
-
-    def test_adjust_final_padding_limits(self):
-        with pytest.raises(CounterUnderflow):
-            adjust_final_padding(b"\x0f", "dec_lex")
-        with pytest.raises(CounterOverflow):
-            adjust_final_padding(b"\xef", "inc_contrelex")
-        with pytest.raises(ValueError):
-            adjust_final_padding(b"\xe0", "sideways")
 
 
 class TestEndingValues:
@@ -462,7 +445,7 @@ class TestValidatorsAgree:
             compare(tree, bad, good)
 
 
-class TestDirectInv:
+class TestInvertedShapes:
     @pytest.mark.parametrize(
         "tree",
         [
@@ -475,32 +458,17 @@ class TestDirectInv:
             lex(0, 3, period=(inv(F2),)),
             contrelex(0, 3, period=(inv(lex(0, 3, period=(F2,))),)),
             inv(BYTES),
-        ],
-    )
-    def test_agrees_with_the_oracle_on_supported_shapes(self, tree):
-        assert_keys_match_oracle(tree, elements(tree, budget=2), direct_inv=True)
-
-    def test_bytes_differ_from_the_rewrite_pipeline(self):
-        tree = inv(finite(3))
-        assert encode(tree, 0, direct_inv=True) == bytes.fromhex("0ffff1")
-        assert encode(tree, 0) == bytes.fromhex("f002e0")
-
-    @pytest.mark.parametrize(
-        "tree",
-        [
             inv(contrelex(0, 3, period=(F2,))),
             inv(lex(0, 3, period=(contrelex(0, 3, period=(F2,)),))),
             inv(anticontrelex(0, 3, period=(F2,))),
             inv(inv(contrelex(0, 3, period=(F2,)))),
         ],
     )
-    def test_contrelex_under_inv_is_refused(self, tree):
-        with pytest.raises(ValueError):
-            encode(tree, elements(tree)[0], direct_inv=True)
+    def test_agrees_with_the_oracle(self, tree):
+        assert_keys_match_oracle(tree, elements(tree, budget=2))
 
-    def test_packed_mode_is_refused(self):
-        with pytest.raises(PackedModeUnavailable):
-            encode(inv(F2), 0, "packed", direct_inv=True)
+    def test_inverted_leaf_stores_the_mirrored_rank(self):
+        assert encode(inv(finite(3)), 0) == bytes.fromhex("f002e0")
 
 
 class TestKeyComparison:

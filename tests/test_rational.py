@@ -16,10 +16,13 @@ from tsokey import (
     compare_keys,
     continued_fraction,
     encode,
-    flip_bits,
     rational_key,
     wrap_finite_leaf,
 )
+
+from helpers import assert_keys_match_oracle
+
+FLIP = bytes(255 - value for value in range(256))
 
 
 class TestContinuedFraction:
@@ -73,7 +76,7 @@ class TestRationalKey:
         positive = rational_key(7, 3)
         negative = rational_key(-7, 3)
         assert positive[0] == 0x01 and negative[0] == 0x00
-        assert negative[1:] == flip_bits(positive[1:])
+        assert negative[1:] == positive[1:].translate(FLIP)
 
     def test_errors(self):
         with pytest.raises(ZeroDenominator):
@@ -125,8 +128,32 @@ class TestRationalLeafEncoding:
 
     def test_inverted_leaf_flips_before_wrapping(self):
         tree = Builtin(BuiltinKind.RATIONAL, None, True)
-        assert encode(tree, (7, 3)) == wrap_finite_leaf(flip_bits(rational_key(7, 3)))
+        assert encode(tree, (7, 3)) == wrap_finite_leaf(rational_key(7, 3).translate(FLIP))
 
     def test_spellings_agree(self):
         assert encode(RATIONAL, (3, 1)) == encode(RATIONAL, 3)
         assert encode(RATIONAL, (10, 4)) == encode(RATIONAL, Fraction(5, 2))
+
+
+class TestTermsOfAnySize:
+    """Continued-fraction terms at or above 2**64 encode like smaller ones."""
+
+    VALUES = [
+        2**64 - 1,
+        2**64,
+        2**70,
+        2**70 + 1,
+        -(2**70),
+        Fraction(1, 2**70),
+        Fraction(10**30, 7),
+        Fraction(-1, 2**70),
+        Fraction(7, 3),
+        0,
+    ]
+
+    def test_key_order_is_compare_order(self):
+        assert_keys_match_oracle(RATIONAL, self.VALUES)
+
+    def test_frozen_keys_on_both_sides_of_2_to_the_64(self):
+        assert rational_key(2**64 - 1, 1) == bytes.fromhex("01008008fffffffffffffffffe")
+        assert rational_key(2**64, 1) == bytes.fromhex("0100800901" + "00" * 8 + "fe")
