@@ -9,6 +9,7 @@ it is built, with the built-in timsort (C, no build step) otherwise.
 from .comparator import Ordering, compare, find_question
 from .encoder import (
     PreparedOrder,
+    check_element,
     compare_keys,
     continued_fraction,
     data_byte_count,
@@ -76,11 +77,9 @@ from .order_model import (
     anticontrelex,
     antihierar,
     antilex,
-    check_element,
     contre_rewrite,
     contrehierar,
     contrelex,
-    expand_builtins,
     finite,
     hierar,
     inv,

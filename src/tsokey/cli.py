@@ -150,7 +150,7 @@ def record_to_element(tree: OrderNode, doc, path: str = "$"):
         if kind is BuiltinKind.BOOL:
             if isinstance(doc, bool):
                 return doc
-            if doc in (0, 1):
+            if isinstance(doc, int) and doc in (0, 1):
                 return bool(doc)
             raise ElementMismatch(f"{path}: expected true or false")
         if kind is BuiltinKind.BYTES:

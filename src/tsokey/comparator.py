@@ -147,7 +147,7 @@ def compare(tree: OrderNode, x, y, *, nan_high: bool = False) -> Ordering:
         return compare(tree.child, x, y, nan_high=nan_high).reversed
 
     if isinstance(tree, Finite):
-        # bool leaves lower to Finite(2), so bool ranks are legitimate here.
+        # A bool is an int, so it is a rank here as in the encoder.
         x = int(x) if isinstance(x, bool) else x
         y = int(y) if isinstance(y, bool) else y
         for value in (x, y):

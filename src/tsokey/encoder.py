@@ -67,7 +67,6 @@ from .order_model import (
     SeqOp,
     Sum,
     _int_bounds,
-    expand_builtins,
     item_order_at,
     push_inv_to_leaves,
     rational_parts,
@@ -78,6 +77,7 @@ __all__ = [
     "PreparedOrder",
     "prepare",
     "encode",
+    "check_element",
     "encode_batch",
     "compare_keys",
     "wrap_finite_leaf",
@@ -95,6 +95,7 @@ COUNT_CAP = 1 << 64
 
 # One wrapped triple per possible data byte, precomputed.
 _TRIPLE = [bytes((PAD_DEFAULT, value, PAD_DEFAULT)) for value in range(256)]
+_LEAF_TRIPLE = bytes((PAD_DEFAULT, 0x00, 0xE0))  # a one-byte leaf, data byte zero
 _FLIP = bytes(255 - value for value in range(256))
 
 
@@ -323,10 +324,11 @@ def compare_keys(a: bytes, b: bytes) -> Ordering:
 class PreparedOrder:
     """A validated tree lowered for encoding.
 
-    ``tree`` has byte/bool leaves expanded and all Inv structure pushed into
-    the leaves; ``stats`` are the validation statistics; ``packed_ok`` says
-    whether packed mode is available; ``max_packed_width`` is the largest
-    packed key size in bytes (None when packed mode is unavailable).
+    ``tree`` has all Inv structure pushed into the leaves and is otherwise
+    the tree the user wrote; ``stats`` are the validation statistics;
+    ``packed_ok`` says whether packed mode is available; ``max_packed_width``
+    is the largest packed key size in bytes (None when packed mode is
+    unavailable).
     """
 
     tree: OrderNode
@@ -339,7 +341,7 @@ class PreparedOrder:
 def prepare(tree: OrderNode) -> PreparedOrder:
     """Validate a tree and lower it once; results are cached by tree value."""
     stats = validate(tree)
-    lowered = push_inv_to_leaves(expand_builtins(tree))
+    lowered = push_inv_to_leaves(tree)
     packed_ok = not stats.has_variable_length
     width = packed_width(lowered) if packed_ok else None
     return PreparedOrder(lowered, stats, packed_ok, width)
@@ -388,9 +390,7 @@ def packed_width(tree: OrderNode) -> int | None:
 
 
 def _finite_data(node: Finite, value, path: str) -> bytes:
-    if isinstance(value, bool):
-        value = int(value)  # bool leaves lower to Finite(2) with bool elements
-    if not isinstance(value, int):
+    if not isinstance(value, int):  # a bool is an int: rank 0 or 1
         raise ElementMismatch(f"{path}: expected a rank integer, got {type(value).__name__}")
     if not 0 <= value < node.cardinality:
         raise ElementMismatch(f"{path}: rank {value} outside 0..{node.cardinality - 1}")
@@ -400,6 +400,11 @@ def _finite_data(node: Finite, value, path: str) -> bytes:
 
 def _leaf_data(node: Builtin, value, path: str, nan_high: bool) -> bytes:
     kind = node.kind
+    if kind is BuiltinKind.BOOL:
+        # The key of finite(2): the rank byte, mirrored when inverted.
+        if not isinstance(value, int) or value not in (0, 1):
+            raise ElementMismatch(f"{path}: expected a bool")
+        return bytes((int(value) ^ node.inverted,))
     try:
         if kind is BuiltinKind.RATIONAL:
             num, den = rational_parts(value)
@@ -461,7 +466,10 @@ class _Encoder:
             self.put_leaf(_finite_data(node, value, path))
             return
         if isinstance(node, Builtin):
-            self.put_leaf(_leaf_data(node, value, path, self.nan_high))
+            if node.kind is BuiltinKind.BYTES:
+                self.bytes_leaf(node, value, depth, path)
+            else:
+                self.put_leaf(_leaf_data(node, value, path, self.nan_high))
             return
         if isinstance(node, SeqOp):
             self.seq(node, value, depth, path)
@@ -470,8 +478,7 @@ class _Encoder:
             if isinstance(value, str) or not hasattr(value, "__len__") or len(value) != 2:
                 raise ElementMismatch(f"{path}: expected a (master_rank, sub) pair")
             master_rank, sub = value
-            # _finite_data takes bools for leaves lowered from bool; a master
-            # rank is never one.
+            # _finite_data takes a bool as a rank; a master rank never is one.
             if not isinstance(master_rank, int) or isinstance(master_rank, bool):
                 raise ElementMismatch(f"{path}: master rank must be an integer")
             self.node(node.master, master_rank, depth + 1, path + ".master")
@@ -480,6 +487,35 @@ class _Encoder:
         if isinstance(node, Inv):
             raise AssertionError("Inv survived preparation")
         raise ElementMismatch(f"{path}: not an order node: {type(node).__name__}")
+
+    def bytes_leaf(self, node: Builtin, value, depth: int, path: str) -> None:
+        """The key of lex(0, omega, [finite(256)]), contrelex when inverted.
+
+        Every byte is a wrapped finite(256) leaf, F0 rank E0: one translate
+        maps the bytes to their ranks, one slice assignment places the ranks
+        in their triples, and the lex (contrelex) end mark goes on the final
+        byte.
+        """
+        if not isinstance(value, (bytes, bytearray)):
+            raise ElementMismatch(f"{path}: expected bytes, got {type(value).__name__}")
+        kind = SeqKind.CONTRELEX if node.inverted else SeqKind.LEX
+        out = self.out
+        if not value:
+            out += empty_sequence_pattern(kind, depth)
+            self._set_tail()
+            return
+        data = value
+        if node.collation is not None:
+            data = data.translate(bytes(node.collation))
+        if node.inverted:
+            data = data.translate(_FLIP)
+        start = len(out)
+        out += _LEAF_TRIPLE * len(data)
+        out[start + 1 :: 3] = data
+        self.chain.append(_CHAIN_CHAR[kind])
+        self._set_tail()
+        self.chain.pop()
+        self._mark_end()
 
     def seq(self, node: SeqOp, value, depth: int, path: str) -> None:
         if isinstance(value, str) or not hasattr(value, "__len__"):
@@ -541,6 +577,16 @@ def encode(tree: OrderNode, value, mode: str = "padded", *, nan_high: bool = Fal
     walker = _Encoder(mode == "packed", nan_high)
     walker.node(prep.tree, value, 0, "$")
     return bytes(walker.out)
+
+
+def check_element(tree: OrderNode, value, *, nan_high: bool = False) -> None:
+    """Raise an ElementError unless ``value`` is an element of ``tree``.
+
+    This is the encoder's own walk with the key thrown away, so a value is
+    an element exactly when it encodes.  A tree that is not valid raises its
+    ValidationError.
+    """
+    _Encoder(False, nan_high).node(prepare(tree).tree, value, 0, "$")
 
 
 def encode_batch(

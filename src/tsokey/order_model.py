@@ -18,13 +18,12 @@ combine the orders of their children into an order on longer values:
 Elements of an order are plain Python values: ints for Finite ranks and
 integer leaves, floats, bools, bytes, Fraction or (num, den) pairs for
 rationals, lists/tuples for sequence nodes and (master_rank, sub) pairs for
-Sum nodes.  ``check_element`` spells out the exact conformance rules.
+Sum nodes.  The encoder's walk is the one definition of which values are
+elements: ``tsokey.check_element`` runs it and discards the key.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,7 +33,6 @@ from .errors import (
     AntiNotUniform,
     ElementMismatch,
     MalformedNode,
-    NaNRejected,
     NextNotFixedLength,
     OrderTooDeep,
     PeriodMissing,
@@ -81,8 +79,6 @@ __all__ = [
     "item_order_at",
     "contre_rewrite",
     "push_inv_to_leaves",
-    "expand_builtins",
-    "check_element",
 ]
 
 # Budgets imposed by the key format: padding nibbles hold 0..15 and the
@@ -237,7 +233,8 @@ class Builtin:
 
     ``collation`` applies to BYTES leaves only.  ``inverted`` marks a
     descending leaf; push_inv_to_leaves produces it and the encoder consumes
-    it by flipping the key bits.
+    it by flipping the key bits (a BOOL leaf mirrors its rank instead, a
+    BYTES leaf also ends as a contrelex node).
     """
 
     kind: BuiltinKind
@@ -290,8 +287,8 @@ class PathStats:
     depth counts operator nodes (SeqOp / Sum) on the deepest root-leaf path;
     max_lex_path and max_contrelex_path count decrementing respectively
     incrementing operators on any single path, byte-string leaves included
-    since they expand to a lex node.  has_variable_length is True as soon as
-    any node can produce elements of more than one encoded length.
+    since their key is that of a lex node.  has_variable_length is True as
+    soon as any node can produce elements of more than one encoded length.
     """
 
     depth: int
@@ -392,9 +389,10 @@ def _check_collation(table: tuple[int, ...], size: int, path: str) -> None:
 def _walk_stats(node: OrderNode, path: str) -> tuple[int, int, int, bool]:
     """Return (depth, lex_path, contrelex_path, variable_length) for node.
 
-    Byte-string leaves are charged as one lex level because they expand to
-    lex(0, OMEGA, [finite(256)]) before encoding; anything else would let a
-    deep tree pass validation and then underflow a padding counter.
+    Byte-string leaves are charged as one lex level because the encoder
+    writes them as the key of lex(0, OMEGA, [finite(256)]), end mark and
+    empty-sequence marker included; anything else would let a deep tree
+    pass validation and then underflow a padding counter.
     """
     if isinstance(node, Finite):
         if not isinstance(node.cardinality, int) or isinstance(node.cardinality, bool):
@@ -576,21 +574,14 @@ def _push_inv(node: OrderNode, negate: bool) -> OrderNode:
         if isinstance(node, Sum):
             return Sum(node.master, tuple(_push_inv(c, False) for c in node.cases))
         return node
-    # Inverted subtree: swap the operator, push into the children.
+    # Inverted subtree: a leaf absorbs the inversion; an operator takes one
+    # contre_rewrite step, which pushes the inversion into its children.
     if isinstance(node, Finite):
         return _reversed_finite(node)
     if isinstance(node, Builtin):
         return Builtin(node.kind, node.collation, not node.inverted)
-    if isinstance(node, SeqOp):
-        return SeqOp(
-            _CONTRE_PARTNER[node.kind],
-            node.min_len,
-            node.max_len,
-            tuple(_push_inv(c, True) for c in node.prelude),
-            tuple(_push_inv(c, True) for c in node.period),
-        )
-    if isinstance(node, Sum):
-        return Sum(_reversed_finite(node.master), tuple(_push_inv(c, True) for c in node.cases))
+    if isinstance(node, (SeqOp, Sum)):
+        return _push_inv(contre_rewrite(node), False)
     raise TypeError(f"not an order node: {type(node).__name__}")
 
 
@@ -605,40 +596,8 @@ def push_inv_to_leaves(tree: OrderNode) -> OrderNode:
     return _push_inv(tree, False)
 
 
-def expand_builtins(tree: OrderNode) -> OrderNode:
-    """Lower bytes and bool leaves to their sequence / finite equivalents.
-
-    bytes becomes lex(0, OMEGA, period=[finite(256, collation)]) and bool
-    becomes finite(2); the numeric and rational leaves keep dedicated key
-    encoders and are left alone.  Idempotent.
-    """
-    if isinstance(tree, Builtin):
-        if tree.kind is BuiltinKind.BYTES:
-            expanded: OrderNode = SeqOp(
-                SeqKind.LEX, 0, OMEGA, (), (Finite(256, tree.collation),)
-            )
-        elif tree.kind is BuiltinKind.BOOL:
-            expanded = Finite(2)
-        else:
-            return tree
-        return Inv(expanded) if tree.inverted else expanded
-    if isinstance(tree, Inv):
-        return Inv(expand_builtins(tree.child))
-    if isinstance(tree, SeqOp):
-        return SeqOp(
-            tree.kind,
-            tree.min_len,
-            tree.max_len,
-            tuple(expand_builtins(c) for c in tree.prelude),
-            tuple(expand_builtins(c) for c in tree.period),
-        )
-    if isinstance(tree, Sum):
-        return Sum(tree.master, tuple(expand_builtins(c) for c in tree.cases))
-    return tree
-
-
 # ---------------------------------------------------------------------------
-# Element conformance
+# Element helpers
 
 
 def _int_bounds(kind: BuiltinKind) -> tuple[int, int]:
@@ -649,82 +608,8 @@ def _int_bounds(kind: BuiltinKind) -> tuple[int, int]:
     return -half, half - 1
 
 
-def _check_element(node: OrderNode, value, path: str, nan_high: bool) -> None:
-    if isinstance(node, Inv):
-        _check_element(node.child, value, path, nan_high)
-        return
-
-    if isinstance(node, Finite):
-        # bool counts as its integer rank; bool leaves lower to Finite(2).
-        if not isinstance(value, int):
-            raise ElementMismatch(f"{path}: expected a rank integer, got {type(value).__name__}")
-        if not 0 <= value < node.cardinality:
-            raise ElementMismatch(f"{path}: rank {value} outside 0..{node.cardinality - 1}")
-        return
-
-    if isinstance(node, Builtin):
-        kind = node.kind
-        if kind.is_unsigned_int or kind.is_signed_int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ElementMismatch(f"{path}: expected an integer for {kind.value}")
-            lo, hi = _int_bounds(kind)
-            if not lo <= value <= hi:
-                raise ElementMismatch(f"{path}: {value} outside {kind.value} range {lo}..{hi}")
-            return
-        if kind.is_float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ElementMismatch(f"{path}: expected a float for {kind.value}")
-            if isinstance(value, float) and math.isnan(value) and not nan_high:
-                raise NaNRejected(f"{path}: NaN needs the nan_high policy")
-            try:
-                # The encoder stores the value with this format: same range.
-                struct.pack(">f" if kind is BuiltinKind.FLOAT32 else ">d", float(value))
-            except OverflowError:
-                raise ElementMismatch(f"{path}: value does not fit in {kind.value}") from None
-            return
-        if kind is BuiltinKind.BOOL:
-            if not isinstance(value, (bool, int)) or (isinstance(value, int) and value not in (0, 1)):
-                raise ElementMismatch(f"{path}: expected a bool")
-            return
-        if kind is BuiltinKind.BYTES:
-            if not isinstance(value, (bytes, bytearray)):
-                raise ElementMismatch(f"{path}: expected bytes, got {type(value).__name__}")
-            return
-        if kind is BuiltinKind.RATIONAL:
-            _rational_parts(value, path)
-            return
-        raise ElementMismatch(f"{path}: unhandled builtin {kind.value}")
-
-    if isinstance(node, SeqOp):
-        if isinstance(value, str) or not hasattr(value, "__len__"):
-            raise ElementMismatch(f"{path}: expected a sequence, got {type(value).__name__}")
-        length = len(value)
-        if length < node.min_len or not node.max_len > length:
-            raise ElementMismatch(
-                f"{path}: length {length} outside [{node.min_len}, {node.max_len})"
-            )
-        for rank, item in enumerate(value):
-            _check_element(item_order_at(node, rank), item, f"{path}[{rank}]", nan_high)
-        return
-
-    if isinstance(node, Sum):
-        if isinstance(value, str) or not hasattr(value, "__len__") or len(value) != 2:
-            raise ElementMismatch(f"{path}: expected a (master_rank, sub) pair")
-        master_rank, sub = value
-        if not isinstance(master_rank, int) or isinstance(master_rank, bool):
-            raise ElementMismatch(f"{path}: master rank must be an integer")
-        if not 0 <= master_rank < node.master.cardinality:
-            raise ElementMismatch(
-                f"{path}: master rank {master_rank} outside 0..{node.master.cardinality - 1}"
-            )
-        _check_element(node.cases[master_rank], sub, f"{path}.case({master_rank})", nan_high)
-        return
-
-    raise ElementMismatch(f"{path}: not an order node: {type(node).__name__}")
-
-
-def _rational_parts(value, path: str) -> tuple[int, int]:
-    """Extract (numerator, denominator > 0) from the accepted spellings."""
+def rational_parts(value) -> tuple[int, int]:
+    """(num, den) with den > 0 for any accepted rational spelling."""
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     if isinstance(value, int) and not isinstance(value, bool):
@@ -738,18 +623,8 @@ def _rational_parts(value, path: str) -> tuple[int, int]:
             and not isinstance(den, bool)
         ):
             if den <= 0:
-                raise ElementMismatch(f"{path}: rational denominator must be positive, got {den}")
+                raise ElementMismatch(f"rational denominator must be positive, got {den}")
             return num, den
     raise ElementMismatch(
-        f"{path}: expected a Fraction, an int, or a (num, den) pair, got {type(value).__name__}"
+        f"expected a Fraction, an int, or a (num, den) pair, got {type(value).__name__}"
     )
-
-
-def check_element(tree: OrderNode, value, *, nan_high: bool = False) -> None:
-    """Raise ElementMismatch (or NaNRejected) unless value conforms to tree."""
-    _check_element(tree, value, "$", nan_high)
-
-
-def rational_parts(value) -> tuple[int, int]:
-    """Public helper: (num, den) with den > 0 for any accepted rational spelling."""
-    return _rational_parts(value, "$")

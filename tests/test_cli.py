@@ -54,12 +54,19 @@ class TestRecordToElement:
         with pytest.raises(ElementMismatch, match="number"):
             record_to_element(tree, [])
 
-    def test_bool_forms(self):
+    def test_bool_forms(self, tmp_path, capsys):
         tree = parse("bool")
         assert record_to_element(tree, True) is True
         assert record_to_element(tree, 0) is False
-        with pytest.raises(ElementMismatch, match="true or false"):
-            record_to_element(tree, "yes")
+        for doc in ("yes", 1.0, 0.0, 2):
+            with pytest.raises(ElementMismatch, match="true or false"):
+                record_to_element(tree, doc)
+        order = write(tmp_path, "o.tsodl", "bool")
+        data = write(tmp_path, "d.jsonl", "true\n0\n1.0\n")
+        assert main(["encode", order, data, "--hex"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "F001E0\nF000E0\n"
+        assert "line 3: $: expected true or false" in captured.err
 
     def test_bytes_forms(self):
         tree = parse("bytes")

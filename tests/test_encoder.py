@@ -1,15 +1,17 @@
 """Key encoding: building blocks, frozen vectors, and oracle agreement."""
 
+import json
 import math
 import random
 import struct
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from tsokey import (
+    BOOL,
     BYTES,
     FLOAT32,
     FLOAT64,
@@ -32,6 +34,7 @@ from tsokey import (
     PackedModeUnavailable,
     PrefixAnomaly,
     SeqKind,
+    TsokeyError,
     anticontrehierar,
     anticontrelex,
     antihierar,
@@ -58,7 +61,7 @@ from tsokey import (
     wrap_finite_leaf,
 )
 from tsokey.encoder import _count_header_unbounded, _ending_values
-from tsokey.randgen import random_pair, random_tree
+from tsokey.randgen import random_element, random_pair, random_tree
 
 from helpers import assert_keys_match_oracle, elements
 
@@ -431,8 +434,18 @@ class TestValidatorsAgree:
             (sum_of(F2, (UINT8, UINT8)), (True, 3), (1, 3)),
             (FLOAT32, 1e300, 1.0),
             (FLOAT64, 10**400, 1.0),
+            (BYTES, [97, 98], b"ab"),
+            (BYTES, (97, 98), b"ab"),
+            (BYTES, memoryview(b"ab"), b"ab"),
         ],
-        ids=["bool-master-rank", "float32-overflow", "float64-huge-int"],
+        ids=[
+            "bool-master-rank",
+            "float32-overflow",
+            "float64-huge-int",
+            "bytes-list",
+            "bytes-tuple",
+            "bytes-memoryview",
+        ],
     )
     def test_all_three_reject(self, tree, bad, good):
         check_element(tree, good)
@@ -443,6 +456,52 @@ class TestValidatorsAgree:
             encode(tree, bad)
         with pytest.raises(IncompatibleElements):
             compare(tree, bad, good)
+
+
+class TestPaperDefinitions:
+    """bytes and bool leaves give the keys of the trees the paper defines them as.
+
+    bytes is lex(0, omega, [finite(256)]) and bool is finite(2); a descending
+    leaf is that tree under inv.  Each leaf is checked at the root and as an
+    item of lex and contrelex parents, so its end mark lands on every kind of
+    ending-value chain.
+    """
+
+    PARENTS = [
+        (lambda t: t, lambda v: v),
+        (lambda t: lex(0, 3, period=(t,)), lambda v: [v, v]),
+        (lambda t: contrelex(0, 3, period=(t,)), lambda v: [v, v]),
+        (lambda t: contrelex(0, 2, period=(lex(0, 2, period=(t,)),)), lambda v: [[v]]),
+        (lambda t: lex(0, 2, period=(contrelex(0, 2, period=(t,)),)), lambda v: [[v]]),
+    ]
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_bytes_is_lex_of_finite_256(self, case):
+        rng = random.Random(case)
+        length = rng.randrange(0, 5) if case else 0  # case 0: the empty string
+        data = bytes(rng.randrange(256) for _ in range(length))
+        collation = None
+        if rng.random() < 0.5:
+            collation = list(range(256))
+            rng.shuffle(collation)
+            collation = tuple(collation)
+        reference = lex(0, OMEGA, period=(Finite(256, collation),))
+        for inverted in (False, True):
+            leaf = Builtin(BuiltinKind.BYTES, collation, inverted)
+            defined = inv(reference) if inverted else reference
+            for make, wrap in self.PARENTS:
+                assert encode(make(leaf), wrap(data)) == encode(make(defined), wrap(list(data)))
+
+    @pytest.mark.parametrize("mode", ["padded", "packed"])
+    def test_bool_is_finite_2(self, mode):
+        parents = [(lambda t: t, lambda v: v), (lambda t: next_(2, 3, period=(t,)), lambda v: [v, v])]
+        if mode == "padded":
+            parents += self.PARENTS[1:]
+        for leaf, defined in [(BOOL, F2), (Builtin(BuiltinKind.BOOL, None, True), inv(F2))]:
+            for make, wrap in parents:
+                for value in (False, True, 0, 1):
+                    got = encode(make(leaf), wrap(value), mode)
+                    assert got == encode(make(defined), wrap(int(value)), mode)
 
 
 class TestInvertedShapes:
@@ -512,3 +571,44 @@ def test_equal_elements_share_one_key(seed):
     x, y = random_pair(rng, tree, length_cap=3)
     if compare(tree, x, y) is Ordering.EQUAL:
         assert encode(tree, x) == encode(tree, y)
+
+
+# Values that are elements of some trees and not of others; the JSON-decoded
+# ones are what a JSON Lines reader hands over.
+_MISFITS = [json.loads(text) for text in ("[0, 1]", "1.0", "true", '"ab"', "null", '{"hex": "61"}')]
+_MISFITS += [[97, 98], memoryview(b"q"), 2**70, math.nan, 1e300, (1, 0)]
+
+
+def _mutate(rng, value):
+    """Replace the value, or one item somewhere inside it, with a misfit."""
+    if isinstance(value, (list, tuple)) and value and rng.random() < 0.6:
+        items = list(value)
+        index = rng.randrange(len(items))
+        items[index] = _mutate(rng, items[index])
+        return type(value)(items)
+    return rng.choice(_MISFITS)
+
+
+def _accepts(run):
+    try:
+        run()
+    except TsokeyError:
+        return False
+    return True
+
+
+@seed(1)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_validator_encoder_and_comparator_agree_on_membership(draw, nan_high):
+    rng = random.Random(draw)
+    tree = random_tree(rng, rng.randrange(0, 4))
+    value = random_element(rng, tree, length_cap=3)
+    if rng.random() < 0.8:
+        value = _mutate(rng, value)
+    verdicts = (
+        _accepts(lambda: check_element(tree, value, nan_high=nan_high)),
+        _accepts(lambda: encode(tree, value, nan_high=nan_high)),
+        _accepts(lambda: compare(tree, value, value, nan_high=nan_high)),
+    )
+    assert len(set(verdicts)) == 1, f"{tree!r} {value!r}: check/encode/compare {verdicts}"

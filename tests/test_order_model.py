@@ -33,7 +33,6 @@ from tsokey import (
     contre_rewrite,
     contrehierar,
     contrelex,
-    expand_builtins,
     finite,
     hierar,
     inv,
@@ -234,20 +233,6 @@ class TestRationalParts:
 
 
 class TestRewrites:
-    def test_expand_builtins_lowers_bytes_and_bool(self):
-        tree = lex(0, 3, period=(BOOL, BYTES))
-        lowered = expand_builtins(tree)
-        assert lowered.period[0] == Finite(2)
-        expanded = lowered.period[1]
-        assert expanded.kind is SeqKind.LEX
-        assert expanded.max_len is OMEGA
-        assert expanded.period == (Finite(256, None),)
-        assert expand_builtins(lowered) == lowered
-
-    def test_expand_builtins_keeps_the_inversion(self):
-        lowered = expand_builtins(Builtin(BuiltinKind.BYTES, None, True))
-        assert isinstance(lowered, Inv)
-
     def test_push_inv_removes_structural_inversions(self):
         tree = inv(lex(0, 3, period=(inv(finite(3)), INT8)))
         rewritten = push_inv_to_leaves(tree)
