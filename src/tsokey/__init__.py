@@ -2,8 +2,7 @@
 
 Build an order tree (or parse one from its text form), encode elements into
 byte keys whose plain bytewise comparison reproduces the tree order, and
-sort large key arrays: with the MSD radix kernels of the compiled core when
-it is built, with the built-in timsort (C, no build step) otherwise.
+sort large key arrays with the built-in timsort (C, no build step).
 """
 
 from .comparator import Ordering, compare, find_question
@@ -91,14 +90,8 @@ from .order_model import (
     sum_of,
     validate,
 )
-from .sorter import (
-    HAVE_COMPILED,
-    LongCell,
-    ShortCell,
-    SortPolicy,
-    choose_algorithm,
-    sort_cells,
-)
+# HAVE_COMPILED is always False; perfbench's worker imports it from here.
+from .sorter import HAVE_COMPILED, LongCell, ShortCell, sort_cells
 from .tsodl import parse, serialize
 
 __version__ = "0.1.0"

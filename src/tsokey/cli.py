@@ -22,6 +22,7 @@ import sys
 import time
 from operator import attrgetter
 
+from . import _pure_sort
 from .encoder import encode, prepare
 from .errors import (
     CounterOverflow,
@@ -46,7 +47,7 @@ from .order_model import (
 )
 from .randgen import random_element
 from .selfcheck import run_selftest
-from .sorter import LongCell, ShortCell, SortPolicy, sort_cells
+from .sorter import LongCell
 from .tsodl import parse as parse_order
 
 __all__ = ["main"]
@@ -194,23 +195,31 @@ def _read_order(path: str) -> OrderNode:
 
 
 def _iter_lines(path: str):
-    """Yield (line_number, stripped_line) for every non-blank input line."""
-    handle = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+    """Yield (line_number, raw_line) for every input line, without its line ending.
+
+    Lines stay bytes so that one that is not UTF-8 fails on its own, with
+    its number, when the caller decodes it.
+    """
+    handle = sys.stdin.buffer if path == "-" else open(path, "rb")
     try:
         for number, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if line.strip():
-                yield number, line
+            yield number, raw.rstrip(b"\r\n")
     finally:
-        if handle is not sys.stdin:
+        if path != "-":
             handle.close()
 
 
 def _encode_records(tree: OrderNode, path: str, mode: str, nan_high: bool, skip_bad: bool):
     """Yield (line_number, raw_line, key); bad lines raise or warn per skip_bad."""
     prepare(tree)
-    for number, line in _iter_lines(path):
+    for number, raw in _iter_lines(path):
         try:
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ElementMismatch(f"not valid UTF-8: {exc}") from None
+            if not line.strip():
+                continue
             try:
                 doc = json.loads(line)
             except (ValueError, RecursionError) as exc:
@@ -257,26 +266,15 @@ def _cmd_encode(args) -> int:
 
 def _cmd_sort(args) -> int:
     tree = _read_order(args.order)
-    prep = prepare(tree)
-    # Short cells only when every key fits eight packed bytes; shorter
-    # packed keys are zero-padded, safe because the packing is positional.
-    packed = prep.packed_ok and prep.max_packed_width <= 8
-    mode = "packed" if packed else "padded"
-    cells: list = []
+    mode = "packed" if prepare(tree).packed_ok else "padded"
     lines: list[str] = []
+    keys: list[bytes] = []
     for _, line, key in _encode_records(tree, args.data, mode, args.nan_high, args.skip_bad):
-        index = len(lines)
         lines.append(line)
-        if packed:
-            cells.append(ShortCell(key.ljust(8, b"\x00"), index))
-        else:
-            cells.append(LongCell(key, index))
-    ordered = sort_cells(cells)
-    for cell in ordered:
-        if args.output == "lines":
-            print(lines[cell.ref])
-        else:
-            print(cell.ref)
+        keys.append(key)
+    # Looked up on the module at call time, so a wrapper installed there sees the sort.
+    for index in _pure_sort.msd_sort_indices(keys):
+        print(lines[index] if args.output == "lines" else index)
     return 0
 
 
@@ -301,28 +299,19 @@ def _cmd_selftest(args) -> int:
 _UINT64_TREE = Builtin(BuiltinKind.UINT64)
 
 
-def _bench_cells(generator: str, tree: OrderNode | None, rng: random.Random, n: int) -> list:
-    """Build the cell array for one repeat; the work timed as nextify."""
+def _bench_keys(generator: str, tree: OrderNode | None, rng: random.Random, n: int) -> list:
+    """Build the key list for one repeat; the work timed as nextify."""
     if generator == "uniform":
-        return [
-            ShortCell(encode(_UINT64_TREE, rng.getrandbits(64), "packed"), index)
-            for index in range(n)
-        ]
+        return [encode(_UINT64_TREE, rng.getrandbits(64), "packed") for _ in range(n)]
     if generator == "prefix":
         prefix = bytes(rng.randrange(256) for _ in range(90))
-        cells = []
-        for index in range(n):
-            suffix_len = rng.randrange(10, 39)
-            key = prefix + bytes(rng.randrange(256) for _ in range(suffix_len))
-            cells.append(LongCell(key, index))
-        return cells
+        return [
+            prefix + bytes(rng.randrange(256) for _ in range(rng.randrange(10, 39)))
+            for _ in range(n)
+        ]
     # custom: random elements of the supplied order, padded keys
     assert tree is not None
-    cells = []
-    for index in range(n):
-        element = random_element(rng, tree)
-        cells.append(LongCell(encode(tree, element), index))
-    return cells
+    return [encode(tree, random_element(rng, tree)) for _ in range(n)]
 
 
 def _cmd_bench(args) -> int:
@@ -332,7 +321,6 @@ def _cmd_bench(args) -> int:
             raise ElementMismatch("--gen=custom needs --order")
         tree = _read_order(args.order)
     sizes = args.n if args.n is not None else _DEFAULT_BENCH_SIZES
-    policy = SortPolicy(switch_threshold=0, backend=args.backend)
     out = sys.stdout
     out.write("generator,n,nextify_ns,radix_sort_ns,comparison_sort_ns,ratio\n")
     for n in sizes:
@@ -340,25 +328,27 @@ def _cmd_bench(args) -> int:
             out.write(f"{args.gen},0,0,0,0,0.000\n")
             continue
         nextify_runs = []
-        radix_runs = []
+        argsort_runs = []
         comparison_runs = []
         for repeat in range(args.repeat):
             rng = random.Random(args.seed * 1_000_003 + n * 1_009 + repeat)
             t0 = time.perf_counter_ns()
-            cells = _bench_cells(args.gen, tree, rng, n)
+            keys = _bench_keys(args.gen, tree, rng, n)
             t1 = time.perf_counter_ns()
-            sort_cells(cells, policy)
+            _pure_sort.msd_sort_indices(keys)
             t2 = time.perf_counter_ns()
-            sorted(cells, key=attrgetter("key"))
+            cells = list(map(LongCell, keys, range(n)))
             t3 = time.perf_counter_ns()
+            sorted(cells, key=attrgetter("key"))
+            t4 = time.perf_counter_ns()
             nextify_runs.append(t1 - t0)
-            radix_runs.append(t2 - t1)
-            comparison_runs.append(t3 - t2)
+            argsort_runs.append(t2 - t1)
+            comparison_runs.append(t4 - t3)
         nextify = int(statistics.median(nextify_runs))
-        radix = int(statistics.median(radix_runs))
+        argsort = int(statistics.median(argsort_runs))
         comparison = int(statistics.median(comparison_runs))
-        ratio = comparison / max(radix, 1)
-        out.write(f"{args.gen},{n},{nextify},{radix},{comparison},{ratio:.3f}\n")
+        ratio = comparison / max(argsort, 1)
+        out.write(f"{args.gen},{n},{nextify},{argsort},{comparison},{ratio:.3f}\n")
         out.flush()
     return 0
 
@@ -405,13 +395,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sort.add_argument("--nan-high", action="store_true", help="allow NaN, sorting above +inf")
     p_sort.set_defaults(func=_cmd_sort)
 
-    p_bench = commands.add_parser("bench", help="time the radix path against the comparison sort")
+    p_bench = commands.add_parser("bench", help="time the key argsort against a sort of cells")
     p_bench.add_argument("--gen", choices=("uniform", "prefix", "custom"), default="uniform")
     p_bench.add_argument("--order", help="order file for --gen=custom")
     p_bench.add_argument("--n", type=_positive_sizes, default=None, help="comma-separated sizes")
     p_bench.add_argument("--repeat", type=int, default=3, help="repeats per size (median wins)")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--backend", choices=("auto", "compiled", "pure"), default="auto")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_selftest = commands.add_parser("selftest", help="run the built-in checks")

@@ -214,6 +214,13 @@ class BuiltinKind(str, Enum):
         return self.value.startswith("float")
 
 
+def _freeze_collation(node) -> None:
+    # Nodes are hashed (prepare is cached per tree), so a list table given
+    # by the caller becomes a tuple; validate() checks the entries.
+    if isinstance(node.collation, list):
+        object.__setattr__(node, "collation", tuple(node.collation))
+
+
 @dataclass(frozen=True, slots=True)
 class Finite:
     """The naturals 0 .. cardinality-1.
@@ -225,6 +232,9 @@ class Finite:
 
     cardinality: int
     collation: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        _freeze_collation(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,6 +250,9 @@ class Builtin:
     kind: BuiltinKind
     collation: tuple[int, ...] | None = None
     inverted: bool = False
+
+    def __post_init__(self):
+        _freeze_collation(self)
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,11 +2,13 @@
 
 import io
 import json
+import random
 import sys
+from functools import cmp_to_key
 
 import pytest
 
-from tsokey import ElementMismatch, encode, parse
+from tsokey import ElementMismatch, compare, encode, parse, prepare
 from tsokey.cli import main, record_to_element
 from tsokey.errors import DepthOverflow
 
@@ -239,9 +241,34 @@ class TestEncodeCommand:
 
     def test_reads_stdin_with_dash(self, tmp_path, capsys, monkeypatch):
         order = write(tmp_path, "o.tsodl", "uint8")
-        monkeypatch.setattr(sys, "stdin", io.StringIO("4\n2\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"4\n2\n")))
         assert main(["encode", order, "-", "--hex"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def test_crlf_line_endings(self, tmp_path, capsys):
+        order = write(tmp_path, "o.tsodl", "uint8")
+        data = tmp_path / "d.jsonl"
+        data.write_bytes(b"4\r\n2\r\n")
+        assert main(["encode", order, str(data), "--hex"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["F004E0", "F002E0"]
+
+    def test_non_utf8_line_names_line_number(self, tmp_path, capsys):
+        order = write(tmp_path, "o.tsodl", "bytes")
+        data = tmp_path / "d.jsonl"
+        data.write_bytes(b'"a"\n"\xff"\n"b"\n')
+        assert main(["encode", order, str(data), "--hex"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: not valid UTF-8")
+        assert main(["encode", order, str(data), "--hex", "--skip-bad"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2
+        assert captured.err.startswith("warning: skipped line 2: not valid UTF-8")
+
+    def test_non_utf8_stdin_names_line_number(self, tmp_path, capsys, monkeypatch):
+        order = write(tmp_path, "o.tsodl", "uint8")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"4\n\xfe\n")))
+        assert main(["encode", order, "-", "--hex"]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: not valid UTF-8")
 
     def test_nan_policy(self, tmp_path, capsys):
         order = write(tmp_path, "o.tsodl", "float64")
@@ -284,7 +311,7 @@ class TestSortCommand:
         out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert out == [255, 20, 3]
 
-    def test_large_input_hits_radix_path(self, tmp_path, capsys):
+    def test_large_input(self, tmp_path, capsys):
         order = write(tmp_path, "o.tsodl", "uint16")
         values = [(i * 7919) % 65536 for i in range(500)]
         data = jsonl(tmp_path, "d.jsonl", values)
@@ -299,6 +326,52 @@ class TestSortCommand:
         captured = capsys.readouterr()
         assert captured.out.splitlines() == ["2", "7"]
         assert "warning" in captured.err
+
+    def test_non_utf8_line(self, tmp_path, capsys):
+        order = write(tmp_path, "o.tsodl", "bytes")
+        data = tmp_path / "d.jsonl"
+        data.write_bytes(b'"b"\n"\xc3("\n"a"\n')
+        assert main(["sort", order, str(data)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: not valid UTF-8")
+        assert main(["sort", order, str(data), "--skip-bad"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ['"a"', '"b"']
+        assert captured.err.startswith("warning: skipped line 2: not valid UTF-8")
+
+    @pytest.mark.parametrize(
+        "text, make_doc",
+        [
+            # Packed keys of 12 bytes: wider than one machine word.
+            (
+                "next(2, 3, (uint64, int32 desc))",
+                lambda rng: [rng.randrange(4) << 62, rng.randrange(-3, 3)],
+            ),
+            # Packed keys of 3, 7 and 2 bytes, by case.
+            (
+                "sum(finite(3), (uint16, next(2, 3, (int16, uint32 desc)), finite(1)))",
+                lambda rng: rng.choice(
+                    [
+                        lambda: [0, rng.randrange(3)],
+                        lambda: [1, [rng.randrange(-2, 2), rng.randrange(3)]],
+                        lambda: [2, 0],
+                    ]
+                )(),
+            ),
+        ],
+        ids=["wider-than-8", "sum-of-widths"],
+    )
+    def test_packed_keys_of_any_width(self, tmp_path, capsys, text, make_doc):
+        tree = parse(text)
+        assert prepare(tree).packed_ok
+        rng = random.Random(5)
+        docs = [make_doc(rng) for _ in range(300)]
+        elements = [record_to_element(tree, doc) for doc in docs]
+        order = write(tmp_path, "o.tsodl", text)
+        data = jsonl(tmp_path, "d.jsonl", docs)
+        assert main(["sort", order, data, "--output", "indices"]) == 0
+        got = [int(line) for line in capsys.readouterr().out.splitlines()]
+        by_compare = cmp_to_key(lambda i, j: compare(tree, elements[i], elements[j]))
+        assert got == sorted(range(len(docs)), key=by_compare)
 
 
 class TestBenchCommand:
@@ -330,10 +403,6 @@ class TestBenchCommand:
         assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("custom,16,")
-
-    def test_pure_backend(self, capsys):
-        assert main(["bench", "--n", "32", "--repeat", "1", "--backend", "pure"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_negative_sizes_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -437,6 +437,8 @@ class TestValidatorsAgree:
             (BYTES, [97, 98], b"ab"),
             (BYTES, (97, 98), b"ab"),
             (BYTES, memoryview(b"ab"), b"ab"),
+            (Finite(3, [2, 0, 1]), 3, 1),
+            (Builtin(BuiltinKind.BYTES, list(range(255, -1, -1))), "ab", b"ab"),
         ],
         ids=[
             "bool-master-rank",
@@ -445,6 +447,8 @@ class TestValidatorsAgree:
             "bytes-list",
             "bytes-tuple",
             "bytes-memoryview",
+            "finite-list-collation",
+            "bytes-list-collation",
         ],
     )
     def test_all_three_reject(self, tree, bad, good):
@@ -456,6 +460,11 @@ class TestValidatorsAgree:
             encode(tree, bad)
         with pytest.raises(IncompatibleElements):
             compare(tree, bad, good)
+
+    def test_list_collation_keys_as_tuple(self):
+        listed, tupled = Finite(3, [2, 0, 1]), Finite(3, (2, 0, 1))
+        assert listed == tupled
+        assert [encode(listed, v) for v in range(3)] == [encode(tupled, v) for v in range(3)]
 
 
 class TestPaperDefinitions:
