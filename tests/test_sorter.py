@@ -47,6 +47,17 @@ def stable_oracle(cells):
     return sorted(cells, key=attrgetter("key"))
 
 
+def argsort_cells(cells):
+    """The cells in the order msd_sort_indices gives their keys (tsokey sort's path)."""
+    return [cells[i] for i in msd_sort_indices([cell.key for cell in cells])]
+
+
+# Both sort entry points must give the same stable bytewise order.
+SORTS = pytest.mark.parametrize(
+    "sort", [sort_cells, argsort_cells], ids=["sort_cells", "argsort"]
+)
+
+
 class TestCells:
     def test_short_cell_holds_eight_bytes(self):
         cell = ShortCell(b"\x00" * 8, 7)
@@ -72,26 +83,30 @@ class TestSortCells:
     def test_empty(self):
         assert sort_cells([]) == []
 
-    def test_small_array(self):
+    @SORTS
+    def test_small_array(self, sort):
         rng = random.Random(0)
         cells = short_cells(rng, 20)
-        assert sort_cells(cells) == stable_oracle(cells)
+        assert sort(cells) == stable_oracle(cells)
 
-    def test_short_cells_match_oracle(self):
+    @SORTS
+    def test_short_cells_match_oracle(self, sort):
         rng = random.Random(1)
         cells = short_cells(rng, 3000, distinct_bytes=7)
-        assert sort_cells(cells) == stable_oracle(cells)
+        assert sort(cells) == stable_oracle(cells)
 
-    def test_long_cells_match_oracle(self):
+    @SORTS
+    def test_long_cells_match_oracle(self, sort):
         rng = random.Random(2)
         cells = long_cells(rng, 3000)
-        assert sort_cells(cells) == stable_oracle(cells)
+        assert sort(cells) == stable_oracle(cells)
 
-    def test_stability_with_heavy_duplicates(self):
+    @SORTS
+    def test_stability_with_heavy_duplicates(self, sort):
         rng = random.Random(3)
         keys = [bytes([rng.randrange(2)]) * 8 for _ in range(500)]
         cells = [ShortCell(key, ref) for ref, key in enumerate(keys)]
-        result = sort_cells(cells)
+        result = sort(cells)
         assert result == stable_oracle(cells)
         refs_per_key = {}
         for cell in result:
@@ -99,12 +114,13 @@ class TestSortCells:
         for refs in refs_per_key.values():
             assert refs == sorted(refs)
 
-    def test_prefix_ordering(self):
+    @SORTS
+    def test_prefix_ordering(self, sort):
         cells = [
             LongCell(key, ref)
             for ref, key in enumerate([b"ab", b"a", b"abc", b"", b"b", b"aa"])
         ]
-        result = sort_cells(cells)
+        result = sort(cells)
         assert [c.key for c in result] == [b"", b"a", b"aa", b"ab", b"abc", b"b"]
 
     def test_duplicate_heavy_path_keys(self):
@@ -114,31 +130,35 @@ class TestSortCells:
         result = sort_cells(cells)
         assert result == stable_oracle(cells)
 
-    def test_strict_prefixes_and_empty_keys(self):
+    @SORTS
+    def test_strict_prefixes_and_empty_keys(self, sort):
         rng = random.Random(17)
         stems = [b"", b"p", b"pa", b"pat", b"path", b"path\x00", b"path\x00\x00"]
         cells = [LongCell(rng.choice(stems), ref) for ref in range(500)]
-        result = sort_cells(cells)
+        result = sort(cells)
         assert result == stable_oracle(cells)
 
-    def test_equal_keys_keep_input_order(self):
+    @SORTS
+    def test_equal_keys_keep_input_order(self, sort):
         key = encode(parse("bytes"), b"/srv/projects/tsokey/same/path.py")
         cells = [LongCell(key, ref) for ref in range(300)]
         cells[100:200] = reversed(cells[100:200])
-        result = sort_cells(cells)
+        result = sort(cells)
         assert result == cells
 
-    def test_input_not_mutated(self):
+    @SORTS
+    def test_input_not_mutated(self, sort):
         rng = random.Random(4)
         cells = long_cells(rng, 200)
         snapshot = list(cells)
-        sort_cells(cells)
+        sort(cells)
         assert cells == snapshot
 
-    def test_tiny_arrays(self):
+    @SORTS
+    def test_tiny_arrays(self, sort):
         cells = [LongCell(b"b", 0), LongCell(b"a", 1)]
-        assert [c.ref for c in sort_cells(cells)] == [1, 0]
-        assert sort_cells([LongCell(b"x", 0)]) == [LongCell(b"x", 0)]
+        assert [c.ref for c in sort(cells)] == [1, 0]
+        assert sort([LongCell(b"x", 0)]) == [LongCell(b"x", 0)]
 
     def test_mixed_kinds_rejected(self):
         cells = [ShortCell(b"\x00" * 8, 0), LongCell(b"a", 1)]
