@@ -15,8 +15,8 @@ from .encoder import (
     empty_sequence_pattern,
     encode,
     encode_batch,
+    encode_doc,
     hierar_count_header,
-    packed_width,
     prepare,
     primitive_key,
     rational_key,

@@ -1,12 +1,14 @@
 """Command-line front end: validate, encode, sort, bench, selftest.
 
+Order files are UTF-8 text in the definition language of ``tsodl``.
 Dataset files are JSON Lines, one value per line, shaped like the order
-tree: a finite leaf takes an integer rank, numeric leaves a number or a
-decimal string (big values stay exact as strings), bytes a string or
-{"hex": "..."}, bool true/false, rationals {"num": p, "den": q} or "p/q",
-sequence nodes an array and sum nodes a two-element [master_rank, sub]
-array.  Keys leave as hex lines with --hex or length-prefixed binary
-(4-byte big-endian length before each key) by default.
+tree.  Each line goes through ``json.loads`` and then straight to
+``encoder.encode_doc``, which reads the dataset's JSON forms (decimal
+strings, {"hex": "..."}, {"num": p, "den": q}, "p/q", arrays for sequence
+and sum nodes) in the encoder's one walk over the tree; README "Dataset
+format" lists them.  Keys leave as hex lines with --hex or
+length-prefixed binary (4-byte big-endian length before each key) by
+default.
 
 Exit codes: 0 success, 1 user error (bad file, bad syntax, bad element),
 2 internal invariant failure.
@@ -23,7 +25,7 @@ import time
 from operator import attrgetter
 
 from . import _pure_sort
-from .encoder import encode, prepare
+from .encoder import encode, encode_doc, prepare
 from .errors import (
     CounterOverflow,
     CounterUnderflow,
@@ -32,19 +34,11 @@ from .errors import (
     ElementError,
     ElementMismatch,
     PrefixAnomaly,
-    RankOutOfRange,
+    SourceSpan,
+    TsodlSyntaxError,
     TsokeyError,
 )
-from .order_model import (
-    Builtin,
-    BuiltinKind,
-    Finite,
-    Inv,
-    OrderNode,
-    SeqOp,
-    Sum,
-    item_order_at,
-)
+from .order_model import Builtin, BuiltinKind, OrderNode
 from .randgen import random_element
 from .selfcheck import run_selftest
 from .sorter import LongCell
@@ -65,124 +59,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# ---------------------------------------------------------------------------
-# Dataset records
-
-
-def _int_field(doc, path: str) -> int:
-    if isinstance(doc, bool):
-        raise ElementMismatch(f"{path}: expected an integer, got a bool")
-    if isinstance(doc, int):
-        return doc
-    if isinstance(doc, str):
-        try:
-            return int(doc, 10)
-        except ValueError:
-            raise ElementMismatch(f"{path}: {doc!r} is not a decimal integer") from None
-    raise ElementMismatch(f"{path}: expected an integer, got {type(doc).__name__}")
-
-
-def _float_field(doc, path: str) -> float:
-    if isinstance(doc, bool):
-        raise ElementMismatch(f"{path}: expected a number, got a bool")
-    if isinstance(doc, (int, float)):
-        try:
-            return float(doc)
-        except OverflowError:
-            raise ElementMismatch(f"{path}: integer too large for a float") from None
-    if isinstance(doc, str):
-        try:
-            return float(doc)
-        except ValueError:
-            raise ElementMismatch(f"{path}: {doc!r} is not a number") from None
-    raise ElementMismatch(f"{path}: expected a number, got {type(doc).__name__}")
-
-
-def _bytes_field(doc, path: str) -> bytes:
-    if isinstance(doc, str):
-        return doc.encode("utf-8")
-    if isinstance(doc, dict) and set(doc) == {"hex"} and isinstance(doc["hex"], str):
-        try:
-            return bytes.fromhex(doc["hex"])
-        except ValueError:
-            raise ElementMismatch(f"{path}: bad hex string") from None
-    raise ElementMismatch(f'{path}: expected a string or {{"hex": ...}}')
-
-
-def _rational_field(doc, path: str):
-    if isinstance(doc, dict):
-        if set(doc) != {"num", "den"}:
-            raise ElementMismatch(f'{path}: rational object needs exactly "num" and "den"')
-        num = _int_field(doc["num"], f"{path}.num")
-        den = _int_field(doc["den"], f"{path}.den")
-        if den <= 0:
-            raise ElementMismatch(f"{path}: denominator must be positive, got {den}")
-        return (num, den)
-    if isinstance(doc, str):
-        text = doc.strip()
-        num_text, slash, den_text = text.partition("/")
-        try:
-            if not slash:
-                return int(num_text, 10)
-            num = int(num_text, 10)
-            den = int(den_text, 10)
-        except ValueError:
-            raise ElementMismatch(f"{path}: {doc!r} is not a p/q rational") from None
-        if den <= 0:
-            raise ElementMismatch(f"{path}: denominator must be positive, got {den}")
-        return (num, den)
-    if isinstance(doc, int) and not isinstance(doc, bool):
-        return doc
-    raise ElementMismatch(f'{path}: expected {{"num", "den"}}, a "p/q" string or an integer')
-
-
-def record_to_element(tree: OrderNode, doc, path: str = "$"):
-    """Convert one parsed JSON Lines value into an element of ``tree``."""
-    if isinstance(tree, Inv):
-        return record_to_element(tree.child, doc, path)
-    if isinstance(tree, Finite):
-        return _int_field(doc, path)
-    if isinstance(tree, Builtin):
-        kind = tree.kind
-        if kind.is_unsigned_int or kind.is_signed_int:
-            return _int_field(doc, path)
-        if kind.is_float:
-            return _float_field(doc, path)
-        if kind is BuiltinKind.BOOL:
-            if isinstance(doc, bool):
-                return doc
-            if isinstance(doc, int) and doc in (0, 1):
-                return bool(doc)
-            raise ElementMismatch(f"{path}: expected true or false")
-        if kind is BuiltinKind.BYTES:
-            return _bytes_field(doc, path)
-        if kind is BuiltinKind.RATIONAL:
-            return _rational_field(doc, path)
-        raise ElementMismatch(f"{path}: unhandled builtin {kind.value}")
-    if isinstance(tree, SeqOp):
-        if not isinstance(doc, list):
-            raise ElementMismatch(f"{path}: expected an array, got {type(doc).__name__}")
-        items = []
-        for rank, item in enumerate(doc):
-            try:
-                item_order = item_order_at(tree, rank)
-            except RankOutOfRange:
-                raise ElementMismatch(
-                    f"{path}: array of {len(doc)} items is longer than the order allows"
-                ) from None
-            items.append(record_to_element(item_order, item, f"{path}[{rank}]"))
-        return items
-    if isinstance(tree, Sum):
-        if not isinstance(doc, list) or len(doc) != 2:
-            raise ElementMismatch(f"{path}: expected a [master_rank, sub] array")
-        master_rank = _int_field(doc[0], f"{path}[0]")
-        if not 0 <= master_rank < tree.master.cardinality:
-            raise ElementMismatch(
-                f"{path}: master rank {master_rank} outside 0..{tree.master.cardinality - 1}"
-            )
-        sub = record_to_element(tree.cases[master_rank], doc[1], f"{path}[1]")
-        return (master_rank, sub)
-    raise ElementMismatch(f"{path}: not an order node: {type(tree).__name__}")
+# Records go through encoder.encode_doc; kept because perfbench's traced harness reads it.
+record_to_element = None
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +68,18 @@ def record_to_element(tree: OrderNode, doc, path: str = "$"):
 
 
 def _read_order(path: str) -> OrderNode:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_order(handle.read())
+    """Parse an order file; a byte that is not UTF-8 fails at its line and column."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    # The line ends text mode reads: \r\n and a lone \r end a line too.
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[: exc.start].decode("utf-8")
+        span = SourceSpan(before.count("\n") + 1, len(before) - before.rfind("\n"), len(before))
+        raise TsodlSyntaxError(span, "UTF-8 text", f"byte 0x{raw[exc.start]:02x}") from None
+    return parse_order(text)
 
 
 def _iter_lines(path: str):
@@ -226,8 +114,7 @@ def _encode_records(tree: OrderNode, path: str, mode: str, nan_high: bool, skip_
                 # ValueError covers JSONDecodeError and integers past the
                 # interpreter's digit limit; RecursionError, deep nesting.
                 raise ElementMismatch(f"not valid JSON: {exc}") from None
-            element = record_to_element(tree, doc)
-            key = encode(tree, element, mode, nan_high=nan_high)
+            key = encode_doc(tree, doc, mode, nan_high=nan_high)
         except (ElementError, CountTooLarge) as exc:
             message = f"line {number}: {exc}"
             if skip_bad:

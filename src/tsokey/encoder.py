@@ -27,6 +27,13 @@ Packed mode drops the padding altogether and is available only for trees
 whose elements all encode to the same positions (every sequence node fixed
 length, no bytes/rational leaves).
 
+``encode`` takes elements as Python values; ``encode_doc`` takes the value
+``json.loads`` gives for one JSON Lines record and reads the dataset's JSON
+spellings in the same walk: a decimal string for a ``finite`` or ``sum``
+master rank, an integer leaf, a float leaf or a rational; a string or
+``{"hex": ...}`` for bytes; ``{"num": p, "den": q}`` or ``"p/q"`` for a
+rational; an array, never an object, for a sequence or ``sum`` node.
+
 Scalar leaves use order-preserving transforms: unsigned ints big-endian,
 signed ints with the sign bit flipped, floats with the sign bit set for
 non-negatives and all bits flipped for negatives.  Rationals encode their
@@ -77,6 +84,7 @@ __all__ = [
     "PreparedOrder",
     "prepare",
     "encode",
+    "encode_doc",
     "check_element",
     "encode_batch",
     "compare_keys",
@@ -87,7 +95,6 @@ __all__ = [
     "continued_fraction",
     "rational_key",
     "data_byte_count",
-    "packed_width",
 ]
 
 PAD_DEFAULT = 0xF0  # lex counter 15, contrelex counter 0
@@ -326,67 +333,23 @@ class PreparedOrder:
 
     ``tree`` has all Inv structure pushed into the leaves and is otherwise
     the tree the user wrote; ``stats`` are the validation statistics;
-    ``packed_ok`` says whether packed mode is available; ``max_packed_width``
-    is the largest packed key size in bytes (None when packed mode is
-    unavailable).
+    ``packed_ok`` says whether packed mode is available.
     """
 
     tree: OrderNode
     stats: PathStats
     packed_ok: bool
-    max_packed_width: int | None
 
 
 @lru_cache(maxsize=128)
 def prepare(tree: OrderNode) -> PreparedOrder:
     """Validate a tree and lower it once; results are cached by tree value."""
     stats = validate(tree)
-    lowered = push_inv_to_leaves(tree)
-    packed_ok = not stats.has_variable_length
-    width = packed_width(lowered) if packed_ok else None
-    return PreparedOrder(lowered, stats, packed_ok, width)
+    return PreparedOrder(push_inv_to_leaves(tree), stats, not stats.has_variable_length)
 
 
 def _finite_width(cardinality: int) -> int:
     return max(1, ((cardinality - 1).bit_length() + 7) // 8)
-
-
-def packed_width(tree: OrderNode) -> int | None:
-    """Largest packed key width of a fixed-length tree, None if variable.
-
-    Sum cases may have different widths; the master bytes disambiguate
-    before the difference matters, so the maximum is what cell sizing needs.
-    """
-    if isinstance(tree, Inv):
-        return packed_width(tree.child)
-    if isinstance(tree, Finite):
-        return _finite_width(tree.cardinality)
-    if isinstance(tree, Builtin):
-        bits = tree.kind.bit_width
-        if bits is None:
-            if tree.kind is BuiltinKind.BOOL:
-                return 1
-            return None  # bytes / rational never have a fixed width
-        return bits // 8
-    if isinstance(tree, SeqOp):
-        if tree.max_len != tree.min_len + 1:
-            return None
-        total = 0
-        for rank in range(tree.min_len):
-            w = packed_width(item_order_at(tree, rank))
-            if w is None:
-                return None
-            total += w
-        return total
-    if isinstance(tree, Sum):
-        widest = 0
-        for case in tree.cases:
-            w = packed_width(case)
-            if w is None:
-                return None
-            widest = max(widest, w)
-        return _finite_width(tree.master.cardinality) + widest
-    return None
 
 
 def _finite_data(node: Finite, value, path: str) -> bytes:
@@ -418,6 +381,57 @@ def _leaf_data(node: Builtin, value, path: str, nan_high: bool) -> bytes:
     return data.translate(_FLIP) if node.inverted else data
 
 
+# ---------------------------------------------------------------------------
+# JSON spellings, read by encode_doc
+
+
+def _decimal(value, path: str):
+    """A decimal string as an int; any other value unchanged."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return int(value, 10)
+    except ValueError:
+        raise ElementMismatch(f"{path}: {value!r} is not a decimal integer") from None
+
+
+def _doc_leaf(kind: BuiltinKind, value, path: str):
+    """The element a JSON string or object spells at a builtin leaf.
+
+    A value no spelling covers comes back unchanged for the leaf's own check.
+    """
+    if kind is BuiltinKind.BYTES:
+        if isinstance(value, str):
+            try:
+                return value.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate escape
+                raise ElementMismatch(f"{path}: string is not valid Unicode") from None
+        if value.keys() == {"hex"} and isinstance(value["hex"], str):
+            try:
+                return bytes.fromhex(value["hex"])
+            except ValueError:
+                raise ElementMismatch(f"{path}: bad hex string") from None
+        return value
+    if kind is BuiltinKind.RATIONAL:
+        if isinstance(value, dict):
+            if value.keys() == {"num", "den"}:
+                return (_decimal(value["num"], path + ".num"), _decimal(value["den"], path + ".den"))
+            return value
+        num, slash, den = value.strip().partition("/")
+        try:
+            return (int(num, 10), int(den, 10)) if slash else int(num, 10)
+        except ValueError:
+            raise ElementMismatch(f"{path}: {value!r} is not a p/q rational") from None
+    if not isinstance(value, str) or kind is BuiltinKind.BOOL:
+        return value
+    if kind.is_float:
+        try:
+            return float(value)
+        except ValueError:
+            raise ElementMismatch(f"{path}: {value!r} is not a number") from None
+    return _decimal(value, path)
+
+
 class _Encoder:
     """One tree walk appending to a shared buffer.
 
@@ -426,14 +440,18 @@ class _Encoder:
     encoder snapshots that chain into an ending-value table for the byte;
     each enclosing sequence end then advances the byte one step through the
     table instead of doing counter arithmetic on it.
+
+    ``doc`` walks a JSON-decoded record: each leaf first reads the value's
+    JSON spelling, and sequence and sum nodes take arrays only.
     """
 
-    __slots__ = ("out", "packed", "nan_high", "chain", "tail", "tail_level")
+    __slots__ = ("out", "packed", "nan_high", "doc", "chain", "tail", "tail_level")
 
-    def __init__(self, packed: bool, nan_high: bool):
+    def __init__(self, packed: bool, nan_high: bool, doc: bool):
         self.out = bytearray()
         self.packed = packed
         self.nan_high = nan_high
+        self.doc = doc
         self.chain: list[str] = []
         self.tail: tuple[int, ...] = ()
         self.tail_level = 0
@@ -463,9 +481,15 @@ class _Encoder:
 
     def node(self, node: OrderNode, value, depth: int, path: str) -> None:
         if isinstance(node, Finite):
+            if self.doc and type(value) is not int:
+                if isinstance(value, bool):
+                    raise ElementMismatch(f"{path}: expected a rank integer, got a bool")
+                value = _decimal(value, path)
             self.put_leaf(_finite_data(node, value, path))
             return
         if isinstance(node, Builtin):
+            if self.doc and isinstance(value, (str, dict)):
+                value = _doc_leaf(node.kind, value, path)
             if node.kind is BuiltinKind.BYTES:
                 self.bytes_leaf(node, value, depth, path)
             else:
@@ -475,9 +499,14 @@ class _Encoder:
             self.seq(node, value, depth, path)
             return
         if isinstance(node, Sum):
-            if isinstance(value, str) or not hasattr(value, "__len__") or len(value) != 2:
+            if self.doc:
+                if not isinstance(value, list) or len(value) != 2:
+                    raise ElementMismatch(f"{path}: expected a [master_rank, sub] array")
+            elif isinstance(value, str) or not hasattr(value, "__len__") or len(value) != 2:
                 raise ElementMismatch(f"{path}: expected a (master_rank, sub) pair")
             master_rank, sub = value
+            if self.doc:
+                master_rank = _decimal(master_rank, path + ".master")
             # _finite_data takes a bool as a rank; a master rank never is one.
             if not isinstance(master_rank, int) or isinstance(master_rank, bool):
                 raise ElementMismatch(f"{path}: master rank must be an integer")
@@ -518,7 +547,10 @@ class _Encoder:
         self._mark_end()
 
     def seq(self, node: SeqOp, value, depth: int, path: str) -> None:
-        if isinstance(value, str) or not hasattr(value, "__len__"):
+        if self.doc:
+            if not isinstance(value, list):
+                raise ElementMismatch(f"{path}: expected an array, got {type(value).__name__}")
+        elif isinstance(value, str) or not hasattr(value, "__len__"):
             raise ElementMismatch(f"{path}: expected a sequence, got {type(value).__name__}")
         items = list(value)
         length = len(items)
@@ -561,6 +593,17 @@ class _Encoder:
             self._mark_end()
 
 
+def _encode(tree: OrderNode, value, mode: str, nan_high: bool, doc: bool) -> bytes:
+    if mode not in ("padded", "packed"):
+        raise ValueError(f"unknown mode {mode!r}")
+    prep = prepare(tree)
+    if mode == "packed" and not prep.packed_ok:
+        raise PackedModeUnavailable("tree has variable-length elements")
+    walker = _Encoder(mode == "packed", nan_high, doc)
+    walker.node(prep.tree, value, 0, "$")
+    return bytes(walker.out)
+
+
 def encode(tree: OrderNode, value, mode: str = "padded", *, nan_high: bool = False) -> bytes:
     """Encode one element of ``tree`` as an order-preserving byte key.
 
@@ -569,14 +612,19 @@ def encode(tree: OrderNode, value, mode: str = "padded", *, nan_high: bool = Fal
     walker: ``prepare`` rewrites them into inverted leaves and mirrored
     operators.
     """
-    if mode not in ("padded", "packed"):
-        raise ValueError(f"unknown mode {mode!r}")
-    prep = prepare(tree)
-    if mode == "packed" and not prep.packed_ok:
-        raise PackedModeUnavailable("tree has variable-length elements")
-    walker = _Encoder(mode == "packed", nan_high)
-    walker.node(prep.tree, value, 0, "$")
-    return bytes(walker.out)
+    return _encode(tree, value, mode, nan_high, False)
+
+
+def encode_doc(tree: OrderNode, doc, mode: str = "padded", *, nan_high: bool = False) -> bytes:
+    """Encode one JSON Lines record: ``doc`` is what ``json.loads`` returned.
+
+    The record's JSON spellings (decimal strings, ``{"hex": ...}``,
+    ``{"num", "den"}``, ``"p/q"``) are read in the encoder's own walk, and
+    the key is the key of the element they spell.  Any other value meets
+    the checks ``encode`` makes, except that sequence and sum nodes take a
+    JSON array only and a bool is no ``finite`` rank.
+    """
+    return _encode(tree, doc, mode, nan_high, True)
 
 
 def check_element(tree: OrderNode, value, *, nan_high: bool = False) -> None:
@@ -586,7 +634,7 @@ def check_element(tree: OrderNode, value, *, nan_high: bool = False) -> None:
     an element exactly when it encodes.  A tree that is not valid raises its
     ValidationError.
     """
-    _Encoder(False, nan_high).node(prepare(tree).tree, value, 0, "$")
+    _Encoder(False, nan_high, False).node(prepare(tree).tree, value, 0, "$")
 
 
 def encode_batch(

@@ -47,6 +47,11 @@ _PUNCT = "()[],="
 _HEX_DIGITS = frozenset("0123456789abcdef")
 _NAMED_COLLATIONS = ("ascii", "identity")  # both are the identity table
 
+# Nodes nested deeper than this fail as a syntax error before the parser's
+# recursion nears Python's limit.  validate allows 14 operator levels, so
+# only long inv chains come anywhere near it.
+MAX_NESTING = 100
+
 _SEQ_KINDS = {kind.value: kind for kind in SeqKind}
 _BUILTIN_KINDS = {kind.value: kind for kind in BuiltinKind}
 
@@ -109,6 +114,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -149,6 +155,14 @@ class _Parser:
     # -- productions --------------------------------------------------------
 
     def node(self) -> OrderNode:
+        if self._depth == MAX_NESTING:
+            self._fail(f"nodes nested at most {MAX_NESTING} deep")
+        self._depth += 1
+        tree = self._node()
+        self._depth -= 1
+        return tree
+
+    def _node(self) -> OrderNode:
         token = self._peek()
         if token.kind != "word":
             self._fail("an order node")

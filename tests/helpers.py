@@ -1,5 +1,8 @@
-"""Shared test helpers: bounded element enumeration for small trees."""
+"""Shared test helpers: bounded element enumeration for small trees, and
+JSON Lines spellings of elements."""
 
+import json
+from fractions import Fraction
 from itertools import product
 
 from tsokey import (
@@ -71,3 +74,60 @@ def assert_keys_match_oracle(tree, elems, mode="padded", **encode_kw):
                 f"disagree on {x!r} vs {y!r}: keys {keys[i].hex()} / {keys[j].hex()}, "
                 f"oracle {want.name}, bytewise {got.name}"
             )
+
+
+def _rational_doc(rng, value):
+    if isinstance(value, Fraction):
+        num, den = value.numerator, value.denominator
+    elif isinstance(value, tuple):
+        num, den = value
+    else:
+        num, den = value, 1
+    roll = rng.random()
+    if roll < 0.3:
+        return {"num": num, "den": den}
+    if roll < 0.4:
+        return {"num": str(num), "den": str(den)}
+    if roll < 0.7 or den != 1:
+        return f"{num}/{den}"
+    return num if roll < 0.85 else str(num)
+
+
+def _doc(rng, tree, value):
+    if isinstance(tree, Inv):
+        return _doc(rng, tree.child, value)
+    if isinstance(tree, Finite):
+        return value if rng.random() < 0.5 else str(value)
+    if isinstance(tree, Builtin):
+        kind = tree.kind
+        if kind is BuiltinKind.BOOL:
+            return bool(value) if rng.random() < 0.5 else int(value)
+        if kind is BuiltinKind.BYTES:
+            if rng.random() < 0.5:
+                try:
+                    return value.decode("utf-8")
+                except UnicodeDecodeError:
+                    pass
+            return {"hex": value.hex()}
+        if kind is BuiltinKind.RATIONAL:
+            return _rational_doc(rng, value)
+        if kind.is_float:
+            return value if rng.random() < 0.5 else repr(value)
+        return value if rng.random() < 0.5 else str(value)
+    if isinstance(tree, SeqOp):
+        return [_doc(rng, item_order_at(tree, rank), item) for rank, item in enumerate(value)]
+    if isinstance(tree, Sum):
+        rank, sub = value
+        return [rank if rng.random() < 0.5 else str(rank), _doc(rng, tree.cases[rank], sub)]
+    raise TypeError(f"not an order node: {type(tree).__name__}")
+
+
+def to_doc(rng, tree, value):
+    """A JSON Lines record spelling the element value of tree.
+
+    Each leaf takes one of its documented JSON forms, drawn from rng: a
+    decimal string for ranks and numbers, a string or {"hex": ...} for
+    bytes, {"num", "den"} or "p/q" for rationals.  The record has been
+    through json.dumps and json.loads, as a line of a dataset would.
+    """
+    return json.loads(json.dumps(_doc(rng, tree, value)))

@@ -1,16 +1,25 @@
 """End-to-end tests of the command line through main(argv)."""
 
+import contextlib
 import io
 import json
 import random
+import re
 import sys
+import tempfile
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from tsokey import ElementMismatch, compare, encode, parse, prepare
-from tsokey.cli import main, record_to_element
+from tsokey import compare, encode, encode_doc, parse, prepare, serialize
+from tsokey.cli import main
 from tsokey.errors import DepthOverflow
+from tsokey.randgen import random_element, random_tree
+
+from helpers import to_doc
 
 
 def write(tmp_path, name, text):
@@ -35,89 +44,6 @@ def read_frames(blob):
     return frames
 
 
-class TestRecordToElement:
-    def setup_method(self):
-        self.seq = parse("lex(0, omega, ([uint8]))")
-
-    def test_integer_forms(self):
-        tree = parse("uint64")
-        assert record_to_element(tree, 7) == 7
-        assert record_to_element(tree, "18446744073709551615") == 2**64 - 1
-        with pytest.raises(ElementMismatch, match="bool"):
-            record_to_element(tree, True)
-        with pytest.raises(ElementMismatch, match="decimal"):
-            record_to_element(tree, "0x10")
-
-    def test_float_forms(self):
-        tree = parse("float64")
-        assert record_to_element(tree, 1.5) == 1.5
-        assert record_to_element(tree, "2.5e3") == 2500.0
-        assert record_to_element(tree, 2) == 2.0
-        with pytest.raises(ElementMismatch, match="number"):
-            record_to_element(tree, [])
-
-    def test_bool_forms(self, tmp_path, capsys):
-        tree = parse("bool")
-        assert record_to_element(tree, True) is True
-        assert record_to_element(tree, 0) is False
-        for doc in ("yes", 1.0, 0.0, 2):
-            with pytest.raises(ElementMismatch, match="true or false"):
-                record_to_element(tree, doc)
-        order = write(tmp_path, "o.tsodl", "bool")
-        data = write(tmp_path, "d.jsonl", "true\n0\n1.0\n")
-        assert main(["encode", order, data, "--hex"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "F001E0\nF000E0\n"
-        assert "line 3: $: expected true or false" in captured.err
-
-    def test_bytes_forms(self):
-        tree = parse("bytes")
-        assert record_to_element(tree, "ab") == b"ab"
-        assert record_to_element(tree, {"hex": "00ff"}) == b"\x00\xff"
-        with pytest.raises(ElementMismatch, match="bad hex"):
-            record_to_element(tree, {"hex": "0g"})
-        with pytest.raises(ElementMismatch, match="hex"):
-            record_to_element(tree, {"hex": "00", "pad": 1})
-
-    def test_rational_forms(self):
-        tree = parse("rational")
-        assert record_to_element(tree, {"num": -3, "den": 2}) == (-3, 2)
-        assert record_to_element(tree, "355/113") == (355, 113)
-        assert record_to_element(tree, "-7") == -7
-        assert record_to_element(tree, 5) == 5
-        with pytest.raises(ElementMismatch, match="positive"):
-            record_to_element(tree, {"num": 1, "den": 0})
-        with pytest.raises(ElementMismatch, match="positive"):
-            record_to_element(tree, "1/-2")
-        with pytest.raises(ElementMismatch, match="rational"):
-            record_to_element(tree, "one half")
-
-    def test_sequence_with_path_in_message(self):
-        assert record_to_element(self.seq, [1, 2]) == [1, 2]
-        with pytest.raises(ElementMismatch, match=r"\$\[1\]"):
-            record_to_element(self.seq, [1, "pear"])
-        with pytest.raises(ElementMismatch, match="expected an array"):
-            record_to_element(self.seq, 3)
-
-    def test_sequence_too_long(self):
-        tree = parse("next(2, 3, (uint8, uint8))")
-        with pytest.raises(ElementMismatch, match="longer than the order allows"):
-            record_to_element(tree, [1, 2, 3])
-
-    def test_sum_forms(self):
-        tree = parse("sum(finite(2), (uint8, bool))")
-        assert record_to_element(tree, [0, 9]) == (0, 9)
-        assert record_to_element(tree, [1, True]) == (1, True)
-        with pytest.raises(ElementMismatch, match="master rank"):
-            record_to_element(tree, [2, 0])
-        with pytest.raises(ElementMismatch, match="master_rank"):
-            record_to_element(tree, {"case": 0})
-
-    def test_inversion_is_transparent(self):
-        tree = parse("uint8 desc")
-        assert record_to_element(tree, 200) == 200
-
-
 class TestValidateCommand:
     def test_prints_stats(self, tmp_path, capsys):
         order = write(tmp_path, "o.tsodl", "lex(0, omega, ([uint8]))")
@@ -138,6 +64,37 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: 2:")
         assert "expected" in err
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"uint8\xff", "1:6: expected UTF-8 text, found byte 0xff"),
+            (b"// caf\xc3\xa9\r\nnext(1, 2, (uint8\xfe))", "2:18: expected UTF-8 text, found byte 0xfe"),
+        ],
+        ids=["first-line", "after-a-two-byte-character"],
+    )
+    def test_non_utf8_order_file_is_positioned(self, tmp_path, capsys, raw, message):
+        order = tmp_path / "o.tsodl"
+        order.write_bytes(raw)
+        data = write(tmp_path, "d.jsonl", "[1]\n")
+        assert main(["sort", str(order), data]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "inv(" * 5000 + "uint8" + ")" * 5000,
+            "lex(0, omega, ([" * 3000 + "uint8" + "]))" * 3000,
+        ],
+        ids=["inv-chain", "lex-nest"],
+    )
+    def test_deep_order_file_is_a_syntax_error(self, tmp_path, capsys, text):
+        order = write(tmp_path, "o.tsodl", text)
+        data = write(tmp_path, "d.jsonl", "1\n")
+        assert main(["sort", order, data]) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: 1:\d+: expected nodes nested at most 100 deep", err)
+        assert "Traceback" not in err
 
     def test_semantic_error(self, tmp_path, capsys):
         order = write(tmp_path, "bad.tsodl", "lex(0, 5, ())")
@@ -180,6 +137,14 @@ class TestEncodeCommand:
         assert main(["encode", order, data, "--mode", "packed"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bool_forms(self, tmp_path, capsys):
+        order = write(tmp_path, "o.tsodl", "bool")
+        data = write(tmp_path, "d.jsonl", "true\n0\n1.0\n")
+        assert main(["encode", order, data, "--hex"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "F001E0\nF000E0\n"
+        assert "line 3: $: expected a bool" in captured.err
+
     def test_bad_line_names_line_number(self, tmp_path, capsys):
         order = write(tmp_path, "o.tsodl", "uint8")
         data = write(tmp_path, "d.jsonl", "3\n256\n")
@@ -219,7 +184,7 @@ class TestEncodeCommand:
         data = jsonl(tmp_path, "d.jsonl", docs)
         assert main(["encode", order, data, "--hex"]) == 0
         tree = parse("rational")
-        expected = [encode(tree, record_to_element(tree, doc)).hex().upper() for doc in docs]
+        expected = [encode_doc(tree, doc).hex().upper() for doc in docs]
         assert capsys.readouterr().out.splitlines() == expected
 
     def test_deep_nesting_is_invalid_json(self, tmp_path, capsys):
@@ -269,6 +234,14 @@ class TestEncodeCommand:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"4\n\xfe\n")))
         assert main(["encode", order, "-", "--hex"]) == 1
         assert capsys.readouterr().err.startswith("error: line 2: not valid UTF-8")
+
+    def test_lone_surrogate_on_a_bytes_leaf(self, tmp_path, capsys):
+        order = write(tmp_path, "o.tsodl", "bytes")
+        data = write(tmp_path, "d.jsonl", '"a"\n"\\ud800"\n"b"\n')
+        assert main(["encode", order, data, "--hex"]) == 1
+        assert capsys.readouterr().err == "error: line 2: $: string is not valid Unicode\n"
+        assert main(["encode", order, data, "--hex", "--skip-bad"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_nan_policy(self, tmp_path, capsys):
         order = write(tmp_path, "o.tsodl", "float64")
@@ -365,12 +338,12 @@ class TestSortCommand:
         assert prepare(tree).packed_ok
         rng = random.Random(5)
         docs = [make_doc(rng) for _ in range(300)]
-        elements = [record_to_element(tree, doc) for doc in docs]
         order = write(tmp_path, "o.tsodl", text)
         data = jsonl(tmp_path, "d.jsonl", docs)
         assert main(["sort", order, data, "--output", "indices"]) == 0
         got = [int(line) for line in capsys.readouterr().out.splitlines()]
-        by_compare = cmp_to_key(lambda i, j: compare(tree, elements[i], elements[j]))
+        # Every record here is also an element: plain integers and lists.
+        by_compare = cmp_to_key(lambda i, j: compare(tree, docs[i], docs[j]))
         assert got == sorted(range(len(docs)), key=by_compare)
 
 
@@ -493,3 +466,84 @@ class TestExitCodes:
         order = write(tmp_path, "o.tsodl", "uint8")
         assert main(["validate", order]) == 2
         assert "internal error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: random orders, arbitrary dataset lines
+
+
+def _run_main(argv):
+    """main(argv) with stdout and stderr captured; returns (exit code, stderr)."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+# Spellings that are right for some leaves and wrong for others.
+_PALETTE = [
+    True, 0, 1, -1, 256, 1.0, 2**64, "1", " 2 ", "x", "", "1/2", "1/0", "nan", "\ud800",
+    {"hex": "61"}, {"hex": "zz"}, {"num": 1, "den": 2}, {"num": "1", "den": True},
+    {"1": 2}, {"0": 1, "a": 2}, [], [0, 1], ["0", [1, 2]],
+]
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(_PALETTE),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_LINES = st.one_of(
+    _JSON.map(lambda value: json.dumps(value).encode()),
+    # Lone surrogates become bytes that are not UTF-8.
+    _JSON.map(lambda value: json.dumps(value, ensure_ascii=False).encode("utf-8", "surrogatepass")),
+    st.binary(max_size=12).map(lambda raw: raw.replace(b"\n", b"")),
+    st.integers(1, 5000).map(lambda depth: b"[" * depth + b"]" * depth),
+    st.integers(1, 5000).map(lambda depth: b'{"a": ' * depth + b"1" + b"}" * depth),
+    st.just(b"1" * 5000),
+)
+
+
+def _splice(rng, doc, value):
+    """doc with one item somewhere inside it, or all of it, replaced by value."""
+    if isinstance(doc, list) and doc and rng.random() < 0.7:
+        items = list(doc)
+        index = rng.randrange(len(items))
+        items[index] = _splice(rng, items[index], value)
+        return items
+    return value
+
+
+@seed(3)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(_LINES, max_size=4),
+    st.lists(st.sampled_from(_PALETTE) | _JSON, max_size=6),
+)
+def test_cli_fuzz_exits_zero_or_one(draw, noise, splices):
+    rng = random.Random(draw)
+    tree = random_tree(rng, rng.randrange(0, 4))
+    docs = [to_doc(rng, tree, random_element(rng, tree, length_cap=3)) for _ in range(2)]
+    docs += [_splice(rng, rng.choice(docs), value) for value in splices]
+    lines = [json.dumps(doc).encode() for doc in docs] + noise
+    rng.shuffle(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        order = Path(tmp, "o.tsodl")
+        order.write_text(serialize(tree), encoding="utf-8")
+        data = Path(tmp, "d.jsonl")
+        data.write_bytes(b"\n".join(lines) + b"\n")
+        for command in (["encode", "--hex"], ["sort", "--output", "indices"]):
+            argv = [command[0], str(order), str(data), *command[1:]]
+            code, err = _run_main(argv)
+            assert code in (0, 1), err
+            assert "Traceback" not in err
+            if code == 1:
+                assert re.match(r"error: line \d+: ", err), err
+            code, err = _run_main(argv + ["--skip-bad"])
+            assert code == 0, err
+            assert "Traceback" not in err

@@ -48,13 +48,14 @@ from tsokey import (
     empty_sequence_pattern,
     encode,
     encode_batch,
+    encode_doc,
     finite,
     hierar,
     hierar_count_header,
     inv,
     lex,
     next_,
-    packed_width,
+    parse,
     prepare,
     primitive_key,
     sum_of,
@@ -63,7 +64,7 @@ from tsokey import (
 from tsokey.encoder import _count_header_unbounded, _ending_values
 from tsokey.randgen import random_element, random_pair, random_tree
 
-from helpers import assert_keys_match_oracle, elements
+from helpers import assert_keys_match_oracle, elements, to_doc
 
 F2 = finite(2)
 
@@ -358,21 +359,19 @@ class TestPackedMode:
         with pytest.raises(PackedModeUnavailable):
             encode(lex(0, 3, period=(F2,)), [], "packed")
 
-    def test_packed_width_matches_the_keys(self):
+    def test_packed_key_length(self):
         tree = next_(2, 3, period=(UINT16,))
-        prep = prepare(tree)
-        assert prep.packed_ok
-        assert prep.max_packed_width == 4
-        assert packed_width(prep.tree) == 4
+        assert prepare(tree).packed_ok
         assert len(encode(tree, [1, 2], "packed")) == 4
 
-    def test_packed_width_none_for_variable_trees(self):
-        assert packed_width(lex(0, 3, period=(F2,))) is None
-        assert packed_width(BYTES) is None
+    def test_variable_trees_do_not_pack(self):
+        assert not prepare(lex(0, 3, period=(F2,))).packed_ok
+        assert not prepare(BYTES).packed_ok
 
-    def test_sum_packs_to_the_widest_case(self):
+    def test_sum_cases_pack_to_their_own_width(self):
         tree = sum_of(F2, (UINT8, UINT16))
-        assert prepare(tree).max_packed_width == 3
+        assert len(encode(tree, (0, 7), "packed")) == 2
+        assert len(encode(tree, (1, 7), "packed")) == 3
 
     @pytest.mark.parametrize(
         "tree",
@@ -553,6 +552,126 @@ class TestKeyComparison:
         assert data_byte_count(encode(BYTES, b"ab")) == 2
         with pytest.raises(ValueError):
             data_byte_count(b"\xf0\x61")
+
+
+class TestEncodeDoc:
+    """The JSON forms of a dataset record, read in the encoder's walk."""
+
+    seq = parse("lex(0, omega, ([uint8]))")
+
+    def test_integer_forms(self):
+        tree = parse("uint64")
+        assert encode_doc(tree, 7) == encode(tree, 7)
+        assert encode_doc(tree, "18446744073709551615") == encode(tree, 2**64 - 1)
+        with pytest.raises(ElementMismatch, match="True outside uint64 range"):
+            encode_doc(tree, True)
+        with pytest.raises(ElementMismatch, match="decimal"):
+            encode_doc(tree, "0x10")
+
+    def test_finite_rank_forms(self):
+        tree = parse("finite(3)")
+        assert encode_doc(tree, "2") == encode(tree, 2)
+        with pytest.raises(ElementMismatch, match="bool"):
+            encode_doc(tree, True)
+        with pytest.raises(ElementMismatch, match="decimal"):
+            encode_doc(tree, "two")
+
+    def test_float_forms(self):
+        tree = parse("float64")
+        assert encode_doc(tree, 1.5) == encode(tree, 1.5)
+        assert encode_doc(tree, "2.5e3") == encode(tree, 2500.0)
+        assert encode_doc(tree, 2) == encode(tree, 2.0)
+        with pytest.raises(ElementMismatch, match="expected a float"):
+            encode_doc(tree, [])
+        with pytest.raises(ElementMismatch, match="not a number"):
+            encode_doc(tree, "one")
+
+    def test_bool_forms(self):
+        tree = parse("bool")
+        assert encode_doc(tree, True) == encode(tree, True)
+        assert encode_doc(tree, 0) == encode(tree, False)
+        for doc in ("yes", 1.0, 0.0, 2):
+            with pytest.raises(ElementMismatch, match="expected a bool"):
+                encode_doc(tree, doc)
+
+    def test_bytes_forms(self):
+        tree = parse("bytes")
+        assert encode_doc(tree, "ab") == encode(tree, b"ab")
+        assert encode_doc(tree, {"hex": "00ff"}) == encode(tree, b"\x00\xff")
+        with pytest.raises(ElementMismatch, match="bad hex"):
+            encode_doc(tree, {"hex": "0g"})
+        with pytest.raises(ElementMismatch, match="expected bytes, got dict"):
+            encode_doc(tree, {"hex": "00", "pad": 1})
+        with pytest.raises(ElementMismatch, match="not valid Unicode"):
+            encode_doc(tree, "\ud800")
+
+    def test_rational_forms(self):
+        tree = parse("rational")
+        assert encode_doc(tree, {"num": -3, "den": 2}) == encode(tree, (-3, 2))
+        assert encode_doc(tree, {"num": "-3", "den": "2"}) == encode(tree, (-3, 2))
+        assert encode_doc(tree, "355/113") == encode(tree, (355, 113))
+        assert encode_doc(tree, "-7") == encode(tree, -7)
+        assert encode_doc(tree, 5) == encode(tree, 5)
+        with pytest.raises(ElementMismatch, match="positive"):
+            encode_doc(tree, {"num": 1, "den": 0})
+        with pytest.raises(ElementMismatch, match="positive"):
+            encode_doc(tree, "1/-2")
+        with pytest.raises(ElementMismatch, match="rational"):
+            encode_doc(tree, "one half")
+
+    def test_sequence_with_path_in_message(self):
+        assert encode_doc(self.seq, [1, 2]) == encode(self.seq, [1, 2])
+        with pytest.raises(ElementMismatch, match=r"\$\[1\]"):
+            encode_doc(self.seq, [1, "pear"])
+        with pytest.raises(ElementMismatch, match="expected an array"):
+            encode_doc(self.seq, 3)
+
+    def test_sequence_too_long(self):
+        tree = parse("next(2, 3, (uint8, uint8))")
+        with pytest.raises(ElementMismatch, match=r"length 3 outside \[2, 3\)"):
+            encode_doc(tree, [1, 2, 3])
+
+    def test_sum_forms(self):
+        tree = parse("sum(finite(2), (uint8, bool))")
+        assert encode_doc(tree, [0, 9]) == encode(tree, (0, 9))
+        assert encode_doc(tree, ["1", True]) == encode(tree, (1, True))
+        with pytest.raises(ElementMismatch, match=r"\$\.master: rank 2 outside"):
+            encode_doc(tree, [2, 0])
+        with pytest.raises(ElementMismatch, match="master_rank"):
+            encode_doc(tree, {"case": 0})
+
+    def test_inversion_is_transparent(self):
+        tree = parse("uint8 desc")
+        assert encode_doc(tree, 200) == encode(tree, 200)
+
+    @pytest.mark.parametrize(
+        "text, doc",
+        [
+            # Elements of encode (a mapping has a length, a bool is a rank),
+            # never of encode_doc: JSON spells sequences as arrays only.
+            ("lex(0, omega, ([uint8]))", {"1": 2}),
+            ("sum(finite(2), (uint8, uint8))", {"0": 1, "a": 2}),
+            ("finite(2)", True),
+            ("bool", 1.0),
+            ("rational", [1, 2]),
+        ],
+    )
+    def test_rejects_what_no_spelling_covers(self, text, doc):
+        with pytest.raises(ElementMismatch):
+            encode_doc(parse(text), doc)
+
+
+@seed(2)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_encode_doc_reads_every_spelling_of_an_element(draw):
+    rng = random.Random(draw)
+    tree = random_tree(rng, rng.randrange(0, 5), fixed_only=rng.random() < 0.3)
+    value = random_element(rng, tree, length_cap=4)
+    doc = to_doc(rng, tree, value)
+    assert encode_doc(tree, doc) == encode(tree, value)
+    if prepare(tree).packed_ok:
+        assert encode_doc(tree, doc, "packed") == encode(tree, value, "packed")
 
 
 class TestBatch:

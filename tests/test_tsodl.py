@@ -119,6 +119,13 @@ class TestSyntaxErrors:
         assert expected_word in error.expected
         assert str(error).startswith(f"{line}:{column}: expected ")
 
+    def test_nesting_bound(self):
+        assert parse("inv(" * 99 + "uint8" + ")" * 99) == Builtin(BuiltinKind.UINT8, None, True)
+        with pytest.raises(TsodlSyntaxError) as excinfo:
+            parse("inv(" * 100 + "uint8" + ")" * 100)
+        assert excinfo.value.span.column == 401
+        assert excinfo.value.found == "'uint8'"
+
     def test_unexpected_character(self):
         with pytest.raises(TsodlSyntaxError) as excinfo:
             parse("finite(2)$")
