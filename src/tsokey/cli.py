@@ -2,13 +2,14 @@
 
 Order files are UTF-8 text in the definition language of ``tsodl``.
 Dataset files are JSON Lines, one value per line, shaped like the order
-tree.  Each line goes through ``json.loads`` and then straight to
-``encoder.encode_doc``, which reads the dataset's JSON forms (decimal
-strings, {"hex": "..."}, {"num": p, "den": q}, "p/q", arrays for sequence
-and sum nodes) in the encoder's one walk over the tree; README "Dataset
-format" lists them.  Keys leave as hex lines with --hex or
+tree.  Each line goes through ``json.loads`` and then straight to the
+order's encode plan, compiled once per run (``PreparedOrder.plan`` with
+``doc=True``, the plan ``encoder.encode_doc`` runs), which reads the
+dataset's JSON forms (decimal strings, {"hex": "..."}, {"num": p, "den":
+q}, "p/q", arrays for sequence and sum nodes) as it encodes; README
+"Dataset format" lists them.  Keys leave as hex lines with --hex or
 length-prefixed binary (4-byte big-endian length before each key) by
-default.
+default.  Output goes out in chunks of ``_CHUNK`` lines or keys per write.
 
 Exit codes: 0 success, 1 user error (bad file, bad syntax, bad element),
 2 internal invariant failure.
@@ -25,7 +26,7 @@ import time
 from operator import attrgetter
 
 from . import _pure_sort
-from .encoder import encode, encode_doc, prepare
+from .encoder import encode, prepare
 from .errors import (
     CounterOverflow,
     CounterUnderflow,
@@ -50,6 +51,8 @@ _INTERNAL_ERRORS = (CounterUnderflow, CounterOverflow, DepthOverflow, PrefixAnom
 
 _DEFAULT_BENCH_SIZES = [2 ** k for k in range(10, 23)]
 
+_CHUNK = 1024  # output lines (or key frames) per write call; never the whole output
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; 2 is reserved for internal bugs."""
@@ -59,7 +62,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Records go through encoder.encode_doc; kept because perfbench's traced harness reads it.
+# Records go through the order's encode plan; kept because perfbench's traced harness reads it.
 record_to_element = None
 
 
@@ -98,8 +101,8 @@ def _iter_lines(path: str):
 
 
 def _encode_records(tree: OrderNode, path: str, mode: str, nan_high: bool, skip_bad: bool):
-    """Yield (line_number, raw_line, key); bad lines raise or warn per skip_bad."""
-    prepare(tree)
+    """Yield (line, key) for every record; bad lines raise or warn per skip_bad."""
+    encode_record = prepare(tree).plan(mode, nan_high=nan_high, doc=True)
     for number, raw in _iter_lines(path):
         try:
             try:
@@ -114,14 +117,32 @@ def _encode_records(tree: OrderNode, path: str, mode: str, nan_high: bool, skip_
                 # ValueError covers JSONDecodeError and integers past the
                 # interpreter's digit limit; RecursionError, deep nesting.
                 raise ElementMismatch(f"not valid JSON: {exc}") from None
-            key = encode_doc(tree, doc, mode, nan_high=nan_high)
+            key = encode_record(doc)
         except (ElementError, CountTooLarge) as exc:
             message = f"line {number}: {exc}"
             if skip_bad:
                 print(f"warning: skipped {message}", file=sys.stderr)
                 continue
             raise ElementMismatch(message) from None
-        yield number, line, key
+        yield line, key
+
+
+def _write_chunks(write, pieces, empty) -> None:
+    """Write the pieces, ``_CHUNK`` of them per ``write`` call.
+
+    Pieces made before the iterator raises are still written, as they
+    would be one call per piece.
+    """
+    chunk = []
+    try:
+        for piece in pieces:
+            chunk.append(piece)
+            if len(chunk) == _CHUNK:
+                write(empty.join(chunk))
+                chunk.clear()
+    finally:
+        if chunk:
+            write(empty.join(chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +162,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_encode(args) -> int:
     tree = _read_order(args.order)
+    records = _encode_records(tree, args.data, args.mode, args.nan_high, args.skip_bad)
     out = sys.stdout
-    for _, _, key in _encode_records(tree, args.data, args.mode, args.nan_high, args.skip_bad):
-        if args.hex:
-            out.write(key.hex().upper() + "\n")
-        else:
-            out.buffer.write(len(key).to_bytes(4, "big") + key)
+    if args.hex:
+        _write_chunks(out.write, (key.hex().upper() + "\n" for _, key in records), "")
+    else:
+        frames = (len(key).to_bytes(4, "big") + key for _, key in records)
+        _write_chunks(out.buffer.write, frames, b"")
     out.flush()
     return 0
 
@@ -156,12 +178,15 @@ def _cmd_sort(args) -> int:
     mode = "packed" if prepare(tree).packed_ok else "padded"
     lines: list[str] = []
     keys: list[bytes] = []
-    for _, line, key in _encode_records(tree, args.data, mode, args.nan_high, args.skip_bad):
+    for line, key in _encode_records(tree, args.data, mode, args.nan_high, args.skip_bad):
         lines.append(line)
         keys.append(key)
     # Looked up on the module at call time, so a wrapper installed there sees the sort.
-    for index in _pure_sort.msd_sort_indices(keys):
-        print(lines[index] if args.output == "lines" else index)
+    order = _pure_sort.msd_sort_indices(keys)
+    if args.output == "lines":
+        _write_chunks(sys.stdout.write, (lines[index] + "\n" for index in order), "")
+    else:
+        _write_chunks(sys.stdout.write, map("{}\n".format, order), "")
     return 0
 
 

@@ -24,6 +24,7 @@ from typing import Optional
 
 from .errors import IncompatibleElements
 from .order_model import (
+    KIND_TABLE,
     Builtin,
     BuiltinKind,
     Finite,
@@ -192,7 +193,7 @@ def _sum_pair(node: Sum, value) -> tuple[int, object]:
 
 def _compare_builtin(leaf: Builtin, x, y, nan_high: bool) -> Ordering:
     kind = leaf.kind
-    if kind.is_float:
+    if KIND_TABLE[kind].family == "float":
         for value in (x, y):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise IncompatibleElements(f"expected a float, got {type(value).__name__}")

@@ -29,10 +29,20 @@ length, no bytes/rational leaves).
 
 ``encode`` takes elements as Python values; ``encode_doc`` takes the value
 ``json.loads`` gives for one JSON Lines record and reads the dataset's JSON
-spellings in the same walk: a decimal string for a ``finite`` or ``sum``
+spellings as it encodes: a decimal string for a ``finite`` or ``sum``
 master rank, an integer leaf, a float leaf or a rational; a string or
 ``{"hex": ...}`` for bytes; ``{"num": p, "den": q}`` or ``"p/q"`` for a
 rational; an array, never an object, for a sequence or ``sum`` node.
+
+``prepare`` validates and lowers a tree once, and on first use for each
+(mode, nan_high, doc) compiles it into a plan: nested closures, one per
+node, with every width, bound, translate table and ending-value table
+fixed in advance.  ``encode``, ``encode_doc``, ``check_element`` and
+``encode_batch`` all run the plan, so the tree is interpreted once, not
+once per element.  Paths are lazy: a fault starts with an empty path and
+each sequence item or ``sum`` part it climbs out of prepends its own step
+(``[rank]``, ``.master``, ``.case(r)``), so an accepted element builds no
+path strings.
 
 Scalar leaves use order-preserving transforms: unsigned ints big-endian,
 signed ints with the sign bit flipped, floats with the sign bit set for
@@ -43,9 +53,8 @@ terminator, negatives flipping the whole payload behind a sign byte.
 
 from __future__ import annotations
 
-import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -64,17 +73,17 @@ from .errors import (
     ZeroDenominator,
 )
 from .order_model import (
+    KIND_TABLE,
+    OMEGA,
     Builtin,
     BuiltinKind,
     Finite,
-    Inv,
     OrderNode,
     PathStats,
     SeqKind,
     SeqOp,
     Sum,
     _int_bounds,
-    item_order_at,
     push_inv_to_leaves,
     rational_parts,
     validate,
@@ -100,8 +109,7 @@ __all__ = [
 PAD_DEFAULT = 0xF0  # lex counter 15, contrelex counter 0
 COUNT_CAP = 1 << 64
 
-# One wrapped triple per possible data byte, precomputed.
-_TRIPLE = [bytes((PAD_DEFAULT, value, PAD_DEFAULT)) for value in range(256)]
+_PAD_TRIPLE = bytes((PAD_DEFAULT, PAD_DEFAULT, PAD_DEFAULT))
 _LEAF_TRIPLE = bytes((PAD_DEFAULT, 0x00, 0xE0))  # a one-byte leaf, data byte zero
 _FLIP = bytes(255 - value for value in range(256))
 
@@ -114,9 +122,8 @@ def wrap_finite_leaf(data: bytes) -> bytes:
     """Wrap raw leaf bytes in padding triples, final padding dropped to (14,0)."""
     if not data:
         raise ValueError("cannot wrap an empty data string")
-    out = bytearray()
-    for value in data:
-        out += _TRIPLE[value]
+    out = bytearray(_PAD_TRIPLE * len(data))
+    out[1::3] = data
     out[-1] = 0xE0
     return bytes(out)
 
@@ -202,12 +209,17 @@ def _count_header_unbounded(n: int) -> bytes:
     """
     if n < 0:
         raise ValueError("count cannot be negative")
-    value_len = max(1, (max(n, 1).bit_length() + 7) // 8)
-    unary_len = max(1, (value_len.bit_length() + 7) // 8)
-    prefix_bits = "1" * unary_len + "0"
-    prefix_bits += "0" * (-len(prefix_bits) % 8)
-    prefix = int(prefix_bits, 2).to_bytes(len(prefix_bits) // 8, "big")
-    return prefix + value_len.to_bytes(unary_len, "big") + n.to_bytes(value_len, "big")
+    value_len = max(1, (n.bit_length() + 7) // 8)
+    if value_len < 256:  # U = 1: the prefix is the one byte 0b10000000
+        return bytes((0x80, value_len)) + n.to_bytes(value_len, "big")
+    unary_len = (value_len.bit_length() + 7) // 8
+    prefix_len = unary_len // 8 + 1  # U ones and a zero, in whole bytes
+    prefix = ((1 << unary_len) - 1) << (8 * prefix_len - unary_len)
+    return (
+        prefix.to_bytes(prefix_len, "big")
+        + value_len.to_bytes(unary_len, "big")
+        + n.to_bytes(value_len, "big")
+    )
 
 
 def hierar_count_header(n: int) -> bytes:
@@ -218,49 +230,20 @@ def hierar_count_header(n: int) -> bytes:
 
 
 def primitive_key(kind: BuiltinKind, value, *, nan_high: bool = False) -> bytes:
-    """Raw order-preserving bytes for a fixed-width scalar leaf."""
-    bits = kind.bit_width
-    if kind.is_unsigned_int:
-        lo, hi = _int_bounds(kind)
-        if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
-            raise DomainError(f"{value!r} outside {kind.value} range")
-        return value.to_bytes(bits // 8, "big")
-    if kind.is_signed_int:
-        lo, hi = _int_bounds(kind)
-        if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
-            raise DomainError(f"{value!r} outside {kind.value} range")
-        return (value + (1 << (bits - 1))).to_bytes(bits // 8, "big")
-    if kind.is_float:
-        return _float_key(kind, value, nan_high)
-    raise DomainError(f"primitive_key does not handle {kind.value}")
+    """Raw order-preserving bytes for a fixed-width scalar leaf.
 
-
-def _float_key(kind: BuiltinKind, value, nan_high: bool) -> bytes:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"expected a float, got {type(value).__name__}")
+    These are the data bytes of the leaf's packed plan step.
+    """
+    if KIND_TABLE[kind].family is None:
+        raise DomainError(f"primitive_key does not handle {kind.value}")
+    step = _Compiler(True, nan_high, False).node(Builtin(kind), 0, ())
+    out = bytearray()
     try:
-        value = float(value)
-    except OverflowError:
-        raise DomainError(f"integer too large for {kind.value}") from None
-    width = kind.bit_width // 8
-    fmt = ">f" if width == 4 else ">d"
-    if math.isnan(value):
-        if not nan_high:
-            raise NaNRejected("NaN needs the nan_high policy")
-        # One equivalence class above +inf: the canonical quiet NaN pattern.
-        bits = 0x7FC00000 if width == 4 else 0x7FF8000000000000
-    else:
-        try:
-            raw = struct.pack(fmt, value)
-        except OverflowError:
-            raise DomainError(f"{value!r} does not fit in {kind.value}") from None
-        bits = int.from_bytes(raw, "big")
-    top = 1 << (kind.bit_width - 1)
-    if bits & top:
-        bits ^= (1 << kind.bit_width) - 1
-    else:
-        bits |= top
-    return bits.to_bytes(width, "big")
+        step(value, out)
+    except _Fault as fault:
+        cls = NaNRejected if fault.cls is NaNRejected else DomainError
+        raise cls(fault.message) from None
+    return bytes(out)
 
 
 def continued_fraction(p: int, q: int) -> list[int]:
@@ -329,16 +312,37 @@ def compare_keys(a: bytes, b: bytes) -> Ordering:
 
 @dataclass(frozen=True)
 class PreparedOrder:
-    """A validated tree lowered for encoding.
+    """A validated tree lowered for encoding, and the plans compiled from it.
 
     ``tree`` has all Inv structure pushed into the leaves and is otherwise
     the tree the user wrote; ``stats`` are the validation statistics;
-    ``packed_ok`` says whether packed mode is available.
+    ``packed_ok`` says whether packed mode is available.  ``plan`` compiles
+    the tree on first use for each (mode, nan_high, doc) and keeps the
+    result in ``plans``, so a tree is interpreted once, not once per element.
     """
 
     tree: OrderNode
     stats: PathStats
     packed_ok: bool
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def plan(self, mode: str = "padded", *, nan_high: bool = False, doc: bool = False):
+        """The function taking one element to its key.
+
+        With ``doc`` it takes a ``json.loads`` record instead, as
+        ``encode_doc`` does.  It raises what ``encode`` raises.
+        """
+        key = (mode, nan_high, doc)
+        try:
+            return self.plans[key]
+        except KeyError:
+            pass
+        if mode not in ("padded", "packed"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "packed" and not self.packed_ok:
+            raise PackedModeUnavailable("tree has variable-length elements")
+        run = self.plans[key] = _compile(self.tree, mode == "packed", bool(nan_high), bool(doc))
+        return run
 
 
 @lru_cache(maxsize=128)
@@ -352,172 +356,289 @@ def _finite_width(cardinality: int) -> int:
     return max(1, ((cardinality - 1).bit_length() + 7) // 8)
 
 
-def _finite_data(node: Finite, value, path: str) -> bytes:
-    if not isinstance(value, int):  # a bool is an int: rank 0 or 1
-        raise ElementMismatch(f"{path}: expected a rank integer, got {type(value).__name__}")
-    if not 0 <= value < node.cardinality:
-        raise ElementMismatch(f"{path}: rank {value} outside 0..{node.cardinality - 1}")
-    rank = node.collation[value] if node.collation is not None else value
-    return rank.to_bytes(_finite_width(node.cardinality), "big")
+class _Fault(Exception):
+    """An element fault on its way out of a plan.
 
+    Every sequence item and sum part it leaves prepends its own step to
+    ``path``; the plan's entry raises ``cls`` with the whole path, so path
+    strings are built only for values that are rejected.
+    """
 
-def _leaf_data(node: Builtin, value, path: str, nan_high: bool) -> bytes:
-    kind = node.kind
-    if kind is BuiltinKind.BOOL:
-        # The key of finite(2): the rank byte, mirrored when inverted.
-        if not isinstance(value, int) or value not in (0, 1):
-            raise ElementMismatch(f"{path}: expected a bool")
-        return bytes((int(value) ^ node.inverted,))
-    try:
-        if kind is BuiltinKind.RATIONAL:
-            num, den = rational_parts(value)
-            data = rational_key(num, den)
-        else:
-            data = primitive_key(kind, value, nan_high=nan_high)
-    except (DomainError, ElementMismatch) as exc:
-        raise ElementMismatch(f"{path}: {exc}") from None
-    except NaNRejected as exc:
-        raise NaNRejected(f"{path}: {exc}") from None
-    return data.translate(_FLIP) if node.inverted else data
+    def __init__(self, cls, message: str, path: str = ""):
+        super().__init__(message)
+        self.cls = cls
+        self.message = message
+        self.path = path
 
 
 # ---------------------------------------------------------------------------
-# JSON spellings, read by encode_doc
+# Value checks shared by the plans; the doc_* ones read the JSON spellings
 
 
-def _decimal(value, path: str):
+def _decimal(value, path: str = ""):
     """A decimal string as an int; any other value unchanged."""
     if not isinstance(value, str):
         return value
     try:
         return int(value, 10)
     except ValueError:
-        raise ElementMismatch(f"{path}: {value!r} is not a decimal integer") from None
+        raise _Fault(ElementMismatch, f"{value!r} is not a decimal integer", path) from None
 
 
-def _doc_leaf(kind: BuiltinKind, value, path: str):
-    """The element a JSON string or object spells at a builtin leaf.
-
-    A value no spelling covers comes back unchanged for the leaf's own check.
-    """
-    if kind is BuiltinKind.BYTES:
-        if isinstance(value, str):
-            try:
-                return value.encode("utf-8")
-            except UnicodeEncodeError:  # a lone surrogate escape
-                raise ElementMismatch(f"{path}: string is not valid Unicode") from None
-        if value.keys() == {"hex"} and isinstance(value["hex"], str):
-            try:
-                return bytes.fromhex(value["hex"])
-            except ValueError:
-                raise ElementMismatch(f"{path}: bad hex string") from None
+def _rank(value):
+    """A finite rank that is not exactly an int: any other int, a bool too, passes."""
+    if isinstance(value, int):
         return value
-    if kind is BuiltinKind.RATIONAL:
-        if isinstance(value, dict):
-            if value.keys() == {"num", "den"}:
-                return (_decimal(value["num"], path + ".num"), _decimal(value["den"], path + ".den"))
-            return value
+    raise _Fault(ElementMismatch, f"expected a rank integer, got {type(value).__name__}")
+
+
+def _doc_rank(value):
+    """A finite rank in a JSON record: an integer or a decimal string, never a bool."""
+    if isinstance(value, bool):
+        raise _Fault(ElementMismatch, "expected a rank integer, got a bool")
+    return _rank(_decimal(value))
+
+
+def _doc_integer(value, path: str) -> int:
+    """The num or den member of a {"num", "den"} rational."""
+    value = _decimal(value, path)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _Fault(ElementMismatch, f"expected an integer, got {type(value).__name__}", path)
+
+
+def _doc_bytes(value):
+    """The bytes a JSON string or {"hex": ...} object spells; other values unchanged."""
+    if isinstance(value, str):
+        try:
+            return value.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate escape
+            raise _Fault(ElementMismatch, "string is not valid Unicode") from None
+    if isinstance(value, dict) and value.keys() == {"hex"} and isinstance(value["hex"], str):
+        try:
+            return bytes.fromhex(value["hex"])
+        except ValueError:
+            raise _Fault(ElementMismatch, "bad hex string") from None
+    return value
+
+
+def _doc_rational(value):
+    """The rational a "p/q" string or {"num", "den"} object spells; other values unchanged."""
+    if isinstance(value, str):
         num, slash, den = value.strip().partition("/")
         try:
             return (int(num, 10), int(den, 10)) if slash else int(num, 10)
         except ValueError:
-            raise ElementMismatch(f"{path}: {value!r} is not a p/q rational") from None
-    if not isinstance(value, str) or kind is BuiltinKind.BOOL:
-        return value
-    if kind.is_float:
+            raise _Fault(ElementMismatch, f"{value!r} is not a p/q rational") from None
+    if isinstance(value, dict) and value.keys() == {"num", "den"}:
+        return (_doc_integer(value["num"], ".num"), _doc_integer(value["den"], ".den"))
+    return value
+
+
+# ---------------------------------------------------------------------------
+# Compiling a tree into a plan
+
+
+def _compile(tree: OrderNode, packed: bool, nan_high: bool, doc: bool):
+    root = _Compiler(packed, nan_high, doc).node(tree, 0, ())
+
+    def run(value) -> bytes:
+        out = bytearray()
         try:
-            return float(value)
-        except ValueError:
-            raise ElementMismatch(f"{path}: {value!r} is not a number") from None
-    return _decimal(value, path)
+            root(value, out)
+        except _Fault as fault:
+            raise fault.cls(f"${fault.path}: {fault.message}") from None
+        return bytes(out)
+
+    return run
 
 
-class _Encoder:
-    """One tree walk appending to a shared buffer.
+class _Compiler:
+    """Turns each node of a prepared tree into a step ``step(value, out)``.
 
-    ``chain`` tracks the marking sequence nodes currently open around the
-    walk, outermost first.  Whenever a fragment's final byte is emitted the
-    encoder snapshots that chain into an ending-value table for the byte;
-    each enclosing sequence end then advances the byte one step through the
-    table instead of doing counter arithmetic on it.
-
-    ``doc`` walks a JSON-decoded record: each leaf first reads the value's
-    JSON spelling, and sequence and sum nodes take arrays only.
+    A step checks its value, appends the value's key fragment to ``out``
+    and returns ``ends``, the ending-value table of the last byte it wrote.
+    ``chain`` lists the marking sequence nodes open around a node,
+    outermost first ("L" lex family, "C" contrelex family); ``ends[k]`` is
+    the last byte once the marking nodes at chain index k and inward have
+    all ended, so the marking node at index k closes with
+    ``out[-1] = ends[k]``.  Every table, width, bound and translate table
+    is fixed here, once per tree; steps only read them.  Packed plans
+    neither mark nor carry tables, and their steps return None.  Bytes and
+    rational leaves are variable-length, so packed plans never hold them.
     """
 
-    __slots__ = ("out", "packed", "nan_high", "doc", "chain", "tail", "tail_level")
-
     def __init__(self, packed: bool, nan_high: bool, doc: bool):
-        self.out = bytearray()
         self.packed = packed
         self.nan_high = nan_high
         self.doc = doc
-        self.chain: list[str] = []
-        self.tail: tuple[int, ...] = ()
-        self.tail_level = 0
 
-    def _set_tail(self) -> None:
-        self.tail = _ending_values(self.out[-1], tuple(reversed(self.chain)))
-        self.tail_level = 0
-
-    def _mark_end(self) -> None:
-        level = self.tail_level + 1
-        if level >= len(self.tail):
-            raise AssertionError("sequence end with no remaining ending value")
-        self.tail_level = level
-        self.out[-1] = self.tail[level]
-
-    def put_leaf(self, data: bytes) -> None:
-        if not data:
-            raise AssertionError("leaf produced no data bytes")
+    def ends(self, base: int, chain: tuple[str, ...]):
         if self.packed:
-            self.out += data
-            return
-        out = self.out
-        for value in data:
-            out += _TRIPLE[value]
-        out[-1] = 0xE0
-        self._set_tail()
+            return None
+        return _ending_values(base, chain[::-1])[::-1]
 
-    def node(self, node: OrderNode, value, depth: int, path: str) -> None:
+    def slots(self, width: int):
+        """(template, offset, step): a fragment of ``width`` data bytes is the
+        template with the data assigned to ``out[start + offset :: step]``."""
+        if self.packed:
+            return bytes(width), 0, 1
+        return wrap_finite_leaf(bytes(width)), 1, 3
+
+    def node(self, node: OrderNode, depth: int, chain: tuple[str, ...]):
         if isinstance(node, Finite):
-            if self.doc and type(value) is not int:
-                if isinstance(value, bool):
-                    raise ElementMismatch(f"{path}: expected a rank integer, got a bool")
-                value = _decimal(value, path)
-            self.put_leaf(_finite_data(node, value, path))
-            return
-        if isinstance(node, Builtin):
-            if self.doc and isinstance(value, (str, dict)):
-                value = _doc_leaf(node.kind, value, path)
-            if node.kind is BuiltinKind.BYTES:
-                self.bytes_leaf(node, value, depth, path)
-            else:
-                self.put_leaf(_leaf_data(node, value, path, self.nan_high))
-            return
+            return self.finite(node, chain)
         if isinstance(node, SeqOp):
-            self.seq(node, value, depth, path)
-            return
+            return self.sequence(node, depth, chain)
         if isinstance(node, Sum):
-            if self.doc:
-                if not isinstance(value, list) or len(value) != 2:
-                    raise ElementMismatch(f"{path}: expected a [master_rank, sub] array")
-            elif isinstance(value, str) or not hasattr(value, "__len__") or len(value) != 2:
-                raise ElementMismatch(f"{path}: expected a (master_rank, sub) pair")
-            master_rank, sub = value
-            if self.doc:
-                master_rank = _decimal(master_rank, path + ".master")
-            # _finite_data takes a bool as a rank; a master rank never is one.
-            if not isinstance(master_rank, int) or isinstance(master_rank, bool):
-                raise ElementMismatch(f"{path}: master rank must be an integer")
-            self.node(node.master, master_rank, depth + 1, path + ".master")
-            self.node(node.cases[master_rank], sub, depth + 1, f"{path}.case({master_rank})")
-            return
-        if isinstance(node, Inv):
-            raise AssertionError("Inv survived preparation")
-        raise ElementMismatch(f"{path}: not an order node: {type(node).__name__}")
+            return self.union(node, depth, chain)
+        if isinstance(node, Builtin):
+            kind = node.kind
+            if kind is BuiltinKind.BYTES:
+                return self.byte_string(node, depth, chain)
+            if kind is BuiltinKind.BOOL:
+                return self.boolean(node, chain)
+            if kind is BuiltinKind.RATIONAL:
+                return self.rational(node, chain)
+            if KIND_TABLE[kind].family == "float":
+                return self.real(node, chain)
+            return self.integer(node, chain)
+        raise AssertionError(f"{type(node).__name__} node survived preparation")
 
-    def bytes_leaf(self, node: Builtin, value, depth: int, path: str) -> None:
+    def finite(self, node: Finite, chain):
+        card = node.cardinality
+        top = card - 1
+        ranks = node.collation
+        width = _finite_width(card)
+        template, offset, step = self.slots(width)
+        ends = self.ends(0xE0, chain)
+        coerce = _doc_rank if self.doc else _rank
+
+        def finite(value, out):
+            if type(value) is not int:
+                value = coerce(value)
+            if 0 <= value < card:
+                rank = value if ranks is None else ranks[value]
+                start = len(out)
+                out += template
+                out[start + offset :: step] = rank.to_bytes(width, "big")
+                return ends
+            raise _Fault(ElementMismatch, f"rank {value} outside 0..{top}")
+
+        return finite
+
+    def boolean(self, node: Builtin, chain):
+        """The key of finite(2): the rank byte, mirrored when inverted."""
+        keys = [bytes((rank ^ node.inverted,)) for rank in (0, 1)]
+        if not self.packed:
+            keys = [wrap_finite_leaf(key) for key in keys]
+        ends = self.ends(0xE0, chain)
+
+        def boolean(value, out):
+            if isinstance(value, int) and value in (0, 1):
+                out += keys[int(value)]
+                return ends
+            raise _Fault(ElementMismatch, "expected a bool")
+
+        return boolean
+
+    def integer(self, node: Builtin, chain):
+        """Unsigned ints big-endian, signed ones offset by half their range."""
+        name = node.kind.value
+        lo, hi = _int_bounds(node.kind)
+        width = KIND_TABLE[node.kind].bits // 8
+        flip = (1 << (8 * width)) - 1 if node.inverted else 0
+        template, offset, step = self.slots(width)
+        ends = self.ends(0xE0, chain)
+        doc = self.doc
+
+        def coerce(value):
+            if doc and isinstance(value, str):
+                value = _decimal(value)
+            if isinstance(value, int) and not isinstance(value, bool):
+                return value
+            raise _Fault(ElementMismatch, f"{value!r} outside {name} range")
+
+        def integer(value, out):
+            if type(value) is not int:
+                value = coerce(value)
+            if lo <= value <= hi:
+                start = len(out)
+                out += template
+                out[start + offset :: step] = ((value - lo) ^ flip).to_bytes(width, "big")
+                return ends
+            raise _Fault(ElementMismatch, f"{value!r} outside {name} range")
+
+        return integer
+
+    def real(self, node: Builtin, chain):
+        """IEEE bits with the sign bit set on non-negatives, all bits flipped on negatives."""
+        name = node.kind.value
+        bits = KIND_TABLE[node.kind].bits
+        width = bits // 8
+        pack = struct.Struct(">f" if width == 4 else ">d").pack
+        sign = 1 << (bits - 1)
+        flip = (1 << bits) - 1 if node.inverted else 0
+        negative_mask = ((1 << bits) - 1) ^ flip
+        positive_mask = sign ^ flip
+        # One equivalence class above +inf: the canonical quiet NaN pattern.
+        nan_bits = 0x7FC00000 if width == 4 else 0x7FF8000000000000
+        nan_data = (nan_bits ^ positive_mask).to_bytes(width, "big")
+        template, offset, step = self.slots(width)
+        ends = self.ends(0xE0, chain)
+        doc, nan_high = self.doc, self.nan_high
+
+        def coerce(value):
+            if doc and isinstance(value, str):
+                try:
+                    value = float(value)
+                except ValueError:
+                    raise _Fault(ElementMismatch, f"{value!r} is not a number") from None
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise _Fault(ElementMismatch, f"expected a float, got {type(value).__name__}")
+            try:
+                return float(value)
+            except OverflowError:
+                raise _Fault(ElementMismatch, f"integer too large for {name}") from None
+
+        def real(value, out):
+            if type(value) is not float:
+                value = coerce(value)
+            if value != value:
+                if not nan_high:
+                    raise _Fault(NaNRejected, "NaN needs the nan_high policy")
+                data = nan_data
+            else:
+                try:
+                    raw = int.from_bytes(pack(value), "big")
+                except OverflowError:
+                    raise _Fault(ElementMismatch, f"{value!r} does not fit in {name}") from None
+                data = (raw ^ (negative_mask if raw & sign else positive_mask)).to_bytes(width, "big")
+            start = len(out)
+            out += template
+            out[start + offset :: step] = data
+            return ends
+
+        return real
+
+    def rational(self, node: Builtin, chain):
+        inverted, doc = node.inverted, self.doc
+        ends = self.ends(0xE0, chain)
+
+        def rational(value, out):
+            if doc:
+                value = _doc_rational(value)
+            try:
+                num, den = rational_parts(value)
+            except ElementMismatch as exc:
+                raise _Fault(ElementMismatch, str(exc)) from None
+            data = rational_key(num, den)
+            out += wrap_finite_leaf(data.translate(_FLIP) if inverted else data)
+            return ends
+
+        return rational
+
+    def byte_string(self, node: Builtin, depth: int, chain):
         """The key of lex(0, omega, [finite(256)]), contrelex when inverted.
 
         Every byte is a wrapped finite(256) leaf, F0 rank E0: one translate
@@ -525,83 +646,131 @@ class _Encoder:
         in their triples, and the lex (contrelex) end mark goes on the final
         byte.
         """
-        if not isinstance(value, (bytes, bytearray)):
-            raise ElementMismatch(f"{path}: expected bytes, got {type(value).__name__}")
         kind = SeqKind.CONTRELEX if node.inverted else SeqKind.LEX
-        out = self.out
-        if not value:
-            out += empty_sequence_pattern(kind, depth)
-            self._set_tail()
-            return
-        data = value
-        if node.collation is not None:
-            data = data.translate(bytes(node.collation))
+        table = None if node.collation is None else bytes(node.collation)
         if node.inverted:
-            data = data.translate(_FLIP)
-        start = len(out)
-        out += _LEAF_TRIPLE * len(data)
-        out[start + 1 :: 3] = data
-        self.chain.append(_CHAIN_CHAR[kind])
-        self._set_tail()
-        self.chain.pop()
-        self._mark_end()
+            table = _FLIP if table is None else table.translate(_FLIP)
+        marker = empty_sequence_pattern(kind, depth)
+        marker_ends = self.ends(PAD_DEFAULT, chain)
+        ends = self.ends(0xE0, chain + (_CHAIN_CHAR[kind],))
+        last = ends[len(chain)]
+        doc = self.doc
 
-    def seq(self, node: SeqOp, value, depth: int, path: str) -> None:
-        if self.doc:
-            if not isinstance(value, list):
-                raise ElementMismatch(f"{path}: expected an array, got {type(value).__name__}")
-        elif isinstance(value, str) or not hasattr(value, "__len__"):
-            raise ElementMismatch(f"{path}: expected a sequence, got {type(value).__name__}")
-        items = list(value)
-        length = len(items)
-        if length >= COUNT_CAP:
-            raise CountTooLarge(f"{path}: sequence count {length} at or above 2**64")
-        if length < node.min_len or not node.max_len > length:
-            raise ElementMismatch(
-                f"{path}: length {length} outside [{node.min_len}, {node.max_len})"
-            )
+        def byte_string(value, out):
+            if type(value) is not bytes:
+                if doc:
+                    value = _doc_bytes(value)
+                if not isinstance(value, (bytes, bytearray)):
+                    raise _Fault(ElementMismatch, f"expected bytes, got {type(value).__name__}")
+            if not value:
+                out += marker
+                return marker_ends
+            if table is not None:
+                value = value.translate(table)
+            start = len(out)
+            out += _LEAF_TRIPLE * len(value)
+            out[start + 1 :: 3] = value
+            out[-1] = last
+            return ends
 
-        kind = node.kind
-        if kind.is_hierar_family:
-            if not self.packed:
-                header = hierar_count_header(length)
-                if kind in (SeqKind.CONTREHIERAR, SeqKind.ANTICONTREHIERAR):
-                    header = header.translate(_FLIP)
-                self.put_leaf(header)
-        elif length == 0:
-            # Nothing below will emit a byte; stand in with a marker so the
-            # enclosing ends still have something to act on.  next(0, 1)
-            # nodes take the lex-family marker: their single element makes
-            # any constant correct.  The empty node itself leaves no mark.
-            if not self.packed:
-                self.out += empty_sequence_pattern(kind, depth)
-                self._set_tail()
-            return
+        return byte_string
 
-        marks = not self.packed and kind in _CHAIN_CHAR
-        if marks:
-            self.chain.append(_CHAIN_CHAR[kind])
-        if kind.is_anti:
-            item_order = node.period[0]
-            for rank in range(length - 1, -1, -1):
-                self.node(item_order, items[rank], depth + 1, f"{path}[{rank}]")
-        else:
-            for rank, item in enumerate(items):
-                self.node(item_order_at(node, rank), item, depth + 1, f"{path}[{rank}]")
-        if marks:
-            self.chain.pop()
-            self._mark_end()
+    def sequence(self, node: SeqOp, depth: int, chain):
+        kind, min_len, max_len = node.kind, node.min_len, node.max_len
+        upper = COUNT_CAP if max_len is OMEGA else max_len
+        packed, doc = self.packed, self.doc
+        marks = not packed and kind in _CHAIN_CHAR
+        inner = chain + (_CHAIN_CHAR[kind],) if marks else chain
+        own = len(chain)
+        prelude = [self.node(child, depth + 1, inner) for child in node.prelude]
+        period = [self.node(child, depth + 1, inner) for child in node.period]
+        steps = prelude + period
+        n_steps, n_prelude, n_period = len(steps), len(prelude), len(period)
+        anti = kind.is_anti  # validated: no prelude, a one-order period
+        hierar = kind.is_hierar_family
+        flip_header = kind in (SeqKind.CONTREHIERAR, SeqKind.ANTICONTREHIERAR)
+        header_ends = self.ends(0xE0, chain)
+        # Nothing below an empty sequence emits a byte; a marker stands in
+        # so that the enclosing ends still have something to act on.
+        # next(0, 1) nodes take the lex-family marker: their single element
+        # makes any constant correct.  The empty node itself leaves no mark.
+        marker = b"" if packed or hierar else empty_sequence_pattern(kind, depth)
+        marker_ends = self.ends(PAD_DEFAULT, chain)
+
+        def sequence(value, out):
+            if doc:
+                if not isinstance(value, list):
+                    raise _Fault(ElementMismatch, f"expected an array, got {type(value).__name__}")
+                items = value
+            else:
+                if isinstance(value, str) or not hasattr(value, "__len__"):
+                    raise _Fault(ElementMismatch, f"expected a sequence, got {type(value).__name__}")
+                items = list(value)
+            length = len(items)
+            if not min_len <= length < upper:
+                if length >= COUNT_CAP:
+                    raise _Fault(CountTooLarge, f"sequence count {length} at or above 2**64")
+                raise _Fault(ElementMismatch, f"length {length} outside [{min_len}, {max_len})")
+            if hierar:
+                last = header_ends
+                if not packed:
+                    header = _count_header_unbounded(length)
+                    out += wrap_finite_leaf(header.translate(_FLIP) if flip_header else header)
+            elif not length:
+                out += marker
+                return marker_ends
+            try:
+                if anti:
+                    for rank in range(length - 1, -1, -1):
+                        last = period[0](items[rank], out)
+                else:
+                    for rank, item in enumerate(items):
+                        if rank < n_steps:
+                            last = steps[rank](item, out)
+                        else:
+                            last = period[(rank - n_prelude) % n_period](item, out)
+            except _Fault as fault:
+                fault.path = f"[{rank}]{fault.path}"
+                raise
+            if marks:
+                out[-1] = last[own]
+            return last
+
+        return sequence
+
+    def union(self, node: Sum, depth: int, chain):
+        master = self.finite(node.master, chain)
+        cases = [self.node(case, depth + 1, chain) for case in node.cases]
+        doc = self.doc
+
+        def union(value, out):
+            if doc:
+                if not isinstance(value, list) or len(value) != 2:
+                    raise _Fault(ElementMismatch, "expected a [master_rank, sub] array")
+            elif isinstance(value, str) or not hasattr(value, "__len__") or len(value) != 2:
+                raise _Fault(ElementMismatch, "expected a (master_rank, sub) pair")
+            rank, sub = value
+            if doc:
+                rank = _decimal(rank, ".master")
+            # A finite leaf takes a bool as a rank; a master rank never is one.
+            if not isinstance(rank, int) or isinstance(rank, bool):
+                raise _Fault(ElementMismatch, "master rank must be an integer")
+            try:
+                master(rank, out)
+            except _Fault as fault:
+                fault.path = ".master" + fault.path
+                raise
+            try:
+                return cases[rank](sub, out)
+            except _Fault as fault:
+                fault.path = f".case({rank}){fault.path}"
+                raise
+
+        return union
 
 
-def _encode(tree: OrderNode, value, mode: str, nan_high: bool, doc: bool) -> bytes:
-    if mode not in ("padded", "packed"):
-        raise ValueError(f"unknown mode {mode!r}")
-    prep = prepare(tree)
-    if mode == "packed" and not prep.packed_ok:
-        raise PackedModeUnavailable("tree has variable-length elements")
-    walker = _Encoder(mode == "packed", nan_high, doc)
-    walker.node(prep.tree, value, 0, "$")
-    return bytes(walker.out)
+# ---------------------------------------------------------------------------
+# Entry points
 
 
 def encode(tree: OrderNode, value, mode: str = "padded", *, nan_high: bool = False) -> bytes:
@@ -609,32 +778,32 @@ def encode(tree: OrderNode, value, mode: str = "padded", *, nan_high: bool = Fal
 
     mode "padded" works for every valid tree; mode "packed" omits the
     padding and needs a fixed-length tree.  Inv nodes never reach the
-    walker: ``prepare`` rewrites them into inverted leaves and mirrored
+    plan: ``prepare`` rewrites them into inverted leaves and mirrored
     operators.
     """
-    return _encode(tree, value, mode, nan_high, False)
+    return prepare(tree).plan(mode, nan_high=nan_high)(value)
 
 
 def encode_doc(tree: OrderNode, doc, mode: str = "padded", *, nan_high: bool = False) -> bytes:
     """Encode one JSON Lines record: ``doc`` is what ``json.loads`` returned.
 
     The record's JSON spellings (decimal strings, ``{"hex": ...}``,
-    ``{"num", "den"}``, ``"p/q"``) are read in the encoder's own walk, and
+    ``{"num", "den"}``, ``"p/q"``) are read by the plan's own steps, and
     the key is the key of the element they spell.  Any other value meets
     the checks ``encode`` makes, except that sequence and sum nodes take a
     JSON array only and a bool is no ``finite`` rank.
     """
-    return _encode(tree, doc, mode, nan_high, True)
+    return prepare(tree).plan(mode, nan_high=nan_high, doc=True)(doc)
 
 
 def check_element(tree: OrderNode, value, *, nan_high: bool = False) -> None:
     """Raise an ElementError unless ``value`` is an element of ``tree``.
 
-    This is the encoder's own walk with the key thrown away, so a value is
-    an element exactly when it encodes.  A tree that is not valid raises its
+    This runs the padded plan and throws the key away, so a value is an
+    element exactly when it encodes.  A tree that is not valid raises its
     ValidationError.
     """
-    _Encoder(False, nan_high, False).node(prepare(tree).tree, value, 0, "$")
+    prepare(tree).plan(nan_high=nan_high)(value)
 
 
 def encode_batch(
@@ -644,9 +813,8 @@ def encode_batch(
     *,
     nan_high: bool = False,
 ) -> list[bytes]:
-    """Encode many elements; safe to call from several workers on one tree."""
-    prepare(tree)  # fail fast and warm the cache once
-    return [encode(tree, value, mode, nan_high=nan_high) for value in values]
+    """Encode many elements through one plan; safe to call from several workers on one tree."""
+    return list(map(prepare(tree).plan(mode, nan_high=nan_high), values))
 
 
 def data_byte_count(key: bytes) -> int:

@@ -18,8 +18,8 @@ combine the orders of their children into an order on longer values:
 Elements of an order are plain Python values: ints for Finite ranks and
 integer leaves, floats, bools, bytes, Fraction or (num, den) pairs for
 rationals, lists/tuples for sequence nodes and (master_rank, sub) pairs for
-Sum nodes.  The encoder's walk is the one definition of which values are
-elements: ``tsokey.check_element`` runs it and discards the key.
+Sum nodes.  The encoder's plan for a tree is the one definition of which
+values are elements: ``tsokey.check_element`` runs it and discards the key.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import (
     AntiNotUniform,
@@ -43,6 +43,8 @@ __all__ = [
     "OMEGA",
     "SeqKind",
     "BuiltinKind",
+    "KindInfo",
+    "KIND_TABLE",
     "Finite",
     "Builtin",
     "Inv",
@@ -194,24 +196,32 @@ class BuiltinKind(str, Enum):
     BYTES = "bytes"
     RATIONAL = "rational"
 
-    @property
-    def bit_width(self) -> int | None:
-        for prefix in ("uint", "int", "float"):
-            if self.value.startswith(prefix):
-                return int(self.value[len(prefix):])
-        return None
 
-    @property
-    def is_unsigned_int(self) -> bool:
-        return self.value.startswith("uint")
+class KindInfo(NamedTuple):
+    """How a builtin kind's scalars are laid out: ``family`` is "uint", "int"
+    or "float" with ``bits`` its width, or both are None (bool, bytes,
+    rational)."""
 
-    @property
-    def is_signed_int(self) -> bool:
-        return self.value.startswith("int")
+    family: str | None
+    bits: int | None
 
-    @property
-    def is_float(self) -> bool:
-        return self.value.startswith("float")
+
+# Every builtin kind's layout, looked up instead of parsing the kind's name.
+KIND_TABLE = {
+    BuiltinKind.UINT8: KindInfo("uint", 8),
+    BuiltinKind.UINT16: KindInfo("uint", 16),
+    BuiltinKind.UINT32: KindInfo("uint", 32),
+    BuiltinKind.UINT64: KindInfo("uint", 64),
+    BuiltinKind.INT8: KindInfo("int", 8),
+    BuiltinKind.INT16: KindInfo("int", 16),
+    BuiltinKind.INT32: KindInfo("int", 32),
+    BuiltinKind.INT64: KindInfo("int", 64),
+    BuiltinKind.FLOAT32: KindInfo("float", 32),
+    BuiltinKind.FLOAT64: KindInfo("float", 64),
+    BuiltinKind.BOOL: KindInfo(None, None),
+    BuiltinKind.BYTES: KindInfo(None, None),
+    BuiltinKind.RATIONAL: KindInfo(None, None),
+}
 
 
 def _freeze_collation(node) -> None:
@@ -614,8 +624,8 @@ def push_inv_to_leaves(tree: OrderNode) -> OrderNode:
 
 
 def _int_bounds(kind: BuiltinKind) -> tuple[int, int]:
-    bits = kind.bit_width
-    if kind.is_unsigned_int:
+    family, bits = KIND_TABLE[kind]
+    if family == "uint":
         return 0, (1 << bits) - 1
     half = 1 << (bits - 1)
     return -half, half - 1

@@ -17,6 +17,7 @@ import random
 from fractions import Fraction
 
 from .order_model import (
+    KIND_TABLE,
     OMEGA,
     Builtin,
     BuiltinKind,
@@ -136,11 +137,12 @@ def random_tree(
 
 
 def _random_scalar(rng: random.Random, kind: BuiltinKind):
-    if kind.is_unsigned_int:
-        hi = (1 << kind.bit_width) - 1
+    family, bits = KIND_TABLE[kind]
+    if family == "uint":
+        hi = (1 << bits) - 1
         return rng.choice((0, 1, hi, hi - 1, rng.randrange(0, hi + 1), rng.randrange(0, 17)))
-    if kind.is_signed_int:
-        half = 1 << (kind.bit_width - 1)
+    if family == "int":
+        half = 1 << (bits - 1)
         return rng.choice(
             (-half, half - 1, -1, 0, 1, rng.randrange(-half, half), rng.randrange(-8, 9))
         )

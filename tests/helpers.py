@@ -18,6 +18,7 @@ from tsokey import (
     encode,
     item_order_at,
 )
+from tsokey.order_model import KIND_TABLE
 
 _FLOATS = [-2.0, -0.5, -0.0, 0.0, 1.5]
 _SIGNED = [-2, -1, 0, 1, 2]
@@ -39,9 +40,9 @@ def elements(tree, budget=2):
             return list(_RATIONALS)
         if kind is BuiltinKind.BYTES:
             return [b"", b"a", b"ab", b"b"]
-        if kind.is_float:
+        if KIND_TABLE[kind].family == "float":
             return list(_FLOATS)
-        if kind.is_signed_int:
+        if KIND_TABLE[kind].family == "int":
             return list(_SIGNED)
         return list(_UNSIGNED)
     if isinstance(tree, SeqOp):
@@ -111,7 +112,7 @@ def _doc(rng, tree, value):
             return {"hex": value.hex()}
         if kind is BuiltinKind.RATIONAL:
             return _rational_doc(rng, value)
-        if kind.is_float:
+        if KIND_TABLE[kind].family == "float":
             return value if rng.random() < 0.5 else repr(value)
         return value if rng.random() < 0.5 else str(value)
     if isinstance(tree, SeqOp):

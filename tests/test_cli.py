@@ -250,6 +250,58 @@ class TestEncodeCommand:
         assert main(["encode", order, data, "--hex", "--nan-high"]) == 0
 
 
+class _RecordingStdout:
+    """A stdout that keeps each write call, text and binary alike."""
+
+    def __init__(self):
+        self.writes = []
+        self.buffer = self
+
+    def write(self, data):
+        self.writes.append(data)
+        return len(data)
+
+    def flush(self):
+        pass
+
+
+class TestChunkedOutput:
+    """Output leaves in writes of at most 1024 lines or keys, never joined whole."""
+
+    VALUES = [(i * 7919) % 65536 for i in range(2500)]
+
+    def test_sort_writes_three_chunks(self, tmp_path, monkeypatch):
+        order = write(tmp_path, "o.tsodl", "uint16")
+        data = jsonl(tmp_path, "d.jsonl", self.VALUES)
+        out = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["sort", order, data, "--output", "indices"]) == 0
+        assert len(out.writes) == 3
+        expected = sorted(range(len(self.VALUES)), key=self.VALUES.__getitem__)
+        assert "".join(out.writes).splitlines() == [str(i) for i in expected]
+
+    def test_encode_writes_three_chunks(self, tmp_path, monkeypatch):
+        order = write(tmp_path, "o.tsodl", "uint16")
+        data = jsonl(tmp_path, "d.jsonl", self.VALUES)
+        out = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["encode", order, data]) == 0
+        assert len(out.writes) == 3
+        tree = parse("uint16")
+        assert read_frames(b"".join(out.writes)) == [encode(tree, v) for v in self.VALUES]
+
+    def test_keys_before_a_bad_line_are_written(self, tmp_path, monkeypatch, capsys):
+        order = write(tmp_path, "o.tsodl", "uint16")
+        data = jsonl(tmp_path, "d.jsonl", self.VALUES[:1500] + [-1] + self.VALUES[1500:])
+        out = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["encode", order, data, "--hex"]) == 1
+        assert "line 1501: $: -1 outside uint16 range" in capsys.readouterr().err
+        tree = parse("uint16")
+        keys = [encode(tree, v).hex().upper() for v in self.VALUES[:1500]]
+        assert "".join(out.writes).splitlines() == keys
+
+
 class TestSortCommand:
     def test_lines_output_keeps_original_text(self, tmp_path, capsys):
         order = write(tmp_path, "o.tsodl", "uint8")

@@ -61,6 +61,7 @@ from tsokey import (
     sum_of,
     wrap_finite_leaf,
 )
+from tsokey import encoder
 from tsokey.encoder import _count_header_unbounded, _ending_values
 from tsokey.randgen import random_element, random_pair, random_tree
 
@@ -312,7 +313,23 @@ class TestPrimitiveKeys:
             primitive_key(kind, value)
 
 
+def _bit_string_count_header(n):
+    """The count header as first written: the unary prefix built as a bit string."""
+    value_len = max(1, (max(n, 1).bit_length() + 7) // 8)
+    unary_len = max(1, (value_len.bit_length() + 7) // 8)
+    prefix_bits = "1" * unary_len + "0"
+    prefix_bits += "0" * (-len(prefix_bits) % 8)
+    prefix = int(prefix_bits, 2).to_bytes(len(prefix_bits) // 8, "big")
+    return prefix + value_len.to_bytes(unary_len, "big") + n.to_bytes(value_len, "big")
+
+
 class TestCountHeaders:
+    def test_matches_the_bit_string_formula(self):
+        # 2**2040 and 2**524288 take two and three bytes of unary prefix.
+        wide = [2**64 - 1, 2**64, 2**70, 10**30, 2**2040 - 1, 2**2040, 2**524288]
+        for n in [*range(2**16 + 1), *wide]:
+            assert _count_header_unbounded(n) == _bit_string_count_header(n), n
+
     @pytest.mark.parametrize(
         "n, expected",
         [
@@ -619,6 +636,20 @@ class TestEncodeDoc:
         with pytest.raises(ElementMismatch, match="rational"):
             encode_doc(tree, "one half")
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"num": 1.5, "den": 2}, "$.num: expected an integer, got float"),
+            ({"num": 1, "den": 2.0}, "$.den: expected an integer, got float"),
+            ({"num": True, "den": 2}, "$.num: expected an integer, got bool"),
+            ({"num": 1, "den": False}, "$.den: expected an integer, got bool"),
+        ],
+    )
+    def test_rational_members_are_integers(self, doc, message):
+        with pytest.raises(ElementMismatch) as info:
+            encode_doc(parse("rational"), doc)
+        assert str(info.value) == message
+
     def test_sequence_with_path_in_message(self):
         assert encode_doc(self.seq, [1, 2]) == encode(self.seq, [1, 2])
         with pytest.raises(ElementMismatch, match=r"\$\[1\]"):
@@ -672,6 +703,56 @@ def test_encode_doc_reads_every_spelling_of_an_element(draw):
     assert encode_doc(tree, doc) == encode(tree, value)
     if prepare(tree).packed_ok:
         assert encode_doc(tree, doc, "packed") == encode(tree, value, "packed")
+
+
+class TestFaultPaths:
+    """Full messages and classes of faults deep in a tree, through every entry."""
+
+    NESTED = parse("lex(0, omega, ([sum(finite(2), (uint8, next(1, 2, ([bytes]))))]))")
+
+    @pytest.mark.parametrize(
+        "tree, value, doc, cls, message",
+        [
+            (NESTED, [(0, 5), (1, [7])], [[0, 5], [1, [7]]], ElementMismatch,
+             "$[1].case(1)[0]: expected bytes, got int"),
+            (NESTED, [(0, 300)], [[0, 300]], ElementMismatch,
+             "$[0].case(0): 300 outside uint8 range"),
+            (NESTED, [(1, [b"a"]), (2, 0)], [[1, ["a"]], [2, 0]], ElementMismatch,
+             "$[1].master: rank 2 outside 0..1"),
+            # Items are encoded back to front; the path names the item's rank.
+            (parse("antilex(0, 3, ([uint8]))"), [300, 999], [300, 999], ElementMismatch,
+             "$[1]: 999 outside uint8 range"),
+            (parse("hierar(0, omega, ([float64]))"), [1.0, math.nan], [1.0, math.nan],
+             NaNRejected, "$[1]: NaN needs the nan_high policy"),
+        ],
+        ids=["bytes-in-case", "uint8-in-case", "master", "anti-rank", "nan-under-hierar"],
+    )
+    def test_message_and_class(self, tree, value, doc, cls, message):
+        for run in (
+            lambda: encode(tree, value),
+            lambda: encode_doc(tree, doc),
+            lambda: check_element(tree, value),
+        ):
+            with pytest.raises(cls) as info:
+                run()
+            assert type(info.value) is cls
+            assert str(info.value) == message
+
+
+def test_repeated_encode_doc_calls_reuse_one_plan(monkeypatch):
+    compiled = []
+    compile_plan = encoder._compile
+    monkeypatch.setattr(
+        encoder, "_compile", lambda *args: compiled.append(args) or compile_plan(*args)
+    )
+    tree = parse("next(2, 3, (int32 desc, bytes))")
+    prepare.cache_clear()
+    for doc in ([1, "a"], [2, "b"], [3, "c"]):
+        encode_doc(tree, doc)
+    assert len(compiled) == 1
+    prep = prepare(tree)
+    assert list(prep.plans) == [("padded", False, True)]
+    assert prep.plan(doc=True) is prep.plans[("padded", False, True)]
 
 
 class TestBatch:

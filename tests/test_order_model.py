@@ -44,6 +44,7 @@ from tsokey import (
     sum_of,
     validate,
 )
+from tsokey.order_model import KIND_TABLE
 from tsokey.randgen import random_pair, random_tree
 
 from helpers import elements
@@ -54,6 +55,13 @@ def nested(make, levels):
     for _ in range(levels):
         node = make(0, 3, period=(node,))
     return node
+
+
+def test_kind_table_matches_the_kind_names():
+    for kind in BuiltinKind:
+        family = next((f for f in ("uint", "int", "float") if kind.value.startswith(f)), None)
+        bits = int(kind.value[len(family):]) if family else None
+        assert KIND_TABLE[kind] == (family, bits)
 
 
 class TestValidate:
