@@ -34,10 +34,10 @@ master rank, an integer leaf, a float leaf or a rational; a string or
 ``{"hex": ...}`` for bytes; ``{"num": p, "den": q}`` or ``"p/q"`` for a
 rational; an array, never an object, for a sequence or ``sum`` node.
 
-``prepare`` validates and lowers a tree once, and on first use for each
-(mode, nan_high, doc) compiles it into a plan: nested closures, one per
-node, with every width, bound, translate table and ending-value table
-fixed in advance.  ``encode``, ``encode_doc``, ``check_element`` and
+``prepare`` validates and lowers a tree once; ``PreparedOrder.plan``
+compiles it, on first use for each (mode, nan_high, doc), into a plan:
+nested closures, one per node, with every width, bound, translate table
+and ending-value table fixed in advance.  ``encode``, ``encode_doc``, ``check_element`` and
 ``encode_batch`` all run the plan, so the tree is interpreted once, not
 once per element.  Paths are lazy: a fault starts with an empty path and
 each sequence item or ``sum`` part it climbs out of prepends its own step
