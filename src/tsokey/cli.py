@@ -26,7 +26,7 @@ import time
 from operator import attrgetter
 
 from . import _pure_sort
-from .encoder import encode, prepare
+from .encoder import prepare
 from .errors import (
     CounterOverflow,
     CounterUnderflow,
@@ -214,7 +214,8 @@ _UINT64_TREE = Builtin(BuiltinKind.UINT64)
 def _bench_keys(generator: str, tree: OrderNode | None, rng: random.Random, n: int) -> list:
     """Build the key list for one repeat; the work timed as nextify."""
     if generator == "uniform":
-        return [encode(_UINT64_TREE, rng.getrandbits(64), "packed") for _ in range(n)]
+        encode = prepare(_UINT64_TREE).plan("packed")
+        return [encode(rng.getrandbits(64)) for _ in range(n)]
     if generator == "prefix":
         prefix = bytes(rng.randrange(256) for _ in range(90))
         return [
@@ -223,7 +224,8 @@ def _bench_keys(generator: str, tree: OrderNode | None, rng: random.Random, n: i
         ]
     # custom: random elements of the supplied order, padded keys
     assert tree is not None
-    return [encode(tree, random_element(rng, tree)) for _ in range(n)]
+    encode = prepare(tree).plan()
+    return [encode(random_element(rng, tree)) for _ in range(n)]
 
 
 def _cmd_bench(args) -> int:

@@ -264,6 +264,64 @@ def continued_fraction(p: int, q: int) -> list[int]:
             return terms
 
 
+def _spread(data: bytes) -> bytes:
+    """``data`` in padding triples, F0 d F0 each; the final byte is left F0."""
+    out = bytearray(_PAD_TRIPLE * len(data))
+    out[1::3] = data
+    return bytes(out)
+
+
+@lru_cache(maxsize=None)
+def _rational_fragments(spread):
+    """The precomputed fragments of the rational walk, each passed through ``spread``.
+
+    ``signs[inverted][negative]`` is the sign byte, ``terms[flip][t]`` the
+    unit of a term t below 256 (flag 00, then the count header 80 01 t), and
+    ``terminators[flip]`` the infinity terminator 01; ``flip`` 1 bit-flips a
+    fragment.  Two sets exist, raw (``spread`` is ``bytes``) and padded
+    (``_spread``), about 30 KB each, built on first use so that a process
+    encoding no rational builds neither.
+    """
+
+    def pair(data: bytes):
+        return spread(data), spread(data.translate(_FLIP))
+
+    signs = (spread(b"\x01"), spread(b"\x00")), (spread(b"\xfe"), spread(b"\xff"))
+    units = [pair(bytes((0x00, 0x80, 0x01, term))) for term in range(256)]
+    terms = tuple(unit[0] for unit in units), tuple(unit[1] for unit in units)
+    return signs, terms, pair(b"\x01"), spread
+
+
+def _rational_walk(num: int, den: int, inverted: bool, out: bytearray, fragments) -> None:
+    """Append the key of num/den (den > 0), bit-flipped when ``inverted``, to ``out``.
+
+    One Euclid ``divmod`` per continued-fraction term.  A term below 256
+    appends its precomputed unit; a larger one builds its uncapped count
+    header, so terms of any size encode.  ``flip`` says whether the unit at
+    hand is bit-flipped: inversion, a negative sign and each odd rank toggle
+    it.  ``rational_key`` runs this walk over the raw fragments and rational
+    plan steps over the padded ones.
+    """
+    signs, terms, terminators, spread = fragments
+    negative = num < 0
+    out += signs[inverted][negative]
+    if negative:
+        num = -num
+    flip = inverted ^ negative
+    while True:
+        term, num = divmod(num, den)
+        if term < 256:
+            out += terms[flip][term]
+        else:
+            unit = b"\x00" + _count_header_unbounded(term)
+            out += spread(unit.translate(_FLIP) if flip else unit)
+        flip ^= 1
+        if not num:
+            break
+        num, den = den, num
+    out += terminators[flip]
+
+
 def rational_key(p: int, q: int) -> bytes:
     """Raw order-preserving bytes for an exact rational p/q with q > 0.
 
@@ -271,25 +329,17 @@ def rational_key(p: int, q: int) -> bytes:
     continued-fraction terms of |p|/q, each a flag byte 0x00 plus an
     uncapped count header, closed by an infinity terminator flag 0x01;
     terms sitting at odd ranks are bit-flipped, and for negative p the
-    whole payload behind the sign byte is bit-flipped.
+    whole payload behind the sign byte is bit-flipped.  The bytes come from
+    the one continued-fraction walk the encode plans run, over a table of
+    the precomputed units of every term below 256.
     """
     if q == 0:
         raise ZeroDenominator("denominator is zero")
     if q < 0:
         raise ValueError("rational_key needs q > 0")
-    negative = p < 0
-    terms = continued_fraction(abs(p), q)
-    payload = bytearray()
-    rank = 0
-    for term in terms:
-        chunk = b"\x00" + _count_header_unbounded(term)
-        payload += chunk.translate(_FLIP) if rank & 1 else chunk
-        rank += 1
-    terminator = b"\x01"
-    payload += terminator.translate(_FLIP) if rank & 1 else terminator
-    if negative:
-        payload = payload.translate(_FLIP)
-    return bytes((0x00,) if negative else (0x01,)) + bytes(payload)
+    out = bytearray()
+    _rational_walk(p, q, False, out, _rational_fragments(bytes))
+    return bytes(out)
 
 
 def compare_keys(a: bytes, b: bytes) -> Ordering:
@@ -424,6 +474,10 @@ def _doc_bytes(value):
 
 def _doc_rational(value):
     """The rational a "p/q" string or {"num", "den"} object spells; other values unchanged."""
+    if type(value) is dict and len(value) == 2:
+        num, den = value.get("num"), value.get("den")
+        if type(num) is int and type(den) is int:
+            return num, den
     if isinstance(value, str):
         num, slash, den = value.strip().partition("/")
         try:
@@ -463,7 +517,9 @@ class _Compiler:
     the last byte once the marking nodes at chain index k and inward have
     all ended, so the marking node at index k closes with
     ``out[-1] = ends[k]``.  Every table, width, bound and translate table
-    is fixed here, once per tree; steps only read them.  Packed plans
+    is fixed here, once per tree; steps only read them.  Rational steps run
+    ``rational_key``'s continued-fraction walk over a module-level table of
+    padded units, one per term below 256 and flip state.  Packed plans
     neither mark nor carry tables, and their steps return None.  Bytes and
     rational leaves are variable-length, so packed plans never hold them.
     """
@@ -622,18 +678,29 @@ class _Compiler:
         return real
 
     def rational(self, node: Builtin, chain):
+        """The rational walk over the padded fragments, then the leaf's final E0."""
         inverted, doc = node.inverted, self.doc
         ends = self.ends(0xE0, chain)
+        fragments = _rational_fragments(_spread)
 
         def rational(value, out):
             if doc:
                 value = _doc_rational(value)
-            try:
-                num, den = rational_parts(value)
-            except ElementMismatch as exc:
-                raise _Fault(ElementMismatch, str(exc)) from None
-            data = rational_key(num, den)
-            out += wrap_finite_leaf(data.translate(_FLIP) if inverted else data)
+            if (
+                type(value) is tuple
+                and len(value) == 2
+                and type(value[0]) is int
+                and type(value[1]) is int
+                and value[1] > 0
+            ):
+                num, den = value
+            else:
+                try:
+                    num, den = rational_parts(value)
+                except ElementMismatch as exc:
+                    raise _Fault(ElementMismatch, str(exc)) from None
+            _rational_walk(num, den, inverted, out, fragments)
+            out[-1] = 0xE0
             return ends
 
         return rational

@@ -23,7 +23,7 @@ from math import gcd
 from pathlib import Path
 
 from .comparator import Ordering, compare
-from .encoder import _count_header_unbounded, compare_keys, encode, hierar_count_header, rational_key
+from .encoder import _count_header_unbounded, compare_keys, hierar_count_header, prepare, rational_key
 from .randgen import random_pair, random_tree
 from .tsodl import parse
 
@@ -88,7 +88,8 @@ def check_golden_table(universe: list[str], table: GoldenTable) -> CheckResult:
         return compare(tree, elements[a], elements[b])
 
     by_oracle = sorted(universe, key=cmp_to_key(oracle))
-    keys = {text: encode(tree, elements[text]) for text in universe}
+    encode = prepare(tree).plan()
+    keys = {text: encode(elements[text]) for text in universe}
     by_key = sorted(universe, key=keys.__getitem__)
 
     failures = []
@@ -156,8 +157,9 @@ def _check_oracle_equivalence(rng: random.Random, trials: int) -> CheckResult:
         tree = random_tree(rng, rng.randrange(0, 5))
         x, y = random_pair(rng, tree, length_cap=4)
         verdict = compare(tree, x, y)
-        key_x = encode(tree, x)
-        key_y = encode(tree, y)
+        encode = prepare(tree).plan()
+        key_x = encode(x)
+        key_y = encode(y)
         if len(key_x) % 3 or len(key_y) % 3:
             return CheckResult(
                 "oracle:equivalence", False, f"trial {trial}: padded key length not a multiple of 3"

@@ -11,14 +11,18 @@ from tsokey import (
     RATIONAL,
     Builtin,
     BuiltinKind,
+    ElementMismatch,
     Ordering,
     ZeroDenominator,
     compare_keys,
     continued_fraction,
     encode,
+    encode_doc,
+    parse,
     rational_key,
     wrap_finite_leaf,
 )
+from tsokey.encoder import _count_header_unbounded, prepare
 
 from helpers import assert_keys_match_oracle
 
@@ -54,10 +58,7 @@ class TestContinuedFraction:
     @given(st.integers(0, 10**6), st.integers(1, 10**6))
     def test_expansion_reproduces_the_fraction(self, p, q):
         terms = continued_fraction(p, q)
-        value = Fraction(terms[-1])
-        for term in reversed(terms[:-1]):
-            value = term + 1 / value
-        assert value == Fraction(p, q)
+        assert from_terms(terms) == Fraction(p, q)
         # canonical form: only the first term may be zero, final term >= 2
         assert all(t >= 1 for t in terms[1:])
         if len(terms) > 1:
@@ -157,3 +158,126 @@ class TestTermsOfAnySize:
     def test_frozen_keys_on_both_sides_of_2_to_the_64(self):
         assert rational_key(2**64 - 1, 1) == bytes.fromhex("01008008fffffffffffffffffe")
         assert rational_key(2**64, 1) == bytes.fromhex("0100800901" + "00" * 8 + "fe")
+
+
+def reference_rational_key(p: int, q: int) -> bytes:
+    """rational_key spelled out term by term, as key_format.md describes it."""
+    terms = continued_fraction(abs(p), q)
+    payload = b""
+    for rank, term in enumerate(terms):
+        unit = b"\x00" + _count_header_unbounded(term)
+        payload += unit.translate(FLIP) if rank % 2 else unit
+    payload += b"\xfe" if len(terms) % 2 else b"\x01"
+    if p < 0:
+        return b"\x00" + payload.translate(FLIP)
+    return b"\x01" + payload
+
+
+def reference_leaf(value: Fraction, inverted: bool) -> bytes:
+    data = reference_rational_key(value.numerator, value.denominator)
+    return wrap_finite_leaf(data.translate(FLIP) if inverted else data)
+
+
+def from_terms(terms) -> Fraction:
+    value = Fraction(terms[-1])
+    for term in reversed(terms[:-1]):
+        value = term + 1 / value
+    return value
+
+
+# Terms on both sides of the one-byte table (255, 256) and of 2**64.
+EDGE_TERMS = (0, 1, 255, 256, 2**64, 2**70)
+_POSITIVE = [Fraction(term) for term in EDGE_TERMS] + [
+    from_terms([0, 1, 255, 256, 2**64, 2**70, 2]),
+    from_terms([2**70, 255, 1, 256]),
+    from_terms([255, 2**64]),
+    from_terms([0, 256, 1, 255]),
+    from_terms([3, 7, 16]),
+]
+VALUES = _POSITIVE + [-value for value in _POSITIVE if value]
+
+
+def spellings(value: Fraction, doc: bool):
+    """Every way an encode (or encode_doc) caller may write ``value``."""
+    p, q = value.numerator, value.denominator
+    if doc:
+        return [{"num": p, "den": q}, f"{p}/{q}", {"num": str(2 * p), "den": str(2 * q)}]
+    return [value, (p, q), (3 * p, 3 * q)] + ([p] if q == 1 else [])
+
+
+class TestRationalWalkMatchesReference:
+    """The table-driven walk against a term-by-term reference."""
+
+    def test_edge_terms_are_in_the_expansions(self):
+        for terms in ([0, 1, 255, 256, 2**64, 2**70, 2], [2**70, 255, 1, 256]):
+            value = from_terms(terms)
+            assert continued_fraction(value.numerator, value.denominator) == terms
+
+    @pytest.mark.parametrize("value", VALUES, ids=str)
+    def test_rational_key(self, value):
+        p, q = value.numerator, value.denominator
+        assert rational_key(p, q) == reference_rational_key(p, q)
+        assert rational_key(5 * p, 5 * q) == reference_rational_key(p, q)
+
+    @given(st.integers(-(2**80), 2**80), st.integers(1, 2**72))
+    def test_rational_key_on_any_pair(self, p, q):
+        assert rational_key(p, q) == reference_rational_key(p, q)
+
+    @pytest.mark.parametrize("text, inverted", [("rational", False), ("rational desc", True)])
+    @pytest.mark.parametrize("doc", [False, True])
+    def test_leaf_plans(self, text, inverted, doc):
+        plan = prepare(parse(text)).plan(doc=doc)
+        for value in VALUES:
+            expected = reference_leaf(value, inverted)
+            for spelling in spellings(value, doc):
+                assert plan(spelling) == expected, spelling
+
+    @pytest.mark.parametrize(
+        "text, inverted, close",
+        [
+            ("lex(0, omega, ([rational]))", False, 0xD0),
+            ("lex(0, omega, ([rational desc]))", True, 0xD0),
+            ("contrelex(0, omega, ([rational]))", False, 0xE1),
+            ("contrelex(0, omega, ([rational desc]))", True, 0xE1),
+            ("hierar(0, omega, ([rational]))", False, None),
+            ("hierar(0, omega, ([rational desc]))", True, None),
+        ],
+    )
+    @pytest.mark.parametrize("doc", [False, True])
+    def test_under_sequence_parents(self, text, inverted, close, doc):
+        plan = prepare(parse(text)).plan(doc=doc)
+        for start in range(len(VALUES)):
+            items = VALUES[start : start + 3]
+            key = bytearray(b"".join(reference_leaf(value, inverted) for value in items))
+            if close is None:
+                key[:0] = wrap_finite_leaf(_count_header_unbounded(len(items)))
+            else:
+                key[-1] = close
+            for pick in range(3):
+                element = [spellings(value, doc)[pick] for value in items]
+                assert plan(element) == key, element
+        assert encode_doc(parse(text), [str(value) for value in VALUES]) == encode(parse(text), VALUES)
+
+
+class TestBadRationals:
+    """Exception class and message of each malformed rational, pinned."""
+
+    @pytest.mark.parametrize(
+        "doc, value, message",
+        [
+            (True, "3/0", "$: rational denominator must be positive, got 0"),
+            (True, {"num": 1, "den": 0}, "$: rational denominator must be positive, got 0"),
+            (True, {"num": True, "den": 2}, "$.num: expected an integer, got bool"),
+            (True, "a/b", "$: 'a/b' is not a p/q rational"),
+            (False, (1, -2), "$: rational denominator must be positive, got -2"),
+            (True, True, "$: expected a Fraction, an int, or a (num, den) pair, got bool"),
+            (False, True, "$: expected a Fraction, an int, or a (num, den) pair, got bool"),
+            (True, 1.5, "$: expected a Fraction, an int, or a (num, den) pair, got float"),
+            (False, 1.5, "$: expected a Fraction, an int, or a (num, den) pair, got float"),
+        ],
+    )
+    def test_message(self, doc, value, message):
+        with pytest.raises(Exception) as info:
+            (encode_doc if doc else encode)(RATIONAL, value)
+        assert type(info.value) is ElementMismatch
+        assert str(info.value) == message
