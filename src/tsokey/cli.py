@@ -2,14 +2,20 @@
 
 Order files are UTF-8 text in the definition language of ``tsodl``.
 Dataset files are JSON Lines, one value per line, shaped like the order
-tree.  Each line goes through ``json.loads`` and then straight to the
-order's encode plan, compiled once per run (``PreparedOrder.plan`` with
-``doc=True``, the plan ``encoder.encode_doc`` runs), which reads the
-dataset's JSON forms (decimal strings, {"hex": "..."}, {"num": p, "den":
-q}, "p/q", arrays for sequence and sum nodes) as it encodes; README
-"Dataset format" lists them.  Keys leave as hex lines with --hex or
-length-prefixed binary (4-byte big-endian length before each key) by
-default.  Output goes out in chunks of ``_CHUNK`` lines or keys per write.
+tree.  Each line is read by ``_scan``: the C scanner ``json.loads``
+runs, called directly, whose result stands only when the line is short
+and the scan read all of it from index 0; every other line goes through
+``json.loads``, so values and errors are those of ``json.loads``.  The
+value goes straight to the order's encode plan, compiled once per run
+(``PreparedOrder.plan`` with ``doc=True``, the plan ``encoder.encode_doc``
+runs), which reads the dataset's JSON forms (decimal strings, {"hex":
+"..."}, {"num": p, "den": q}, "p/q", arrays for sequence and sum nodes)
+as it encodes; README "Dataset format" lists them.  The plan's sequence steps run the item
+loop chosen for their shape when the plan was compiled, and hierar
+headers of counts below 256 come from a table built once per process.
+Keys leave as hex lines with --hex or length-prefixed binary (4-byte
+big-endian length before each key) by default.  Output goes out in
+chunks of ``_CHUNK`` lines or keys per write.
 
 Exit codes: 0 success, 1 user error (bad file, bad syntax, bad element),
 2 internal invariant failure.
@@ -100,6 +106,34 @@ def _iter_lines(path: str):
             handle.close()
 
 
+_scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs
+# A document in a line shorter than this nests fewer than 256 levels deep,
+# far inside the recursion limit, so the scanner called here and inside
+# json.loads, some frames deeper, cannot disagree on it.
+_SCAN_MAX_LEN = 512
+_UNSCANNED = object()
+
+
+def _scan(line: str):
+    """The value ``json.loads(line)`` returns, read by its C scanner directly; else ``_UNSCANNED``.
+
+    The scanner's result stands only when the line is shorter than
+    ``_SCAN_MAX_LEN`` and the scan read all of it from index 0.  Every
+    other line (leading or trailing whitespace, a BOM, trailing data, no
+    value at all, a scanner error, a long line) gives ``_UNSCANNED``, and
+    the caller passes it to ``json.loads``, so values, exception classes
+    and messages are those of ``json.loads``.
+    """
+    if len(line) < _SCAN_MAX_LEN:
+        try:
+            doc, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            return _UNSCANNED
+        if end == len(line):
+            return doc
+    return _UNSCANNED
+
+
 def _encode_records(tree: OrderNode, path: str, mode: str, nan_high: bool, skip_bad: bool):
     """Yield (line, key) for every record; bad lines raise or warn per skip_bad."""
     encode_record = prepare(tree).plan(mode, nan_high=nan_high, doc=True)
@@ -111,12 +145,14 @@ def _encode_records(tree: OrderNode, path: str, mode: str, nan_high: bool, skip_
                 raise ElementMismatch(f"not valid UTF-8: {exc}") from None
             if not line.strip():
                 continue
-            try:
-                doc = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                # ValueError covers JSONDecodeError and integers past the
-                # interpreter's digit limit; RecursionError, deep nesting.
-                raise ElementMismatch(f"not valid JSON: {exc}") from None
+            doc = _scan(line)
+            if doc is _UNSCANNED:
+                try:
+                    doc = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    # ValueError covers JSONDecodeError and integers past the
+                    # interpreter's digit limit; RecursionError, deep nesting.
+                    raise ElementMismatch(f"not valid JSON: {exc}") from None
             key = encode_record(doc)
         except (ElementError, CountTooLarge) as exc:
             message = f"line {number}: {exc}"

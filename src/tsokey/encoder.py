@@ -264,6 +264,21 @@ def continued_fraction(p: int, q: int) -> list[int]:
             return terms
 
 
+@lru_cache(maxsize=None)
+def _hierar_headers():
+    """The wrapped count headers of the counts below 256, plain and bit-flipped.
+
+    ``_hierar_headers()[flip][n]`` is ``wrap_finite_leaf`` of
+    ``hierar_count_header(n)``, bit-flipped first when ``flip`` is 1 (the
+    contre-hierar kinds).  Built once per process, on first use.
+    """
+    plain = [_count_header_unbounded(n) for n in range(256)]
+    return (
+        tuple(map(wrap_finite_leaf, plain)),
+        tuple(wrap_finite_leaf(header.translate(_FLIP)) for header in plain),
+    )
+
+
 def _spread(data: bytes) -> bytes:
     """``data`` in padding triples, F0 d F0 each; the final byte is left F0."""
     out = bytearray(_PAD_TRIPLE * len(data))
@@ -517,11 +532,18 @@ class _Compiler:
     the last byte once the marking nodes at chain index k and inward have
     all ended, so the marking node at index k closes with
     ``out[-1] = ends[k]``.  Every table, width, bound and translate table
-    is fixed here, once per tree; steps only read them.  Rational steps run
-    ``rational_key``'s continued-fraction walk over a module-level table of
-    padded units, one per term below 256 and flip state.  Packed plans
-    neither mark nor carry tables, and their steps return None.  Bytes and
-    rational leaves are variable-length, so packed plans never hold them.
+    is fixed here, once per tree; steps only read them.  Each sequence
+    step runs the item loop of its shape, chosen when it is compiled:
+    backwards for the anti kinds, the one step of a one-order period with
+    no prelude, step k for item k when the steps cover every admissible
+    length, and the cycling prelude-then-period loop otherwise.
+    Hierar-family steps take the wrapped count header of a count below
+    256 from ``_hierar_headers``, a table built once per process.
+    Rational steps run ``rational_key``'s continued-fraction walk over a
+    module-level table of padded units, one per term below 256 and flip
+    state.  Packed plans neither mark nor carry tables, and their steps
+    return None.  Bytes and rational leaves are variable-length, so packed
+    plans never hold them.
     """
 
     def __init__(self, packed: bool, nan_high: bool, doc: bool):
@@ -753,9 +775,14 @@ class _Compiler:
         period = [self.node(child, depth + 1, inner) for child in node.period]
         steps = prelude + period
         n_steps, n_prelude, n_period = len(steps), len(prelude), len(period)
-        anti = kind.is_anti  # validated: no prelude, a one-order period
+        # The item loop, chosen here once per node (see the class docstring).
+        # Anti kinds are validated to have no prelude and a one-order period.
+        anti = kind.is_anti
+        only = period[0] if not prelude and n_period == 1 else None
+        covered = max_len is not OMEGA and max_len - 1 <= n_steps
         hierar = kind.is_hierar_family
         flip_header = kind in (SeqKind.CONTREHIERAR, SeqKind.ANTICONTREHIERAR)
+        headers = _hierar_headers()[flip_header] if hierar and not packed else None
         header_ends = self.ends(0xE0, chain)
         # Nothing below an empty sequence emits a byte; a marker stands in
         # so that the enclosing ends still have something to act on.
@@ -763,16 +790,19 @@ class _Compiler:
         # makes any constant correct.  The empty node itself leaves no mark.
         marker = b"" if packed or hierar else empty_sequence_pattern(kind, depth)
         marker_ends = self.ends(PAD_DEFAULT, chain)
+        plain = (list,) if doc else (list, tuple)  # taken as they are; the rest meets coerce
 
-        def sequence(value, out):
+        def coerce(value):
             if doc:
                 if not isinstance(value, list):
                     raise _Fault(ElementMismatch, f"expected an array, got {type(value).__name__}")
-                items = value
-            else:
-                if isinstance(value, str) or not hasattr(value, "__len__"):
-                    raise _Fault(ElementMismatch, f"expected a sequence, got {type(value).__name__}")
-                items = list(value)
+                return value
+            if isinstance(value, str) or not hasattr(value, "__len__"):
+                raise _Fault(ElementMismatch, f"expected a sequence, got {type(value).__name__}")
+            return list(value)
+
+        def sequence(value, out):
+            items = value if type(value) in plain else coerce(value)
             length = len(items)
             if not min_len <= length < upper:
                 if length >= COUNT_CAP:
@@ -781,15 +811,24 @@ class _Compiler:
             if hierar:
                 last = header_ends
                 if not packed:
-                    header = _count_header_unbounded(length)
-                    out += wrap_finite_leaf(header.translate(_FLIP) if flip_header else header)
+                    if length < 256:
+                        out += headers[length]
+                    else:
+                        header = _count_header_unbounded(length)
+                        out += wrap_finite_leaf(header.translate(_FLIP) if flip_header else header)
             elif not length:
                 out += marker
                 return marker_ends
             try:
                 if anti:
                     for rank in range(length - 1, -1, -1):
-                        last = period[0](items[rank], out)
+                        last = only(items[rank], out)
+                elif only is not None:
+                    for rank, item in enumerate(items):
+                        last = only(item, out)
+                elif covered:
+                    for rank, item in enumerate(items):
+                        last = steps[rank](item, out)
                 else:
                     for rank, item in enumerate(items):
                         if rank < n_steps:

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from tsokey import compare, encode, encode_doc, parse, prepare, serialize
-from tsokey.cli import main
-from tsokey.errors import DepthOverflow
+from tsokey import compare, encode, encode_doc, parse, prepare, serialize, tsodl
+from tsokey.cli import _UNSCANNED, _scan, main
+from tsokey.errors import DepthOverflow, TsokeyError
 from tsokey.randgen import random_element, random_tree
 
 from helpers import to_doc
@@ -248,6 +248,76 @@ class TestEncodeCommand:
         data = write(tmp_path, "d.jsonl", '"nan"\n')
         assert main(["encode", order, data, "--hex"]) == 1
         assert main(["encode", order, data, "--hex", "--nan-high"]) == 0
+
+
+def _assert_scan_agrees_with_json_loads(line):
+    """Where the CLI keeps the scanner's value, ``json.loads`` returns that value.
+
+    Where ``_scan`` gives ``_UNSCANNED`` the CLI calls ``json.loads`` on
+    the line itself, so the value, or the exception and its message, is
+    that of ``json.loads`` by construction.
+    """
+    doc = _scan(line)
+    if doc is not _UNSCANNED:
+        # json.dumps tells 1 from 1.0 and True, and shows NaN as NaN.
+        assert json.dumps(doc) == json.dumps(json.loads(line))
+
+
+# Lines the C scanner alone would read differently from json.loads, or not at all.
+_EDGE_LINES = {
+    "plain": "[0.25, -3]",
+    "leading-spaces": "  [1.5]",
+    "trailing-spaces": "[1.5]  ",
+    "leading-tab": "\t[1.5]",
+    "trailing-tab": "[1.5]\t",
+    "bom": "\ufeff[1.5]",
+    "nan": "[NaN]",
+    "infinity": "[Infinity, -Infinity]",
+    "trailing-comma": "[1,]",
+    "two-numbers": "1 2",
+    "two-arrays": "[1] [2]",
+    "5000-digit-integer": "[" + "1" * 5000 + "]",
+    "5000-nested-brackets": "[" * 5000,
+    "leading-nbsp": "\u00a0[1]",
+    "255-nested-in-510-characters": "[" * 255 + "]" * 255,
+    "300-nested": "[" * 300 + "]" * 300,
+    "600-characters": "[" + ", ".join(["0.5"] * 120) + "]",
+}
+
+
+class TestJsonFastPath:
+    """The CLI reads each line with the C scanner only where json.loads would read it the same."""
+
+    @pytest.mark.parametrize("line", list(_EDGE_LINES.values()), ids=list(_EDGE_LINES))
+    def test_scan_agrees_with_json_loads(self, line):
+        _assert_scan_agrees_with_json_loads(line)
+
+    def test_only_lines_shorter_than_512_characters_are_scanned(self):
+        # A document nested near the recursion limit needs a longer line.
+        assert _scan("[" * 255 + "]" * 255) == json.loads("[" * 255 + "]" * 255)
+        assert _scan("[" * 256 + "]" * 256) is _UNSCANNED
+
+    @pytest.mark.parametrize("line", list(_EDGE_LINES.values()), ids=list(_EDGE_LINES))
+    def test_cli_outcome_is_that_of_json_loads(self, tmp_path, capsys, line):
+        order = write(tmp_path, "o.tsodl", "lex(0, omega, ([float64]))")
+        data = tmp_path / "d.jsonl"
+        data.write_bytes(f"[0.5]\n{line}\n".encode("utf-8"))
+        tree = parse("lex(0, omega, ([float64]))")
+        first = encode_doc(tree, [0.5]).hex().upper() + "\n"
+        try:
+            doc = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            expected = (1, first, f"error: line 2: not valid JSON: {exc}\n")
+        else:
+            try:
+                key = encode_doc(tree, doc, nan_high=True)
+            except TsokeyError as exc:
+                expected = (1, first, f"error: line 2: {exc}\n")
+            else:
+                expected = (0, first + key.hex().upper() + "\n", "")
+        code = main(["encode", order, str(data), "--hex", "--nan-high"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
 
 
 class _RecordingStdout:
@@ -599,3 +669,48 @@ def test_cli_fuzz_exits_zero_or_one(draw, noise, splices):
             code, err = _run_main(argv + ["--skip-bad"])
             assert code == 0, err
             assert "Traceback" not in err
+
+
+@seed(4)
+@settings(max_examples=300, deadline=None)
+@given(_LINES)
+def test_scan_agrees_with_json_loads_on_fuzz_lines(raw):
+    _assert_scan_agrees_with_json_loads(raw.decode("utf-8", "surrogateescape"))
+
+
+def _order_variant(rng, raw, noise):
+    """Order text as written, truncated, spliced with noise, or nested around MAX_NESTING."""
+    how = rng.randrange(4)
+    if how == 0:
+        return raw
+    if how == 1:
+        return raw[: rng.randrange(len(raw) + 1)]
+    if how == 2:
+        at = rng.randrange(len(raw) + 1)
+        return raw[:at] + noise + raw[at:]
+    depth = tsodl.MAX_NESTING + rng.randrange(-1, 3)
+    if rng.random() < 0.5:
+        return b"inv(" * depth + raw + b")" * depth
+    return b"lex(0, omega, ([" * depth + raw + b"]))" * depth
+
+
+@seed(5)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.binary(max_size=8), st.lists(_LINES, max_size=2))
+def test_order_file_fuzz_exits_zero_or_one(draw, noise, noise_lines):
+    rng = random.Random(draw)
+    tree = random_tree(rng, rng.randrange(0, 4))
+    raw = _order_variant(rng, serialize(tree).encode("utf-8"), noise)
+    doc = to_doc(rng, tree, random_element(rng, tree, length_cap=3))
+    lines = [json.dumps(doc).encode()] + noise_lines
+    with tempfile.TemporaryDirectory() as tmp:
+        order = Path(tmp, "o.tsodl")
+        order.write_bytes(raw)
+        data = Path(tmp, "d.jsonl")
+        data.write_bytes(b"\n".join(lines) + b"\n")
+        for argv in (["validate", str(order)], ["encode", str(order), str(data), "--hex"]):
+            code, err = _run_main(argv)
+            assert code in (0, 1), err
+            assert "Traceback" not in err
+            if code == 1:
+                assert err.startswith("error: "), err

@@ -739,6 +739,117 @@ class TestFaultPaths:
             assert str(info.value) == message
 
 
+def _doc_of(value):
+    """The JSON form of an element made of ints, bytes and lists."""
+    if isinstance(value, bytes):
+        return value.decode("ascii")
+    if isinstance(value, list):
+        return [_doc_of(item) for item in value]
+    return value
+
+
+class TestLoopShapes:
+    """Each item loop a sequence step can compile to, against keys pinned before the loops split.
+
+    One order per shape: a one-order period with no prelude; steps that
+    cover every admissible length; a prelude followed by a cycling
+    period; the two backward anti loops; and the hierar family, whose
+    count headers below 256 come from a table.
+    """
+
+    PINNED = {
+        "lex(0, omega, ([bytes]))": [
+            ([], "0000f0"),
+            ([b""], "1000e0"),
+            ([b"ab", b"c"], "f061e0f062d0f063c0"),
+            ([b"a", b"", b"b"], "f061d01000f0f062c0"),
+        ],
+        "next(2, 3, (int32 desc, bytes))": [
+            ([5, b"a"], "f07ff0f0fff0f0fff0f0fae0f061d0"),
+            ([-7, b""], "f080f0f000f0f000f0f006e01000f0"),
+        ],
+        "lex(0, 3, (uint8 [int16]))": [
+            ([], "0000f0"),
+            ([3], "f003d0"),
+            ([3, -2], "f003e0f07ff0f0fed0"),
+        ],
+        "lex(0, omega, (uint8 [bytes, int16]))": [
+            ([], "0000f0"),
+            ([3], "f003d0"),
+            ([3, b"x"], "f003e0f078c0"),
+            ([3, b"x", -2, b"", 7], "f003e0f078d0f07ff0f0fee01000f0f080f0f007d0"),
+        ],
+        "antilex(0, 5, ([uint8]))": [
+            ([], "0000f0"),
+            ([1], "f001d0"),
+            ([1, 2, 3], "f003e0f002e0f001d0"),
+            ([3, 2, 1, 0], "f000e0f001e0f002e0f003d0"),
+        ],
+        "anticontrelex(0, 5, ([uint8]))": [
+            ([], "ff00f0"),
+            ([1], "f001e1"),
+            ([1, 2, 3], "f003e0f002e0f001e1"),
+            ([3, 2, 1, 0], "f000e0f001e0f002e0f003e1"),
+        ],
+        "hierar(0, omega, ([int16 desc]))": [
+            ([], "f080f0f001f0f000e0"),
+            ([1], "f080f0f001f0f001e0f07ff0f0fee0"),
+            ([1, -2, 3], "f080f0f001f0f003e0f07ff0f0fee0f080f0f001e0f07ff0f0fce0"),
+        ],
+        "contrehierar(0, omega, ([int16 desc]))": [
+            ([], "f07ff0f0fef0f0ffe0"),
+            ([1], "f07ff0f0fef0f0fee0f07ff0f0fee0"),
+            ([1, -2, 3], "f07ff0f0fef0f0fce0f07ff0f0fee0f080f0f001e0f07ff0f0fce0"),
+        ],
+    }
+
+    # One bad item per order, and its rank.
+    BAD = {
+        "lex(0, omega, ([bytes]))": ([b"a", b"b", 5], 2),
+        "next(2, 3, (int32 desc, bytes))": ([5, 7], 1),
+        "lex(0, 3, (uint8 [int16]))": ([3, 40000], 1),
+        "lex(0, omega, (uint8 [bytes, int16]))": ([3, b"x", -2, b"", 70000], 4),
+        "antilex(0, 5, ([uint8]))": ([1, 300, 2], 1),
+        "anticontrelex(0, 5, ([uint8]))": ([1, 300, 2], 1),
+        "hierar(0, omega, ([int16 desc]))": ([1, -2, 40000], 2),
+        "contrehierar(0, omega, ([int16 desc]))": ([1, -2, 40000], 2),
+    }
+
+    @pytest.mark.parametrize("text", list(PINNED))
+    def test_keys_are_the_pinned_ones(self, text):
+        tree = parse(text)
+        for value, key in self.PINNED[text]:
+            assert encode(tree, value).hex() == key
+            assert encode(tree, tuple(value)).hex() == key
+            assert encode_doc(tree, _doc_of(value)).hex() == key
+            check_element(tree, value)
+
+    @pytest.mark.parametrize("text", list(BAD))
+    def test_bad_item_fails_at_its_rank(self, text):
+        tree = parse(text)
+        value, rank = self.BAD[text]
+        for run in (
+            lambda: encode(tree, value),
+            lambda: encode(tree, tuple(value)),
+            lambda: encode_doc(tree, _doc_of(value)),
+        ):
+            with pytest.raises(ElementMismatch) as info:
+                run()
+            assert str(info.value).startswith(f"$[{rank}]: ")
+
+    @pytest.mark.parametrize("kind", ["hierar", "contrehierar"])
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 300])
+    def test_count_header(self, kind, count):
+        tree = parse(f"{kind}(0, omega, ([int16 desc]))")
+        header = hierar_count_header(count)
+        if kind == "contrehierar":
+            header = bytes(255 - byte for byte in header)
+        expected = wrap_finite_leaf(header)
+        for key in (encode(tree, [0] * count), encode_doc(tree, [0] * count)):
+            assert key[: len(expected)] == expected
+            assert len(key) == len(expected) + 6 * count
+
+
 def test_repeated_encode_doc_calls_reuse_one_plan(monkeypatch):
     compiled = []
     compile_plan = encoder._compile
