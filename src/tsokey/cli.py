@@ -10,9 +10,9 @@ value goes straight to the order's encode plan, compiled once per run
 (``PreparedOrder.plan`` with ``doc=True``, the plan ``encoder.encode_doc``
 runs), which reads the dataset's JSON forms (decimal strings, {"hex":
 "..."}, {"num": p, "den": q}, "p/q", arrays for sequence and sum nodes)
-as it encodes; README "Dataset format" lists them.  The plan's sequence steps run the item
-loop chosen for their shape when the plan was compiled, and hierar
-headers of counts below 256 come from a table built once per process.
+as it encodes; README "Dataset format" lists them.  The plan is Python
+source generated for the order and run once through ``exec``; its
+``source`` attribute shows the code each record goes through.
 Keys leave as hex lines with --hex or length-prefixed binary (4-byte
 big-endian length before each key) by default.  Output goes out in
 chunks of ``_CHUNK`` lines or keys per write.

@@ -22,7 +22,7 @@ import struct
 from enum import IntEnum
 from typing import Optional
 
-from .errors import IncompatibleElements
+from .errors import IncompatibleElements, shown
 from .order_model import (
     KIND_TABLE,
     Builtin,
@@ -155,7 +155,7 @@ def compare(tree: OrderNode, x, y, *, nan_high: bool = False) -> Ordering:
             if not isinstance(value, int):
                 raise IncompatibleElements(f"expected a rank integer, got {type(value).__name__}")
             if not 0 <= value < tree.cardinality:
-                raise IncompatibleElements(f"rank {value} outside 0..{tree.cardinality - 1}")
+                raise IncompatibleElements(f"rank {shown(value, format)} outside 0..{tree.cardinality - 1}")
         if tree.collation is not None:
             return _cmp(tree.collation[x], tree.collation[y])
         return _cmp(x, y)
@@ -187,7 +187,7 @@ def _sum_pair(node: Sum, value) -> tuple[int, object]:
         or isinstance(master_rank, bool)
         or not 0 <= master_rank < node.master.cardinality
     ):
-        raise IncompatibleElements(f"master rank {master_rank!r} out of range")
+        raise IncompatibleElements(f"master rank {shown(master_rank)} out of range")
     return master_rank, sub
 
 
@@ -236,5 +236,5 @@ def _compare_builtin(leaf: Builtin, x, y, nan_high: bool) -> Ordering:
         if not isinstance(value, int) or isinstance(value, bool):
             raise IncompatibleElements(f"expected an integer, got {type(value).__name__}")
         if not lo <= value <= hi:
-            raise IncompatibleElements(f"{value} outside {kind.value} range")
+            raise IncompatibleElements(f"{shown(value, format)} outside {kind.value} range")
     return _cmp(x, y)

@@ -36,13 +36,10 @@ rational; an array, never an object, for a sequence or ``sum`` node.
 
 ``prepare`` validates and lowers a tree once; ``PreparedOrder.plan``
 compiles it, on first use for each (mode, nan_high, doc), into a plan:
-nested closures, one per node, with every width, bound, translate table
-and ending-value table fixed in advance.  ``encode``, ``encode_doc``, ``check_element`` and
+Python source that ``_Compiler`` writes and runs through ``exec``, kept
+as ``plan.source``.  ``encode``, ``encode_doc``, ``check_element`` and
 ``encode_batch`` all run the plan, so the tree is interpreted once, not
-once per element.  Paths are lazy: a fault starts with an empty path and
-each sequence item or ``sum`` part it climbs out of prepends its own step
-(``[rank]``, ``.master``, ``.case(r)``), so an accepted element builds no
-path strings.
+once per element, and an accepted element builds no path strings.
 
 Scalar leaves use order-preserving transforms: unsigned ints big-endian,
 signed ints with the sign bit flipped, floats with the sign bit set for
@@ -71,6 +68,7 @@ from .errors import (
     PackedModeUnavailable,
     PrefixAnomaly,
     ZeroDenominator,
+    shown,
 )
 from .order_model import (
     KIND_TABLE,
@@ -111,6 +109,9 @@ COUNT_CAP = 1 << 64
 
 _PAD_TRIPLE = bytes((PAD_DEFAULT, PAD_DEFAULT, PAD_DEFAULT))
 _LEAF_TRIPLE = bytes((PAD_DEFAULT, 0x00, 0xE0))  # a one-byte leaf, data byte zero
+# The padded triple of each data byte, inside a fragment and at its end.
+_TRIPLES = tuple(bytes((PAD_DEFAULT, byte, PAD_DEFAULT)) for byte in range(256))
+_LAST_TRIPLES = tuple(bytes((PAD_DEFAULT, byte, 0xE0)) for byte in range(256))
 _FLIP = bytes(255 - value for value in range(256))
 
 
@@ -230,20 +231,14 @@ def hierar_count_header(n: int) -> bytes:
 
 
 def primitive_key(kind: BuiltinKind, value, *, nan_high: bool = False) -> bytes:
-    """Raw order-preserving bytes for a fixed-width scalar leaf.
-
-    These are the data bytes of the leaf's packed plan step.
-    """
+    """Raw order-preserving bytes for a fixed-width scalar leaf: the key of its packed plan."""
     if KIND_TABLE[kind].family is None:
         raise DomainError(f"primitive_key does not handle {kind.value}")
-    step = _Compiler(True, nan_high, False).node(Builtin(kind), 0, ())
-    out = bytearray()
     try:
-        step(value, out)
-    except _Fault as fault:
-        cls = NaNRejected if fault.cls is NaNRejected else DomainError
-        raise cls(fault.message) from None
-    return bytes(out)
+        return prepare(Builtin(kind)).plan("packed", nan_high=nan_high)(value)
+    except (ElementMismatch, NaNRejected) as exc:  # "$: " and the leaf's own message
+        cls = NaNRejected if isinstance(exc, NaNRejected) else DomainError
+        raise cls(str(exc)[3:]) from None
 
 
 def continued_fraction(p: int, q: int) -> list[int]:
@@ -307,15 +302,20 @@ def _rational_fragments(spread):
     return signs, terms, pair(b"\x01"), spread
 
 
+def _wide_unit(term: int, flip, spread) -> bytes:
+    """The unit of a continued-fraction term of 256 or more: flag 00 and its count header."""
+    unit = b"\x00" + _count_header_unbounded(term)
+    return spread(unit.translate(_FLIP) if flip else unit)
+
+
 def _rational_walk(num: int, den: int, inverted: bool, out: bytearray, fragments) -> None:
     """Append the key of num/den (den > 0), bit-flipped when ``inverted``, to ``out``.
 
-    One Euclid ``divmod`` per continued-fraction term.  A term below 256
-    appends its precomputed unit; a larger one builds its uncapped count
-    header, so terms of any size encode.  ``flip`` says whether the unit at
-    hand is bit-flipped: inversion, a negative sign and each odd rank toggle
-    it.  ``rational_key`` runs this walk over the raw fragments and rational
-    plan steps over the padded ones.
+    One Euclid ``divmod`` per continued-fraction term, two terms per pass so
+    that the pair never swaps.  A term below 256 appends its precomputed
+    unit, of the flip state of its rank; a larger one builds its uncapped
+    count header, so terms of any size encode.  ``rational_key`` runs this
+    walk over the raw fragments and rational plan steps over the padded ones.
     """
     signs, terms, terminators, spread = fragments
     negative = num < 0
@@ -323,18 +323,18 @@ def _rational_walk(num: int, den: int, inverted: bool, out: bytearray, fragments
     if negative:
         num = -num
     flip = inverted ^ negative
+    even, odd = terms[flip], terms[flip ^ 1]
     while True:
         term, num = divmod(num, den)
-        if term < 256:
-            out += terms[flip][term]
-        else:
-            unit = b"\x00" + _count_header_unbounded(term)
-            out += spread(unit.translate(_FLIP) if flip else unit)
-        flip ^= 1
+        out += even[term] if term < 256 else _wide_unit(term, flip, spread)
         if not num:
-            break
-        num, den = den, num
-    out += terminators[flip]
+            out += terminators[flip ^ 1]
+            return
+        term, den = divmod(den, num)
+        out += odd[term] if term < 256 else _wide_unit(term, flip ^ 1, spread)
+        if not den:
+            out += terminators[flip]
+            return
 
 
 def rational_key(p: int, q: int) -> bytes:
@@ -392,7 +392,7 @@ class PreparedOrder:
     plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def plan(self, mode: str = "padded", *, nan_high: bool = False, doc: bool = False):
-        """The function taking one element to its key.
+        """The function taking one element to its key; ``plan().source`` is its code.
 
         With ``doc`` it takes a ``json.loads`` record instead, as
         ``encode_doc`` does.  It raises what ``encode`` raises.
@@ -422,12 +422,8 @@ def _finite_width(cardinality: int) -> int:
 
 
 class _Fault(Exception):
-    """An element fault on its way out of a plan.
-
-    Every sequence item and sum part it leaves prepends its own step to
-    ``path``; the plan's entry raises ``cls`` with the whole path, so path
-    strings are built only for values that are rejected.
-    """
+    """An element fault on its way out of a plan: every sequence item and sum part it
+    leaves prepends its step to ``path``, and ``run`` raises ``cls`` with the whole path."""
 
     def __init__(self, cls, message: str, path: str = ""):
         super().__init__(message)
@@ -437,7 +433,7 @@ class _Fault(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Value checks shared by the plans; the doc_* ones read the JSON spellings
+# Value checks the plans call off their fast path; with ``doc`` they read JSON spellings
 
 
 def _decimal(value, path: str = ""):
@@ -447,21 +443,73 @@ def _decimal(value, path: str = ""):
     try:
         return int(value, 10)
     except ValueError:
-        raise _Fault(ElementMismatch, f"{value!r} is not a decimal integer", path) from None
+        raise _Fault(ElementMismatch, f"{shown(value)} is not a decimal integer", path) from None
 
 
-def _rank(value):
-    """A finite rank that is not exactly an int: any other int, a bool too, passes."""
-    if isinstance(value, int):
-        return value
-    raise _Fault(ElementMismatch, f"expected a rank integer, got {type(value).__name__}")
-
-
-def _doc_rank(value):
-    """A finite rank in a JSON record: an integer or a decimal string, never a bool."""
-    if isinstance(value, bool):
+def _finite(value, doc: bool, cardinality: int, message: str) -> int:
+    """A finite leaf's value that is not an int rank below ``cardinality``; with doc,
+    a decimal string is a rank and a bool is not."""
+    if doc and isinstance(value, bool):
         raise _Fault(ElementMismatch, "expected a rank integer, got a bool")
-    return _rank(_decimal(value))
+    if doc:
+        value = _decimal(value)
+    if not isinstance(value, int):
+        raise _Fault(ElementMismatch, f"expected a rank integer, got {type(value).__name__}")
+    if 0 <= value < cardinality:
+        return value
+    raise _Fault(ElementMismatch, message % shown(value, format))
+
+
+def _integer(value, doc: bool, low: int, high: int, message: str) -> int:
+    """An integer leaf's value that is not an int in low..high; ``message`` words its fault."""
+    if doc and isinstance(value, str):
+        value = _decimal(value)
+    if isinstance(value, int) and not isinstance(value, bool) and low <= value <= high:
+        return value
+    raise _Fault(ElementMismatch, message % shown(value))
+
+
+def _real(value, doc: bool, name: str) -> float:
+    """A float leaf's value that is not exactly a float."""
+    if doc and isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            raise _Fault(ElementMismatch, f"{shown(value)} is not a number") from None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _Fault(ElementMismatch, f"expected a float, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise _Fault(ElementMismatch, f"integer too large for {name}") from None
+
+
+def _rational(value) -> tuple[int, int]:
+    """(num, den) of a rational leaf's value that is not already an (int, int > 0) pair."""
+    try:
+        return rational_parts(value)
+    except ElementMismatch as exc:
+        raise _Fault(ElementMismatch, str(exc)) from None
+
+
+def _doc_rational(value) -> tuple[int, int]:
+    """(num, den), den > 0, of a rational in a JSON record: {"num", "den"}, "p/q", or an integer."""
+    if type(value) is dict and len(value) == 2:
+        num, den = value.get("num"), value.get("den")
+        if type(num) is int and type(den) is int and den > 0:
+            return num, den
+    if isinstance(value, str):
+        num, slash, den = value.strip().partition("/")
+        try:
+            num, den = int(num, 10), int(den, 10) if slash else 1
+        except ValueError:
+            raise _Fault(ElementMismatch, f"{shown(value)} is not a p/q rational") from None
+        if den > 0:
+            return num, den
+        value = num, den
+    elif isinstance(value, dict) and value.keys() == {"num", "den"}:
+        value = (_doc_integer(value["num"], ".num"), _doc_integer(value["den"], ".den"))
+    return _rational(value)
 
 
 def _doc_integer(value, path: str) -> int:
@@ -472,407 +520,358 @@ def _doc_integer(value, path: str) -> int:
     raise _Fault(ElementMismatch, f"expected an integer, got {type(value).__name__}", path)
 
 
-def _doc_bytes(value):
-    """The bytes a JSON string or {"hex": ...} object spells; other values unchanged."""
-    if isinstance(value, str):
+def _bytes(value, doc: bool):
+    """A bytes leaf's value that is not exactly bytes."""
+    if doc and isinstance(value, str):
         try:
-            return value.encode("utf-8")
+            value = value.encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate escape
             raise _Fault(ElementMismatch, "string is not valid Unicode") from None
-    if isinstance(value, dict) and value.keys() == {"hex"} and isinstance(value["hex"], str):
+    elif doc and isinstance(value, dict) and value.keys() == {"hex"} and isinstance(value["hex"], str):
         try:
-            return bytes.fromhex(value["hex"])
+            value = bytes.fromhex(value["hex"])
         except ValueError:
             raise _Fault(ElementMismatch, "bad hex string") from None
-    return value
+    if isinstance(value, (bytes, bytearray)):
+        return value
+    raise _Fault(ElementMismatch, f"expected bytes, got {type(value).__name__}")
 
 
-def _doc_rational(value):
-    """The rational a "p/q" string or {"num", "den"} object spells; other values unchanged."""
-    if type(value) is dict and len(value) == 2:
-        num, den = value.get("num"), value.get("den")
-        if type(num) is int and type(den) is int:
-            return num, den
-    if isinstance(value, str):
-        num, slash, den = value.strip().partition("/")
-        try:
-            return (int(num, 10), int(den, 10)) if slash else int(num, 10)
-        except ValueError:
-            raise _Fault(ElementMismatch, f"{value!r} is not a p/q rational") from None
-    if isinstance(value, dict) and value.keys() == {"num", "den"}:
-        return (_doc_integer(value["num"], ".num"), _doc_integer(value["den"], ".den"))
-    return value
+def _items(value, doc: bool):
+    """The items of a sequence node's value that is not exactly a list (or, outside doc, a tuple)."""
+    if doc and not isinstance(value, list):
+        raise _Fault(ElementMismatch, f"expected an array, got {type(value).__name__}")
+    if not doc and (isinstance(value, str) or not hasattr(value, "__len__")):
+        raise _Fault(ElementMismatch, f"expected a sequence, got {type(value).__name__}")
+    return value if doc else list(value)
 
 
 # ---------------------------------------------------------------------------
 # Compiling a tree into a plan
 
+_UNROLL = 8  # a fixed-length next node of at most this many items gets one block per rank
+
+# What a plan's functions may use besides builtins and their own constants.
+_PLAN_HELPERS = {name: globals()[name] for name in (
+    "_Fault ElementMismatch NaNRejected shown _decimal _finite _integer _real _rational "
+    "_doc_rational _bytes _items _rational_walk _count_header_unbounded wrap_finite_leaf "
+    "_FLIP _LEAF_TRIPLE _TRIPLES _LAST_TRIPLES"
+).split()}
+
+
+@lru_cache(maxsize=4096)
+def _code(source: str):
+    """The compiled source of one generated function; trees share most function shapes."""
+    return compile(source, "<tsokey plan>", "exec")
+
 
 def _compile(tree: OrderNode, packed: bool, nan_high: bool, doc: bool):
-    root = _Compiler(packed, nan_high, doc).node(tree, 0, ())
+    """The plan of a prepared tree, its generated source kept as ``plan.source``."""
+    return _Compiler(packed, nan_high, doc).plan(tree)
 
-    def run(value) -> bytes:
-        out = bytearray()
-        try:
-            root(value, out)
-        except _Fault as fault:
-            raise fault.cls(f"${fault.path}: {fault.message}") from None
-        return bytes(out)
 
-    return run
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _at(path: str, lines: list[str]) -> list[str]:
+    """``lines`` in a try block that prepends the expression ``path`` to a fault's path."""
+    handler = ["except _Fault as fault:", f"    fault.path = {path} + fault.path", "    raise"]
+    return ["try:", *_indent(lines), *handler]
 
 
 class _Compiler:
-    """Turns each node of a prepared tree into a step ``step(value, out)``.
+    """Writes a plan as Python source and runs it: ``run(value)`` returns the key of ``value``.
 
-    A step checks its value, appends the value's key fragment to ``out``
-    and returns ``ends``, the ending-value table of the last byte it wrote.
-    ``chain`` lists the marking sequence nodes open around a node,
-    outermost first ("L" lex family, "C" contrelex family); ``ends[k]`` is
-    the last byte once the marking nodes at chain index k and inward have
-    all ended, so the marking node at index k closes with
-    ``out[-1] = ends[k]``.  Every table, width, bound and translate table
-    is fixed here, once per tree; steps only read them.  Each sequence
-    step runs the item loop of its shape, chosen when it is compiled:
-    backwards for the anti kinds, the one step of a one-order period with
-    no prelude, step k for item k when the steps cover every admissible
-    length, and the cycling prelude-then-period loop otherwise.
-    Hierar-family steps take the wrapped count header of a count below
-    256 from ``_hierar_headers``, a table built once per process.
-    Rational steps run ``rational_key``'s continued-fraction walk over a
-    module-level table of padded units, one per term below 256 and flip
-    state.  Packed plans neither mark nor carry tables, and their steps
-    return None.  Bytes and rational leaves are variable-length, so packed
-    plans never hold them.
+    Leaves are written inline into their parent's code.  Every sequence and
+    sum node gets a function ``step(value, out)``, which checks the value,
+    appends its key fragment and returns ``ends``, the ending-value table of
+    the last byte it wrote, so no function nests more than a few blocks.
+    ``run``'s ``try`` raises a ``_Fault`` as its class with the whole path.
+    ``chain`` lists the marking sequence nodes open around a node, outermost
+    first ("L" lex family, "C" contrelex family); ``ends[k]`` is the last
+    byte once the marking nodes at chain index k and inward have all ended,
+    so the marking node at index k closes with ``out[-1] = last[k]``.
+
+    Each function is ``exec``-ed, innermost first, in a namespace of the plan
+    helpers and its constants: every table, template, ends value, bound,
+    collation and called function, named in the order it makes them.  So the
+    source holds only names and numbers computed here, never text from the
+    tree, and equal shapes give equal text, which ``_code`` compiles once.
+    ``plan.source`` lists the functions, each headed by those it calls.
+    Packed plans neither mark nor return tables.
     """
 
     def __init__(self, packed: bool, nan_high: bool, doc: bool):
-        self.packed = packed
-        self.nan_high = nan_high
-        self.doc = doc
+        self.packed, self.nan_high, self.doc = packed, nan_high, doc
+        self.listing = []  # the source of each function made, headed by its number
+        self.made = {}  # each function made, to its number in the listing
+        self.scope = {}  # the constants of the function being written, by name
+        self.tables = {}  # the names of its ending-value tables, by (base, chain)
+
+    def const(self, value, stem: str) -> str:
+        name = f"{stem}_{len(self.scope)}"
+        self.scope[name] = value
+        return name
 
     def ends(self, base: int, chain: tuple[str, ...]):
-        if self.packed:
-            return None
-        return _ending_values(base, chain[::-1])[::-1]
+        """The name of a position's ending-value table; None in packed plans."""
+        if not self.packed and (base, chain) not in self.tables:
+            self.tables[base, chain] = self.const(_ending_values(base, chain[::-1])[::-1], "ends")
+        return self.tables.get((base, chain))
 
-    def slots(self, width: int):
-        """(template, offset, step): a fragment of ``width`` data bytes is the
-        template with the data assigned to ``out[start + offset :: step]``."""
-        if self.packed:
-            return bytes(width), 0, 1
-        return wrap_finite_leaf(bytes(width)), 1, 3
+    def define(self, name: str, signature: str, lines: list[str]):
+        """Run the source of one function in a namespace of its constants; return the function."""
+        source = "\n".join([f"def {name}({signature}):", *_indent(lines)]) + "\n"
+        namespace = {**_PLAN_HELPERS, **self.scope}
+        exec(_code(source), namespace)
+        calls = [f"{key} = " + ", ".join(str(self.made[step]) for step in (steps if key[:5] == "cases" else [steps]))
+                 for key, steps in self.scope.items() if key.startswith(("step_", "cases_"))]
+        self.made[namespace[name]] = len(self.listing)
+        self.listing.append(f"# function {len(self.listing)}{'; ' if calls else ''}{'; '.join(calls)}\n{source}")
+        return namespace[name]
 
-    def node(self, node: OrderNode, depth: int, chain: tuple[str, ...]):
-        if isinstance(node, Finite):
-            return self.finite(node, chain)
+    def plan(self, tree: OrderNode):
+        lines, _ = self.body(tree, 0, (), "value")
+        lines = ["out = bytearray()", "try:", *_indent(lines), "except _Fault as fault:"]
+        lines += ['    raise fault.cls(f"${fault.path}: {fault.message}") from None', "return bytes(out)"]
+        run = self.define("run", "value", lines)
+        run.source = "\n".join(self.listing)
+        return run
+
+    def function(self, node: OrderNode, depth: int, chain):
+        """A new function ``step(value, out)`` running ``node``'s step."""
+        outer = self.scope, self.tables
+        self.scope, self.tables = {}, {}
+        lines, ends = self.body(node, depth, chain, "value")
+        function = self.define("step", "value, out", lines if self.packed else lines + [f"return {ends}"])
+        self.scope, self.tables = outer
+        return function
+
+    def step(self, node: OrderNode, depth: int, chain, var: str):
+        """``body`` for a leaf; a call of the node's own function for the rest."""
+        if not isinstance(node, (SeqOp, Sum)):
+            return self.body(node, depth, chain, var)
+        call = f"{self.const(self.function(node, depth, chain), 'step')}({var}, out)"
+        return ([call], None) if self.packed else ([f"last = {call}"], "last")
+
+    def body(self, node: OrderNode, depth: int, chain, var: str):
+        """Code encoding the local ``var``, and the name of its last byte's ends (or ``last``)."""
         if isinstance(node, SeqOp):
-            return self.sequence(node, depth, chain)
+            return self.sequence(node, depth, chain, var)
         if isinstance(node, Sum):
-            return self.union(node, depth, chain)
+            return self.union(node, depth, chain, var)
+        if isinstance(node, Finite):
+            return self.finite(node, var), self.ends(0xE0, chain)
         if isinstance(node, Builtin):
             kind = node.kind
             if kind is BuiltinKind.BYTES:
-                return self.byte_string(node, depth, chain)
+                return self.byte_string(node, depth, chain, var)
             if kind is BuiltinKind.BOOL:
-                return self.boolean(node, chain)
-            if kind is BuiltinKind.RATIONAL:
-                return self.rational(node, chain)
-            if KIND_TABLE[kind].family == "float":
-                return self.real(node, chain)
-            return self.integer(node, chain)
+                lines = self.boolean(node, var)
+            elif kind is BuiltinKind.RATIONAL:
+                lines = self.rational(node, var)
+            elif KIND_TABLE[kind].family == "float":
+                lines = self.real(node, var)
+            else:
+                lines = self.integer(node, var)
+            return lines, self.ends(0xE0, chain)
         raise AssertionError(f"{type(node).__name__} node survived preparation")
 
-    def finite(self, node: Finite, chain):
-        card = node.cardinality
-        top = card - 1
-        ranks = node.collation
-        width = _finite_width(card)
-        template, offset, step = self.slots(width)
-        ends = self.ends(0xE0, chain)
-        coerce = _doc_rank if self.doc else _rank
+    def fixed(self, width: int, data: str) -> list[str]:
+        """Append ``width`` data bytes, big-endian, of the int expression ``data``."""
+        if self.packed:
+            return [f"out += {data}.to_bytes({width}, 'big')"]
+        if width == 1:  # a padded triple per data byte from a table beats a template up to two
+            return [f"out += _LAST_TRIPLES[{data}]"]
+        if width == 2:
+            return [f"data = {data}", "out += _TRIPLES[data >> 8]", "out += _LAST_TRIPLES[data & 255]"]
+        template = self.const(wrap_finite_leaf(bytes(width)), "template")
+        return [f"out += {template}", f"out[{1 - 3 * width}::3] = {data}.to_bytes({width}, 'big')"]
 
-        def finite(value, out):
-            if type(value) is not int:
-                value = coerce(value)
-            if 0 <= value < card:
-                rank = value if ranks is None else ranks[value]
-                start = len(out)
-                out += template
-                out[start + offset :: step] = rank.to_bytes(width, "big")
-                return ends
-            raise _Fault(ElementMismatch, f"rank {value} outside 0..{top}")
+    def finite(self, node: Finite, var: str) -> list[str]:
+        message = self.const(f"rank %s outside 0..{node.cardinality - 1}", "message")
+        rank = var if node.collation is None else f"{self.const(node.collation, 'collation')}[{var}]"
+        cardinality = self.const(node.cardinality, "cardinality")
+        return [
+            f"if type({var}) is not int or not 0 <= {var} < {cardinality}:",
+            f"    {var} = _finite({var}, {self.doc}, {cardinality}, {message})",
+            *self.fixed(_finite_width(node.cardinality), rank),
+        ]
 
-        return finite
-
-    def boolean(self, node: Builtin, chain):
+    def boolean(self, node: Builtin, var: str) -> list[str]:
         """The key of finite(2): the rank byte, mirrored when inverted."""
-        keys = [bytes((rank ^ node.inverted,)) for rank in (0, 1)]
-        if not self.packed:
-            keys = [wrap_finite_leaf(key) for key in keys]
-        ends = self.ends(0xE0, chain)
+        keys = tuple(bytes((rank ^ node.inverted,)) for rank in (0, 1))
+        keys = keys if self.packed else tuple(map(wrap_finite_leaf, keys))
+        return [
+            f"if not isinstance({var}, int) or {var} not in (0, 1):",
+            '    raise _Fault(ElementMismatch, "expected a bool")',
+            f"out += {self.const(keys, 'keys')}[int({var})]",
+        ]
 
-        def boolean(value, out):
-            if isinstance(value, int) and value in (0, 1):
-                out += keys[int(value)]
-                return ends
-            raise _Fault(ElementMismatch, "expected a bool")
-
-        return boolean
-
-    def integer(self, node: Builtin, chain):
+    def integer(self, node: Builtin, var: str) -> list[str]:
         """Unsigned ints big-endian, signed ones offset by half their range."""
-        name = node.kind.value
         lo, hi = _int_bounds(node.kind)
         width = KIND_TABLE[node.kind].bits // 8
-        flip = (1 << (8 * width)) - 1 if node.inverted else 0
-        template, offset, step = self.slots(width)
-        ends = self.ends(0xE0, chain)
-        doc = self.doc
+        message = self.const(f"%s outside {node.kind.value} range", "message")
+        low, high = self.const(lo, "low"), self.const(hi, "high")
+        data = f"({var} - {low})" if lo else var
+        if node.inverted:
+            data = f"({data} ^ {self.const((1 << (8 * width)) - 1, 'mask')})"
+        return [
+            f"if type({var}) is not int or not {low} <= {var} <= {high}:",
+            f"    {var} = _integer({var}, {self.doc}, {low}, {high}, {message})",
+            *self.fixed(width, data),
+        ]
 
-        def coerce(value):
-            if doc and isinstance(value, str):
-                value = _decimal(value)
-            if isinstance(value, int) and not isinstance(value, bool):
-                return value
-            raise _Fault(ElementMismatch, f"{value!r} outside {name} range")
-
-        def integer(value, out):
-            if type(value) is not int:
-                value = coerce(value)
-            if lo <= value <= hi:
-                start = len(out)
-                out += template
-                out[start + offset :: step] = ((value - lo) ^ flip).to_bytes(width, "big")
-                return ends
-            raise _Fault(ElementMismatch, f"{value!r} outside {name} range")
-
-        return integer
-
-    def real(self, node: Builtin, chain):
+    def real(self, node: Builtin, var: str) -> list[str]:
         """IEEE bits with the sign bit set on non-negatives, all bits flipped on negatives."""
-        name = node.kind.value
         bits = KIND_TABLE[node.kind].bits
-        width = bits // 8
-        pack = struct.Struct(">f" if width == 4 else ">d").pack
-        sign = 1 << (bits - 1)
+        width, sign = bits // 8, 1 << (bits - 1)
         flip = (1 << bits) - 1 if node.inverted else 0
-        negative_mask = ((1 << bits) - 1) ^ flip
-        positive_mask = sign ^ flip
-        # One equivalence class above +inf: the canonical quiet NaN pattern.
-        nan_bits = 0x7FC00000 if width == 4 else 0x7FF8000000000000
-        nan_data = (nan_bits ^ positive_mask).to_bytes(width, "big")
-        template, offset, step = self.slots(width)
-        ends = self.ends(0xE0, chain)
-        doc, nan_high = self.doc, self.nan_high
+        pack = self.const(struct.Struct(">f" if width == 4 else ">d").pack, "pack")
+        coerce = f"_real({var}, {self.doc}, {self.const(node.kind.value, 'name')})"
+        lines = [f"if type({var}) is not float:", f"    {var} = {coerce}", f"if {var} != {var}:"]
+        if self.nan_high:  # one equivalence class above +inf: the canonical quiet NaN
+            nan = ((0x7FC00000 if width == 4 else 0x7FF8000000000000) ^ sign ^ flip).to_bytes(width, "big")
+            lines.append(f"    out += {self.const(nan if self.packed else wrap_finite_leaf(nan), 'nan')}")
+        else:
+            lines.append('    raise _Fault(NaNRejected, "NaN needs the nan_high policy")')
+        raw = f"raw = int.from_bytes({pack}({var}), 'big')"
+        if width == 4:  # a float64 always fits; single precision overflows
+            message = self.const(f"%s does not fit in {node.kind.value}", "message")
+            fault = f"raise _Fault(ElementMismatch, {message} % shown({var})) from None"
+            lines += ["else:", "    try:", f"        {raw}", "    except OverflowError:", f"        {fault}"]
+        else:
+            lines += ["else:", f"    {raw}"]
+        negative = self.const(((1 << bits) - 1) ^ flip, "negative")
+        positive, sign = self.const(sign ^ flip, "positive"), self.const(sign, "sign")
+        data = f"(raw ^ ({negative} if raw & {sign} else {positive}))"
+        return lines + _indent(self.fixed(width, data))
 
-        def coerce(value):
-            if doc and isinstance(value, str):
-                try:
-                    value = float(value)
-                except ValueError:
-                    raise _Fault(ElementMismatch, f"{value!r} is not a number") from None
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise _Fault(ElementMismatch, f"expected a float, got {type(value).__name__}")
-            try:
-                return float(value)
-            except OverflowError:
-                raise _Fault(ElementMismatch, f"integer too large for {name}") from None
-
-        def real(value, out):
-            if type(value) is not float:
-                value = coerce(value)
-            if value != value:
-                if not nan_high:
-                    raise _Fault(NaNRejected, "NaN needs the nan_high policy")
-                data = nan_data
-            else:
-                try:
-                    raw = int.from_bytes(pack(value), "big")
-                except OverflowError:
-                    raise _Fault(ElementMismatch, f"{value!r} does not fit in {name}") from None
-                data = (raw ^ (negative_mask if raw & sign else positive_mask)).to_bytes(width, "big")
-            start = len(out)
-            out += template
-            out[start + offset :: step] = data
-            return ends
-
-        return real
-
-    def rational(self, node: Builtin, chain):
+    def rational(self, node: Builtin, var: str) -> list[str]:
         """The rational walk over the padded fragments, then the leaf's final E0."""
-        inverted, doc = node.inverted, self.doc
-        ends = self.ends(0xE0, chain)
-        fragments = _rational_fragments(_spread)
+        if self.doc:
+            lines = [f"num, den = _doc_rational({var})"]
+        else:
+            pair = f"type({var}[0]) is int and type({var}[1]) is int and {var}[1] > 0"
+            lines = [
+                f"if type({var}) is tuple and len({var}) == 2 and {pair}:",
+                f"    num, den = {var}",
+                "else:",
+                f"    num, den = _rational({var})",
+            ]
+        fragments = self.const(_rational_fragments(_spread), "fragments")
+        return lines + [f"_rational_walk(num, den, {bool(node.inverted)}, out, {fragments})", "out[-1] = 0xE0"]
 
-        def rational(value, out):
-            if doc:
-                value = _doc_rational(value)
-            if (
-                type(value) is tuple
-                and len(value) == 2
-                and type(value[0]) is int
-                and type(value[1]) is int
-                and value[1] > 0
-            ):
-                num, den = value
-            else:
-                try:
-                    num, den = rational_parts(value)
-                except ElementMismatch as exc:
-                    raise _Fault(ElementMismatch, str(exc)) from None
-            _rational_walk(num, den, inverted, out, fragments)
-            out[-1] = 0xE0
-            return ends
-
-        return rational
-
-    def byte_string(self, node: Builtin, depth: int, chain):
-        """The key of lex(0, omega, [finite(256)]), contrelex when inverted.
-
-        Every byte is a wrapped finite(256) leaf, F0 rank E0: one translate
-        maps the bytes to their ranks, one slice assignment places the ranks
-        in their triples, and the lex (contrelex) end mark goes on the final
-        byte.
-        """
+    def byte_string(self, node: Builtin, depth: int, chain, var: str):
+        """The key of lex(0, omega, [finite(256)]), contrelex when inverted: a translate
+        to the ranks, one slice assignment into F0 rank E0 triples, the end mark last."""
         kind = SeqKind.CONTRELEX if node.inverted else SeqKind.LEX
         table = None if node.collation is None else bytes(node.collation)
         if node.inverted:
             table = _FLIP if table is None else table.translate(_FLIP)
-        marker = empty_sequence_pattern(kind, depth)
-        marker_ends = self.ends(PAD_DEFAULT, chain)
         ends = self.ends(0xE0, chain + (_CHAIN_CHAR[kind],))
-        last = ends[len(chain)]
-        doc = self.doc
+        if self.doc:  # a str, as JSON gives, first; _bytes words the fault of a lone surrogate
+            fallback = f"{var} = _bytes({var}, True)"
+            encode = ["try:", f"    {var} = {var}.encode()", "except UnicodeEncodeError:", f"    {fallback}"]
+            lines = [f"if type({var}) is str:", *_indent(encode), f"elif type({var}) is not bytes:"]
+        else:
+            lines = [f"if type({var}) is not bytes:"]
+        lines += [f"    {var} = _bytes({var}, {self.doc})", f"if {var}:"]
+        if table is not None:
+            lines.append(f"    {var} = {var}.translate({self.const(table, 'table')})")
+        return lines + [
+            "    start = len(out)",
+            f"    out += _LEAF_TRIPLE * len({var})",
+            f"    out[start + 1::3] = {var}",
+            f"    out[-1] = {self.const(self.scope[ends][len(chain)], 'end')}",
+            f"    last = {ends}",
+            "else:",
+            f"    out += {self.const(empty_sequence_pattern(kind, depth), 'marker')}",
+            f"    last = {self.ends(PAD_DEFAULT, chain)}",
+        ], "last"
 
-        def byte_string(value, out):
-            if type(value) is not bytes:
-                if doc:
-                    value = _doc_bytes(value)
-                if not isinstance(value, (bytes, bytearray)):
-                    raise _Fault(ElementMismatch, f"expected bytes, got {type(value).__name__}")
-            if not value:
-                out += marker
-                return marker_ends
-            if table is not None:
-                value = value.translate(table)
-            start = len(out)
-            out += _LEAF_TRIPLE * len(value)
-            out[start + 1 :: 3] = value
-            out[-1] = last
-            return ends
-
-        return byte_string
-
-    def sequence(self, node: SeqOp, depth: int, chain):
+    def sequence(self, node: SeqOp, depth: int, chain, var: str):
         kind, min_len, max_len = node.kind, node.min_len, node.max_len
-        upper = COUNT_CAP if max_len is OMEGA else max_len
-        packed, doc = self.packed, self.doc
-        marks = not packed and kind in _CHAIN_CHAR
+        marks = not self.packed and kind in _CHAIN_CHAR
         inner = chain + (_CHAIN_CHAR[kind],) if marks else chain
-        own = len(chain)
-        prelude = [self.node(child, depth + 1, inner) for child in node.prelude]
-        period = [self.node(child, depth + 1, inner) for child in node.period]
-        steps = prelude + period
-        n_steps, n_prelude, n_period = len(steps), len(prelude), len(period)
-        # The item loop, chosen here once per node (see the class docstring).
-        # Anti kinds are validated to have no prelude and a one-order period.
-        anti = kind.is_anti
-        only = period[0] if not prelude and n_period == 1 else None
-        covered = max_len is not OMEGA and max_len - 1 <= n_steps
-        hierar = kind.is_hierar_family
-        flip_header = kind in (SeqKind.CONTREHIERAR, SeqKind.ANTICONTREHIERAR)
-        headers = _hierar_headers()[flip_header] if hierar and not packed else None
-        header_ends = self.ends(0xE0, chain)
-        # Nothing below an empty sequence emits a byte; a marker stands in
-        # so that the enclosing ends still have something to act on.
-        # next(0, 1) nodes take the lex-family marker: their single element
-        # makes any constant correct.  The empty node itself leaves no mark.
-        marker = b"" if packed or hierar else empty_sequence_pattern(kind, depth)
-        marker_ends = self.ends(PAD_DEFAULT, chain)
-        plain = (list,) if doc else (list, tuple)  # taken as they are; the rest meets coerce
+        steps = [self.step(child, depth + 1, inner, "item") for child in node.prelude + node.period]
+        plain = f"type({var}) is list" + ("" if self.doc else f" or type({var}) is tuple")
+        lines = [f"items = {var} if {plain} else _items({var}, {self.doc})", "length = len(items)"]
+        bounds = [f"length < {self.const(min_len, 'min_len')}"] if min_len else []
+        if max_len is not OMEGA:  # a list is always shorter than 2**64
+            bounds.append(f"length >= {self.const(max_len, 'max_len')}")
+        if bounds:
+            message = self.const(f"length %s outside [{min_len}, {max_len})", "message")
+            lines += [f"if {' or '.join(bounds)}:", f"    raise _Fault(ElementMismatch, {message} % length)"]
+        if self.packed:
+            return lines + self.items(node, [code for code, _ in steps]), None
+        items = self.items(node, [code if ends == "last" else code + [f"last = {ends}"] for code, ends in steps])
+        # An empty element writes the hierar header alone, or the empty-sequence marker.
+        if kind.is_hierar_family:
+            flip = kind in (SeqKind.CONTREHIERAR, SeqKind.ANTICONTREHIERAR)
+            wide = "_count_header_unbounded(length)" + (".translate(_FLIP)" if flip else "")
+            headers = self.const(_hierar_headers()[flip], "headers")
+            lines.append(f"out += {headers}[length] if length < 256 else wrap_finite_leaf({wide})")
+            empty = [f"last = {self.ends(0xE0, chain)}"]
+        else:
+            marker = self.const(empty_sequence_pattern(kind, depth), "marker")
+            empty = [f"out += {marker}", f"last = {self.ends(PAD_DEFAULT, chain)}"]
+        if not items:
+            return lines + empty, "last"
+        if marks:
+            items.append(f"out[-1] = last[{len(chain)}]")
+        if min_len or kind.is_hierar_family:
+            return lines + (empty if not min_len else []) + items, "last"
+        return lines + ["if not length:", *_indent(empty), "else:", *_indent(items)], "last"
 
-        def coerce(value):
-            if doc:
-                if not isinstance(value, list):
-                    raise _Fault(ElementMismatch, f"expected an array, got {type(value).__name__}")
-                return value
-            if isinstance(value, str) or not hasattr(value, "__len__"):
-                raise _Fault(ElementMismatch, f"expected a sequence, got {type(value).__name__}")
-            return list(value)
+    def items(self, node: SeqOp, steps: list[list[str]]) -> list[str]:
+        """Each item through its step, in one ``try`` that puts the rank in a fault's path:
+        a block per prelude rank, or per rank of a short ``next`` node, then a loop over
+        the period, backwards for the anti kinds."""
+        n_prelude, n_period = len(node.prelude), len(node.period)
+        top = None if node.max_len is OMEGA else node.max_len - 1  # the most items an element has
+        if node.kind.is_anti:
+            blocks, loop = 0, "range(length - 1, -1, -1)"
+        else:
+            blocks = n_prelude if top is None else min(n_prelude, top)
+            if node.kind is SeqKind.NEXT and top <= _UNROLL:
+                blocks = top
+            loop = None if blocks == top else f"range({blocks}, length)" if blocks else "range(length)"
+        lines = []
+        for rank in range(blocks):
+            index = rank if rank < n_prelude else n_prelude + (rank - n_prelude) % n_period
+            block = [f"rank = {rank}", f"item = items[{rank}]", *steps[index]]
+            lines += block if rank < node.min_len else [f"if length > {rank}:", *_indent(block)]
+        if loop is not None:
+            if n_period == 1:
+                body = steps[n_prelude]
+            else:
+                body = [f"phase = (rank - {n_prelude}) % {n_period}"]
+                for phase, code in enumerate(steps[n_prelude:]):
+                    body += [f"{'el' * bool(phase)}if phase == {phase}:", *_indent(code)]
+            lines += [f"for rank in {loop}:", *_indent(["item = items[rank]", *body])]
+        return _at('f"[{rank}]"', lines) if lines else []
 
-        def sequence(value, out):
-            items = value if type(value) in plain else coerce(value)
-            length = len(items)
-            if not min_len <= length < upper:
-                if length >= COUNT_CAP:
-                    raise _Fault(CountTooLarge, f"sequence count {length} at or above 2**64")
-                raise _Fault(ElementMismatch, f"length {length} outside [{min_len}, {max_len})")
-            if hierar:
-                last = header_ends
-                if not packed:
-                    if length < 256:
-                        out += headers[length]
-                    else:
-                        header = _count_header_unbounded(length)
-                        out += wrap_finite_leaf(header.translate(_FLIP) if flip_header else header)
-            elif not length:
-                out += marker
-                return marker_ends
-            try:
-                if anti:
-                    for rank in range(length - 1, -1, -1):
-                        last = only(items[rank], out)
-                elif only is not None:
-                    for rank, item in enumerate(items):
-                        last = only(item, out)
-                elif covered:
-                    for rank, item in enumerate(items):
-                        last = steps[rank](item, out)
-                else:
-                    for rank, item in enumerate(items):
-                        if rank < n_steps:
-                            last = steps[rank](item, out)
-                        else:
-                            last = period[(rank - n_prelude) % n_period](item, out)
-            except _Fault as fault:
-                fault.path = f"[{rank}]{fault.path}"
-                raise
-            if marks:
-                out[-1] = last[own]
-            return last
-
-        return sequence
-
-    def union(self, node: Sum, depth: int, chain):
-        master = self.finite(node.master, chain)
-        cases = [self.node(case, depth + 1, chain) for case in node.cases]
-        doc = self.doc
-
-        def union(value, out):
-            if doc:
-                if not isinstance(value, list) or len(value) != 2:
-                    raise _Fault(ElementMismatch, "expected a [master_rank, sub] array")
-            elif isinstance(value, str) or not hasattr(value, "__len__") or len(value) != 2:
-                raise _Fault(ElementMismatch, "expected a (master_rank, sub) pair")
-            rank, sub = value
-            if doc:
-                rank = _decimal(rank, ".master")
-            # A finite leaf takes a bool as a rank; a master rank never is one.
-            if not isinstance(rank, int) or isinstance(rank, bool):
-                raise _Fault(ElementMismatch, "master rank must be an integer")
-            try:
-                master(rank, out)
-            except _Fault as fault:
-                fault.path = ".master" + fault.path
-                raise
-            try:
-                return cases[rank](sub, out)
-            except _Fault as fault:
-                fault.path = f".case({rank}){fault.path}"
-                raise
-
-        return union
+    def union(self, node: Sum, depth: int, chain, var: str):
+        cases = self.const(tuple(self.function(case, depth + 1, chain) for case in node.cases), "cases")
+        if self.doc:
+            check, shape = f"not isinstance({var}, list) or len({var}) != 2", "a [master_rank, sub] array"
+        else:
+            check = f'isinstance({var}, str) or not hasattr({var}, "__len__") or len({var}) != 2'
+            shape = "a (master_rank, sub) pair"
+        lines = [f"if {check}:", f'    raise _Fault(ElementMismatch, "expected {shape}")', f"rank, sub = {var}"]
+        if self.doc:
+            lines.append('rank = _decimal(rank, ".master")')
+        call = f"{cases}[rank](sub, out)"
+        # A finite leaf takes a bool as a rank; a master rank never is one.
+        return lines + [
+            "if not isinstance(rank, int) or isinstance(rank, bool):",
+            '    raise _Fault(ElementMismatch, "master rank must be an integer")',
+            *_at('".master"', self.finite(node.master, "rank")),
+            *_at('f".case({rank})"', [call if self.packed else f"last = {call}"]),
+        ], None if self.packed else "last"
 
 
 # ---------------------------------------------------------------------------

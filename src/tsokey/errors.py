@@ -81,6 +81,23 @@ class ZeroDenominator(ElementError):
     """A rational with denominator zero."""
 
 
+SHOWN_CHARS = 200  # the longest value text an element error prints
+
+
+def shown(value, form=repr) -> str:
+    """``form(value)`` for an element error, or the name of the value's type.
+
+    The name stands in when that text is longer than ``SHOWN_CHARS`` or
+    cannot be made at all: a list nested too deep to repr, an int with
+    more digits than Python converts to text.
+    """
+    try:
+        text = form(value)
+    except (RecursionError, ValueError):
+        return type(value).__name__
+    return text if len(text) <= SHOWN_CHARS else type(value).__name__
+
+
 # ---------------------------------------------------------------------------
 # Encoding
 

@@ -24,7 +24,7 @@ values are elements: ``tsokey.check_element`` runs it and discards the key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -37,6 +37,7 @@ from .errors import (
     OrderTooDeep,
     PeriodMissing,
     RankOutOfRange,
+    shown,
 )
 
 __all__ = [
@@ -224,6 +225,25 @@ KIND_TABLE = {
 }
 
 
+def _node_hash(node) -> int:
+    # A node hashes its fields, children included, once and keeps the result:
+    # prepare() is cached by tree value, so a one-shot encode hashes the tree.
+    value = node._hash
+    if value is None:
+        value = hash(tuple(getattr(node, name) for name in node.__match_args__))
+        object.__setattr__(node, "_hash", value)
+    return value
+
+
+def _node_reduce(node):
+    # Pickled by its fields alone: a string's hash differs between processes.
+    return type(node), tuple(getattr(node, name) for name in node.__match_args__)
+
+
+def _cached_hash():
+    return field(default=None, init=False, repr=False, compare=False)
+
+
 def _freeze_collation(node) -> None:
     # Nodes are hashed (prepare is cached per tree), so a list table given
     # by the caller becomes a tuple; validate() checks the entries.
@@ -242,6 +262,9 @@ class Finite:
 
     cardinality: int
     collation: tuple[int, ...] | None = None
+    _hash: int | None = _cached_hash()
+    __hash__ = _node_hash
+    __reduce__ = _node_reduce
 
     def __post_init__(self):
         _freeze_collation(self)
@@ -260,6 +283,9 @@ class Builtin:
     kind: BuiltinKind
     collation: tuple[int, ...] | None = None
     inverted: bool = False
+    _hash: int | None = _cached_hash()
+    __hash__ = _node_hash
+    __reduce__ = _node_reduce
 
     def __post_init__(self):
         _freeze_collation(self)
@@ -270,6 +296,9 @@ class Inv:
     """The child order reversed."""
 
     child: "OrderNode"
+    _hash: int | None = _cached_hash()
+    __hash__ = _node_hash
+    __reduce__ = _node_reduce
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,6 +315,9 @@ class SeqOp:
     max_len: Union[int, _Omega]
     prelude: tuple["OrderNode", ...] = ()
     period: tuple["OrderNode", ...] = ()
+    _hash: int | None = _cached_hash()
+    __hash__ = _node_hash
+    __reduce__ = _node_reduce
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,6 +330,9 @@ class Sum:
 
     master: Finite
     cases: tuple["OrderNode", ...]
+    _hash: int | None = _cached_hash()
+    __hash__ = _node_hash
+    __reduce__ = _node_reduce
 
 
 OrderNode = Union[Finite, Builtin, Inv, SeqOp, Sum]
@@ -646,7 +681,7 @@ def rational_parts(value) -> tuple[int, int]:
             and not isinstance(den, bool)
         ):
             if den <= 0:
-                raise ElementMismatch(f"rational denominator must be positive, got {den}")
+                raise ElementMismatch(f"rational denominator must be positive, got {shown(den, format)}")
             return num, den
     raise ElementMismatch(
         f"expected a Fraction, an int, or a (num, den) pair, got {type(value).__name__}"

@@ -705,6 +705,16 @@ def test_encode_doc_reads_every_spelling_of_an_element(draw):
         assert encode_doc(tree, doc, "packed") == encode(tree, value, "packed")
 
 
+def _nested_list(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+_DEEP_LIST = _nested_list(5000)
+
+
 class TestFaultPaths:
     """Full messages and classes of faults deep in a tree, through every entry."""
 
@@ -724,8 +734,14 @@ class TestFaultPaths:
              "$[1]: 999 outside uint8 range"),
             (parse("hierar(0, omega, ([float64]))"), [1.0, math.nan], [1.0, math.nan],
              NaNRejected, "$[1]: NaN needs the nan_high policy"),
+            # Values whose repr fails are shown by their type's name.
+            (parse("uint8"), _DEEP_LIST, _DEEP_LIST, ElementMismatch, "$: list outside uint8 range"),
+            (parse("int64"), 10**5000, 10**5000, ElementMismatch, "$: int outside int64 range"),
         ],
-        ids=["bytes-in-case", "uint8-in-case", "master", "anti-rank", "nan-under-hierar"],
+        ids=[
+            "bytes-in-case", "uint8-in-case", "master", "anti-rank", "nan-under-hierar",
+            "list-too-deep-to-repr", "int-too-long-to-repr",
+        ],
     )
     def test_message_and_class(self, tree, value, doc, cls, message):
         for run in (
@@ -896,7 +912,7 @@ def test_equal_elements_share_one_key(seed):
 # Values that are elements of some trees and not of others; the JSON-decoded
 # ones are what a JSON Lines reader hands over.
 _MISFITS = [json.loads(text) for text in ("[0, 1]", "1.0", "true", '"ab"', "null", '{"hex": "61"}')]
-_MISFITS += [[97, 98], memoryview(b"q"), 2**70, math.nan, 1e300, (1, 0)]
+_MISFITS += [[97, 98], memoryview(b"q"), 2**70, math.nan, 1e300, (1, 0), _DEEP_LIST, 10**5000]
 
 
 def _mutate(rng, value):
