@@ -13,9 +13,12 @@ runs), which reads the dataset's JSON forms (decimal strings, {"hex":
 as it encodes; README "Dataset format" lists them.  The plan is Python
 source generated for the order and run once through ``exec``; its
 ``source`` attribute shows the code each record goes through.
-Keys leave as hex lines with --hex or length-prefixed binary (4-byte
-big-endian length before each key) by default.  Output goes out in
-chunks of ``_CHUNK`` lines or keys per write.
+Input is read ``_CHUNK`` raw lines at a time, and each batch is encoded
+in one loop before any of it is written.  Keys leave as hex lines with
+--hex or length-prefixed binary (4-byte big-endian length before each
+key) by default.  Output goes out in one write per batch, or per
+``_CHUNK`` lines of a sorted order, so a write holds at most ``_CHUNK``
+lines or keys: fewer when its batch held blank or skipped lines.
 
 Exit codes: 0 success, 1 user error (bad file, bad syntax, bad element),
 2 internal invariant failure.
@@ -29,6 +32,7 @@ import random
 import statistics
 import sys
 import time
+from itertools import islice
 from operator import attrgetter
 
 from . import _pure_sort
@@ -57,7 +61,7 @@ _INTERNAL_ERRORS = (CounterUnderflow, CounterOverflow, DepthOverflow, PrefixAnom
 
 _DEFAULT_BENCH_SIZES = [2 ** k for k in range(10, 23)]
 
-_CHUNK = 1024  # output lines (or key frames) per write call; never the whole output
+_CHUNK = 1024  # input lines per batch, and at most this many output lines (or key frames) per write
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -91,21 +95,6 @@ def _read_order(path: str) -> OrderNode:
     return parse_order(text)
 
 
-def _iter_lines(path: str):
-    """Yield (line_number, raw_line) for every input line, without its line ending.
-
-    Lines stay bytes so that one that is not UTF-8 fails on its own, with
-    its number, when the caller decodes it.
-    """
-    handle = sys.stdin.buffer if path == "-" else open(path, "rb")
-    try:
-        for number, raw in enumerate(handle, start=1):
-            yield number, raw.rstrip(b"\r\n")
-    finally:
-        if path != "-":
-            handle.close()
-
-
 _scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs
 # A document in a line shorter than this nests fewer than 256 levels deep,
 # far inside the recursion limit, so the scanner called here and inside
@@ -135,50 +124,56 @@ def _scan(line: str):
 
 
 def _encode_records(tree: OrderNode, path: str, mode: str, nan_high: bool, skip_bad: bool):
-    """Yield (line, key) for every record; bad lines raise or warn per skip_bad."""
-    encode_record = prepare(tree).plan(mode, nan_high=nan_high, doc=True)
-    for number, raw in _iter_lines(path):
-        try:
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ElementMismatch(f"not valid UTF-8: {exc}") from None
-            if not line.strip():
-                continue
-            doc = _scan(line)
-            if doc is _UNSCANNED:
-                try:
-                    doc = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    # ValueError covers JSONDecodeError and integers past the
-                    # interpreter's digit limit; RecursionError, deep nesting.
-                    raise ElementMismatch(f"not valid JSON: {exc}") from None
-            key = encode_record(doc)
-        except (ElementError, CountTooLarge) as exc:
-            message = f"line {number}: {exc}"
-            if skip_bad:
-                print(f"warning: skipped {message}", file=sys.stderr)
-                continue
-            raise ElementMismatch(message) from None
-        yield line, key
+    """Yield (lines, keys) for each batch of ``_CHUNK`` input lines; bad lines raise or warn per skip_bad.
 
-
-def _write_chunks(write, pieces, empty) -> None:
-    """Write the pieces, ``_CHUNK`` of them per ``write`` call.
-
-    Pieces made before the iterator raises are still written, as they
-    would be one call per piece.
+    A batch holds fewer lines and keys than it read when some of its lines
+    are blank or skipped.  Lines are read as bytes so that one that is not
+    UTF-8 fails on its own, with its number.  When a line raises, the keys
+    before it in its batch are yielded first, so they are still written.
     """
-    chunk = []
+    encode_record = prepare(tree).plan(mode, nan_high=nan_high, doc=True)
+    handle = sys.stdin.buffer if path == "-" else open(path, "rb")
+    number = 0  # the number of the last line read
     try:
-        for piece in pieces:
-            chunk.append(piece)
-            if len(chunk) == _CHUNK:
-                write(empty.join(chunk))
-                chunk.clear()
+        while True:
+            lines: list[str] = []
+            keys: list[bytes] = []
+            first = number
+            try:
+                for number, raw in enumerate(islice(handle, _CHUNK), first + 1):
+                    try:
+                        try:
+                            line = raw.rstrip(b"\r\n").decode("utf-8")
+                        except UnicodeDecodeError as exc:
+                            raise ElementMismatch(f"not valid UTF-8: {exc}") from None
+                        doc = _scan(line)
+                        if doc is _UNSCANNED:
+                            if not line.strip():  # a blank line never scans
+                                continue
+                            try:
+                                doc = json.loads(line)
+                            except (ValueError, RecursionError) as exc:
+                                # ValueError covers JSONDecodeError and integers past the
+                                # interpreter's digit limit; RecursionError, deep nesting.
+                                raise ElementMismatch(f"not valid JSON: {exc}") from None
+                        key = encode_record(doc)
+                    except (ElementError, CountTooLarge) as exc:
+                        message = f"line {number}: {exc}"
+                        if not skip_bad:
+                            raise ElementMismatch(message) from None
+                        print(f"warning: skipped {message}", file=sys.stderr)
+                        continue
+                    lines.append(line)
+                    keys.append(key)
+            except BaseException:
+                yield lines, keys
+                raise
+            if number == first:  # the input is used up
+                return
+            yield lines, keys
     finally:
-        if chunk:
-            write(empty.join(chunk))
+        if path != "-":
+            handle.close()
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +193,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_encode(args) -> int:
     tree = _read_order(args.order)
-    records = _encode_records(tree, args.data, args.mode, args.nan_high, args.skip_bad)
     out = sys.stdout
-    if args.hex:
-        _write_chunks(out.write, (key.hex().upper() + "\n" for _, key in records), "")
-    else:
-        frames = (len(key).to_bytes(4, "big") + key for _, key in records)
-        _write_chunks(out.buffer.write, frames, b"")
+    for _, keys in _encode_records(tree, args.data, args.mode, args.nan_high, args.skip_bad):
+        if not keys:
+            continue
+        if args.hex:
+            out.write("\n".join(map(bytes.hex, keys)).upper() + "\n")
+        else:
+            out.buffer.write(b"".join([len(key).to_bytes(4, "big") + key for key in keys]))
     out.flush()
     return 0
 
@@ -214,15 +210,14 @@ def _cmd_sort(args) -> int:
     mode = "packed" if prepare(tree).packed_ok else "padded"
     lines: list[str] = []
     keys: list[bytes] = []
-    for line, key in _encode_records(tree, args.data, mode, args.nan_high, args.skip_bad):
-        lines.append(line)
-        keys.append(key)
+    for batch_lines, batch_keys in _encode_records(tree, args.data, mode, args.nan_high, args.skip_bad):
+        lines += batch_lines
+        keys += batch_keys
     # Looked up on the module at call time, so a wrapper installed there sees the sort.
     order = _pure_sort.msd_sort_indices(keys)
-    if args.output == "lines":
-        _write_chunks(sys.stdout.write, (lines[index] + "\n" for index in order), "")
-    else:
-        _write_chunks(sys.stdout.write, map("{}\n".format, order), "")
+    shown = lines.__getitem__ if args.output == "lines" else str
+    for start in range(0, len(order), _CHUNK):
+        sys.stdout.write("\n".join(map(shown, order[start : start + _CHUNK])) + "\n")
     return 0
 
 

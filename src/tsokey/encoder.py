@@ -51,6 +51,7 @@ terminator, negatives flipping the whole payload behind a sign byte.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -559,6 +560,10 @@ _PLAN_HELPERS = {name: globals()[name] for name in (
 ).split()}
 
 
+# The code fields that name a function: 3.10 has no ``co_qualname``.
+_CODE_NAMES = ("co_name", "co_qualname") if sys.version_info >= (3, 11) else ("co_name",)
+
+
 @lru_cache(maxsize=4096)
 def _code(source: str):
     """The compiled source of one generated function; trees share most function shapes."""
@@ -598,7 +603,8 @@ class _Compiler:
     collation and called function, named in the order it makes them.  So the
     source holds only names and numbers computed here, never text from the
     tree, and equal shapes give equal text, which ``_code`` compiles once.
-    ``plan.source`` lists the functions, each headed by those it calls.
+    ``plan.source`` lists the functions, each headed by its number, the
+    name profiles and tracebacks show for it (``step_3``), and those it calls.
     Packed plans neither mark nor return tables.
     """
 
@@ -625,11 +631,16 @@ class _Compiler:
         source = "\n".join([f"def {name}({signature}):", *_indent(lines)]) + "\n"
         namespace = {**_PLAN_HELPERS, **self.scope}
         exec(_code(source), namespace)
+        function, number = namespace[name], len(self.listing)
+        # Renamed on a copy of its code, so the code ``_code`` caches per shape keeps ``step``.
+        label = f"{name}_{number}"
+        function.__code__ = function.__code__.replace(**dict.fromkeys(_CODE_NAMES, label))
+        function.__name__ = function.__qualname__ = label
         calls = [f"{key} = " + ", ".join(str(self.made[step]) for step in (steps if key[:5] == "cases" else [steps]))
                  for key, steps in self.scope.items() if key.startswith(("step_", "cases_"))]
-        self.made[namespace[name]] = len(self.listing)
-        self.listing.append(f"# function {len(self.listing)}{'; ' if calls else ''}{'; '.join(calls)}\n{source}")
-        return namespace[name]
+        self.made[function] = number
+        self.listing.append(f"# function {number} ({label}){'; ' if calls else ''}{'; '.join(calls)}\n{source}")
+        return function
 
     def plan(self, tree: OrderNode):
         lines, _ = self.body(tree, 0, (), "value")

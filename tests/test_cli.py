@@ -371,6 +371,71 @@ class TestChunkedOutput:
         keys = [encode(tree, v).hex().upper() for v in self.VALUES[:1500]]
         assert "".join(out.writes).splitlines() == keys
 
+    def _encode(self, monkeypatch, argv):
+        """main(argv) with stdout recorded: (exit code, the writes, their hex lines)."""
+        out = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        code = main(argv)
+        return code, out.writes, "".join(out.writes).splitlines()
+
+    def _hex(self, values):
+        tree = parse("uint16")
+        return [encode(tree, v).hex().upper() for v in values]
+
+    def test_bad_first_line_of_a_batch(self, tmp_path, monkeypatch, capsys):
+        order = write(tmp_path, "o.tsodl", "uint16")
+        data = jsonl(tmp_path, "d.jsonl", self.VALUES[:1024] + [-1] + self.VALUES[1024:])
+        code, writes, lines = self._encode(monkeypatch, ["encode", order, data, "--hex"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 1025: $: -1 outside uint16 range\n"
+        assert len(writes) == 1 and lines == self._hex(self.VALUES[:1024])
+
+    def test_skip_bad_on_both_sides_of_a_boundary(self, tmp_path, monkeypatch, capsys):
+        order = write(tmp_path, "o.tsodl", "uint16")
+        values = list(self.VALUES)
+        values[1023], values[1024] = -1, "x"
+        data = jsonl(tmp_path, "d.jsonl", values)
+        code, writes, lines = self._encode(monkeypatch, ["encode", order, data, "--hex", "--skip-bad"])
+        assert code == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert [w.split(":")[0] for w in warnings] == ["warning"] * 2
+        assert warnings[0].startswith("warning: skipped line 1024: ")
+        assert warnings[1].startswith("warning: skipped line 1025: ")
+        assert len(lines) == 2498 and lines == self._hex(values[:1023] + values[1025:])
+        assert [w.count("\n") for w in writes] == [1023, 1023, 452]
+
+    def test_blank_lines_around_a_boundary_keep_line_numbers(self, tmp_path, monkeypatch, capsys):
+        order = write(tmp_path, "o.tsodl", "uint16")
+        rows = [str(v) for v in self.VALUES[:1022]] + ["", "  ", "\t", "", "-1"]
+        data = write(tmp_path, "d.jsonl", "\n".join(rows) + "\n")
+        code, _, lines = self._encode(monkeypatch, ["encode", order, data, "--hex"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 1027: $: -1 outside uint16 range\n"
+        assert lines == self._hex(self.VALUES[:1022])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["encode", "--hex", "--skip-bad"], ["encode", "--skip-bad"], ["sort", "--skip-bad"]],
+        ids=["encode-hex", "encode-binary", "sort"],
+    )
+    def test_stdin_gives_the_same_bytes(self, tmp_path, monkeypatch, capsysbinary, argv):
+        order = write(tmp_path, "o.tsodl", "uint16")
+        values = list(self.VALUES)
+        values[1023], values[2047] = -1, "x"
+        rows = [json.dumps(v) for v in values]
+        rows[1024:1024] = ["", " "]
+        raw = ("\n".join(rows) + "\n").encode()
+        data = tmp_path / "d.jsonl"
+        data.write_bytes(raw)
+        command, *options = argv
+        assert main([command, order, str(data), *options]) == 0
+        from_file = capsysbinary.readouterr()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+        assert main([command, order, "-", *options]) == 0
+        assert capsysbinary.readouterr() == from_file
+        assert from_file.err.count(b"warning: skipped line") == 2
+        assert b"line 2050: " in from_file.err
+
 
 class TestSortCommand:
     def test_lines_output_keeps_original_text(self, tmp_path, capsys):

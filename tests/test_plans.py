@@ -1,6 +1,8 @@
 """The generated encode plans: pinned keys and faults, deep trees, the kept source."""
 
+import cProfile
 import pickle
+import pstats
 
 import pytest
 
@@ -101,3 +103,46 @@ def test_a_pickled_tree_leaves_its_cached_hash_behind():
     copy = pickle.loads(pickle.dumps(tree))
     assert copy == tree and copy._hash is None
     assert prepare(copy) is prepare(tree)
+
+
+# The order of perfbench's encode_nested workload: one sequence function each
+# for its lex, hierar and contrelex nodes, under the run function.
+NESTED_ORDER = (
+    "next(4, 5, (uint32, lex(0, omega, ([bytes])), hierar(0, omega, ([int16 desc])), "
+    "contrelex(0, omega, ([rational]))))"
+)
+
+
+def test_each_plan_function_has_a_row_of_its_own_in_a_profile():
+    plan = prepare(parse(NESTED_ORDER)).plan(doc=True)
+    docs = [[n, ["a", "bc"][: n % 3], [n, -n], [f"{n}/7"]] for n in range(50)]
+    profile = cProfile.Profile()
+    profile.runcall(lambda: [plan(doc) for doc in docs])
+    rows = {
+        name: calls
+        for (filename, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+        if filename == "<tsokey plan>"
+    }
+    assert rows == {"step_0": 50, "step_1": 50, "step_2": 50, "run_3": 50}
+    assert [line for line in plan.source.splitlines() if line.startswith("# function")] == [
+        "# function 0 (step_0)",
+        "# function 1 (step_1)",
+        "# function 2 (step_2)",
+        "# function 3 (run_3); step_5 = 0; step_6 = 1; step_7 = 2",
+    ]
+
+
+def test_renamed_functions_still_compile_each_shape_once():
+    tree = push_inv_to_leaves(parse(NESTED_ORDER))
+    encoder._compile(tree, False, False, True)
+    before = encoder._code.cache_info()
+    plan = encoder._compile(tree, False, False, True)
+    after = encoder._code.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == 4
+    # The cached code keeps the name its source gives it; each function got a renamed copy.
+    sources = [chunk.split("\n", 1)[1].rstrip("\n") + "\n" for chunk in plan.source.split("# function")[1:]]
+    cached = [next(c for c in encoder._code(source).co_consts if hasattr(c, "co_name")) for source in sources]
+    assert encoder._code.cache_info().misses == before.misses
+    assert [code.co_name for code in cached] == ["step", "step", "step", "run"]
+    assert plan.__code__ is not cached[-1] and plan.__code__.co_name == "run_3"

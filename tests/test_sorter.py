@@ -1,5 +1,8 @@
 """Tests for the sorter: cells, sort_cells and the key argsort."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from operator import attrgetter
 
@@ -77,6 +80,57 @@ class TestCells:
         cell = LongCell(b"a", 0)
         with pytest.raises(AttributeError):
             cell.ref = 1
+
+
+# One cell of each kind, with a twin built apart and a cell that differs.
+CELL_KINDS = pytest.mark.parametrize(
+    "cell, twin, other",
+    [
+        (ShortCell(b"12345678", 7), ShortCell(b"12345678", 7), ShortCell(b"12345678", 8)),
+        (LongCell(b"path", 7), LongCell(b"path", 7), LongCell(b"pat", 7)),
+    ],
+    ids=["short", "long"],
+)
+
+
+class TestCellContract:
+    """The cells behave as the frozen slotted dataclasses they are declared as."""
+
+    @CELL_KINDS
+    @pytest.mark.parametrize("field", ["key", "ref"])
+    def test_fields_cannot_be_set_or_deleted(self, cell, twin, other, field):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{field}'"):
+            setattr(cell, field, getattr(other, field))
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{field}'"):
+            delattr(cell, field)
+        assert cell == twin
+
+    @CELL_KINDS
+    def test_eq_hash_and_repr(self, cell, twin, other):
+        assert cell == twin and hash(cell) == hash(twin)
+        assert cell != other
+        assert hash(cell) == hash((cell.key, cell.ref))
+        assert cell != (cell.key, cell.ref)
+        assert repr(cell) == f"{type(cell).__name__}(key={cell.key!r}, ref=7)"
+        assert not hasattr(cell, "__dict__")
+        assert [f.name for f in dataclasses.fields(cell)] == ["key", "ref"]
+
+    @CELL_KINDS
+    def test_pickle_copy_and_replace_round_trip(self, cell, twin, other):
+        for copied in (pickle.loads(pickle.dumps(cell)), copy.copy(cell), copy.deepcopy(cell)):
+            assert type(copied) is type(cell) and copied == cell
+        assert dataclasses.replace(cell) == cell
+        assert dataclasses.replace(cell, key=other.key, ref=other.ref) == other
+        assert type(cell)(key=cell.key, ref=cell.ref) == cell
+
+    def test_short_cell_message_also_through_replace(self):
+        message = "short cell key must be 8 bytes, got 7"
+        with pytest.raises(ValueError) as direct:
+            ShortCell(b"\x00" * 7, 0)
+        assert str(direct.value) == message
+        with pytest.raises(ValueError) as replaced:
+            dataclasses.replace(ShortCell(b"\x00" * 8, 0), key=b"\x00" * 7)
+        assert str(replaced.value) == message
 
 
 class TestSortCells:
