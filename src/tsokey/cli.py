@@ -13,12 +13,17 @@ runs), which reads the dataset's JSON forms (decimal strings, {"hex":
 as it encodes; README "Dataset format" lists them.  The plan is Python
 source generated for the order and run once through ``exec``; its
 ``source`` attribute shows the code each record goes through.
-Input is read ``_CHUNK`` raw lines at a time, and each batch is encoded
-in one loop before any of it is written.  Keys leave as hex lines with
---hex or length-prefixed binary (4-byte big-endian length before each
-key) by default.  Output goes out in one write per batch, or per
-``_CHUNK`` lines of a sorted order, so a write holds at most ``_CHUNK``
-lines or keys: fewer when its batch held blank or skipped lines.
+A key depends on its record alone, so ``sort``, which holds every line
+and key until it sorts, keeps a memo from line text to key: each distinct
+line is scanned and encoded once, and equal lines share one key object.
+``encode`` streams and encodes every line, so its memory does not grow
+with the input.  Input is read ``_CHUNK`` raw lines at a time, and each
+batch is encoded in one loop before any of it is written.  Keys leave
+as hex lines with --hex or length-prefixed binary (4-byte big-endian
+length before each key) by default.  Output goes out in one write per
+batch, or per ``_CHUNK`` lines of a sorted order, so a write holds at
+most ``_CHUNK`` lines or keys: fewer when its batch held blank or
+skipped lines.
 
 Exit codes: 0 success, 1 user error (bad file, bad syntax, bad element),
 2 internal invariant failure.
@@ -32,6 +37,7 @@ import random
 import statistics
 import sys
 import time
+from functools import partial
 from itertools import islice
 from operator import attrgetter
 
@@ -123,13 +129,23 @@ def _scan(line: str):
     return _UNSCANNED
 
 
-def _encode_records(tree: OrderNode, path: str, mode: str, nan_high: bool, skip_bad: bool):
+def _encode_records(
+    tree: OrderNode, path: str, mode: str, nan_high: bool, skip_bad: bool, memo: dict | None = None
+):
     """Yield (lines, keys) for each batch of ``_CHUNK`` input lines; bad lines raise or warn per skip_bad.
 
     A batch holds fewer lines and keys than it read when some of its lines
     are blank or skipped.  Lines are read as bytes so that one that is not
     UTF-8 fails on its own, with its number.  When a line raises, the keys
     before it in its batch are yielded first, so they are still written.
+
+    With a ``memo`` dict, each line that encodes is stored as
+    ``memo[line] = key`` under its decoded text, and a later line with the
+    same text takes the stored key object and skips ``_scan``,
+    ``json.loads`` and the plan: a key depends on its record alone, so
+    equal lines share one key.  A line that fails is never stored, so each
+    copy of it fails again under its own number; blank lines never encode,
+    so they are never stored either.
     """
     encode_record = prepare(tree).plan(mode, nan_high=nan_high, doc=True)
     handle = sys.stdin.buffer if path == "-" else open(path, "rb")
@@ -146,6 +162,12 @@ def _encode_records(tree: OrderNode, path: str, mode: str, nan_high: bool, skip_
                             line = raw.rstrip(b"\r\n").decode("utf-8")
                         except UnicodeDecodeError as exc:
                             raise ElementMismatch(f"not valid UTF-8: {exc}") from None
+                        if memo is not None:
+                            key = memo.get(line)
+                            if key is not None:
+                                lines.append(line)
+                                keys.append(key)
+                                continue
                         doc = _scan(line)
                         if doc is _UNSCANNED:
                             if not line.strip():  # a blank line never scans
@@ -157,6 +179,8 @@ def _encode_records(tree: OrderNode, path: str, mode: str, nan_high: bool, skip_
                                 # interpreter's digit limit; RecursionError, deep nesting.
                                 raise ElementMismatch(f"not valid JSON: {exc}") from None
                         key = encode_record(doc)
+                        if memo is not None:
+                            memo[line] = key
                     except (ElementError, CountTooLarge) as exc:
                         message = f"line {number}: {exc}"
                         if not skip_bad:
@@ -210,7 +234,10 @@ def _cmd_sort(args) -> int:
     mode = "packed" if prepare(tree).packed_ok else "padded"
     lines: list[str] = []
     keys: list[bytes] = []
-    for batch_lines, batch_keys in _encode_records(tree, args.data, mode, args.nan_high, args.skip_bad):
+    # Every line and key is held until the sort anyway, so the memo adds only
+    # its hash table, and that goes with the generator, before the sort runs.
+    batches = _encode_records(tree, args.data, mode, args.nan_high, args.skip_bad, memo={})
+    for batch_lines, batch_keys in batches:
         lines += batch_lines
         keys += batch_keys
     # Looked up on the module at call time, so a wrapper installed there sees the sort.
@@ -259,6 +286,13 @@ def _bench_keys(generator: str, tree: OrderNode | None, rng: random.Random, n: i
     return [encode(random_element(rng, tree)) for _ in range(n)]
 
 
+def _time_ns(run) -> int:
+    """Wall time of one call of ``run``, in nanoseconds."""
+    start = time.perf_counter_ns()
+    run()
+    return time.perf_counter_ns() - start
+
+
 def _cmd_bench(args) -> int:
     tree = None
     if args.gen == "custom":
@@ -280,15 +314,15 @@ def _cmd_bench(args) -> int:
             t0 = time.perf_counter_ns()
             keys = _bench_keys(args.gen, tree, rng, n)
             t1 = time.perf_counter_ns()
-            _pure_sort.msd_sort_indices(keys)
-            t2 = time.perf_counter_ns()
             cells = list(map(LongCell, keys, range(n)))
-            t3 = time.perf_counter_ns()
-            sorted(cells, key=attrgetter("key"))
-            t4 = time.perf_counter_ns()
+            run_argsort = partial(_pure_sort.msd_sort_indices, keys)
+            run_comparison = partial(sorted, cells, key=attrgetter("key"))
+            # A, B, B, A over the same keys, keeping each sort's minimum, so
+            # a change in machine load during the repeat hits both sorts alike.
+            a1, b1, b2, a2 = map(_time_ns, (run_argsort, run_comparison, run_comparison, run_argsort))
             nextify_runs.append(t1 - t0)
-            argsort_runs.append(t2 - t1)
-            comparison_runs.append(t4 - t3)
+            argsort_runs.append(min(a1, a2))
+            comparison_runs.append(min(b1, b2))
         nextify = int(statistics.median(nextify_runs))
         argsort = int(statistics.median(argsort_runs))
         comparison = int(statistics.median(comparison_runs))

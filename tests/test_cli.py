@@ -534,6 +534,118 @@ class TestSortCommand:
         assert got == sorted(range(len(docs)), key=by_compare)
 
 
+class TestRepeatedLines:
+    """``sort`` encodes each distinct line once; equal lines share its key."""
+
+    ORDER = "next(2, 3, (int32 desc, bytes))"
+
+    def _rows(self):
+        """2500 records drawn from 60 distinct lines, two spellings of one record among them."""
+        compact = (",", ":")
+        pool = [json.dumps([i % 7 - 3, "abcdef"[i % 6] * (1 + i // 42)], separators=compact) for i in range(59)]
+        pool.append(pool[0].replace(",", ", "))
+        rng = random.Random(13)
+        rows = [rng.choice(pool) for _ in range(2500)]
+        rows[1023] = rows[1024] = rows[2047] = rows[0]  # copies on both sides of each batch boundary
+        return rows
+
+    def _counting_plans(self, monkeypatch):
+        """Patch ``cli.prepare`` so that every call of the plans it returns is recorded."""
+        import tsokey.cli as cli
+
+        real_prepare = cli.prepare
+        calls = []
+
+        class Counting:
+            def __init__(self, prepared):
+                self._prepared = prepared
+
+            def __getattr__(self, name):
+                return getattr(self._prepared, name)
+
+            def plan(self, *args, **kwargs):
+                plan = self._prepared.plan(*args, **kwargs)
+
+                def counted(doc):
+                    calls.append(doc)
+                    return plan(doc)
+
+                return counted
+
+        monkeypatch.setattr(cli, "prepare", lambda tree: Counting(real_prepare(tree)))
+        return calls
+
+    @pytest.mark.parametrize("output", ["lines", "indices"])
+    def test_sort_is_a_stable_sort_of_per_line_keys(self, tmp_path, capsys, output):
+        rows = self._rows()
+        order = write(tmp_path, "o.tsodl", self.ORDER)
+        data = write(tmp_path, "d.jsonl", "\n".join(rows) + "\n")
+        assert main(["sort", order, data, "--output", output]) == 0
+        tree = parse(self.ORDER)
+        mode = "packed" if prepare(tree).packed_ok else "padded"
+        keys = [encode_doc(tree, json.loads(row), mode) for row in rows]
+        expected = sorted(range(len(rows)), key=keys.__getitem__)
+        shown = rows.__getitem__ if output == "lines" else str
+        assert capsys.readouterr().out.splitlines() == list(map(shown, expected))
+
+    def test_one_plan_call_per_distinct_valid_line(self, tmp_path, monkeypatch, capsys):
+        rows = self._rows()
+        order = write(tmp_path, "o.tsodl", self.ORDER)
+        data = write(tmp_path, "d.jsonl", "\n".join(rows) + "\n")
+        calls = self._counting_plans(monkeypatch)
+        assert main(["sort", order, data, "--output", "indices"]) == 0
+        assert len(calls) == len(set(rows)) == 60
+        assert len(capsys.readouterr().out.splitlines()) == 2500
+        # encode streams: every line goes through the plan.
+        calls.clear()
+        assert main(["encode", order, data, "--hex"]) == 0
+        assert len(calls) == 2500
+        assert len(capsys.readouterr().out.splitlines()) == 2500
+
+    @pytest.mark.parametrize("bad", ['[3,]', '[3, 5]'], ids=["json", "plan"])
+    def test_repeated_bad_line_fails_per_copy(self, tmp_path, capsys, bad):
+        rows = self._rows()
+        for number in (5, 1024, 1025, 2400):
+            rows[number - 1] = bad
+        order = write(tmp_path, "o.tsodl", self.ORDER)
+        data = write(tmp_path, "d.jsonl", "\n".join(rows) + "\n")
+        assert main(["sort", order, data, "--output", "indices", "--skip-bad"]) == 0
+        captured = capsys.readouterr()
+        warnings = captured.err.splitlines()
+        assert [w.split(":")[0] for w in warnings] == ["warning"] * 4
+        numbers = [int(w.split(":")[1].removeprefix(" skipped line ")) for w in warnings]
+        assert numbers == [5, 1024, 1025, 2400]
+        assert len(set(w.split(": ", 2)[2] for w in warnings)) == 1
+        assert len(captured.out.splitlines()) == 2496
+        assert main(["sort", order, data]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 5: ")
+
+    @pytest.mark.parametrize(
+        "output, expected",
+        [("indices", ["0", "2", "3", "1"]), ("lines", ['[3,"b"]'] * 3 + ['[1,"a"]'])],
+    )
+    def test_crlf_and_lf_copies_are_equal(self, tmp_path, capsys, output, expected):
+        order = write(tmp_path, "o.tsodl", self.ORDER)
+        data = tmp_path / "d.jsonl"
+        data.write_bytes(b'[3,"b"]\r\n[1,"a"]\n[3,"b"]\n[3,"b"]\r\n')
+        assert main(["sort", order, str(data), "--output", output]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_blank_lines_keep_line_numbers(self, tmp_path, capsys):
+        order = write(tmp_path, "o.tsodl", self.ORDER)
+        rows = ['[1,"a"]', "", '[1,"a"]', "  ", "\t", '[1,"a"]', "", '[1,"a"]', '"x"', "  ", '"x"']
+        data = write(tmp_path, "d.jsonl", "\n".join(rows) + "\n")
+        assert main(["sort", order, data, "--output", "indices", "--skip-bad"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["0", "1", "2", "3"]
+        warnings = captured.err.splitlines()
+        assert [w.split(": ")[1] for w in warnings] == ["skipped line 9", "skipped line 11"]
+        assert main(["sort", order, data]) == 1
+        assert capsys.readouterr().err.startswith("error: line 9: ")
+
+
 class TestBenchCommand:
     HEADER = "generator,n,nextify_ns,radix_sort_ns,comparison_sort_ns,ratio"
 
