@@ -13,9 +13,10 @@ runs), which reads the dataset's JSON forms (decimal strings, {"hex":
 as it encodes; README "Dataset format" lists them.  The plan is Python
 source generated for the order and run once through ``exec``; its
 ``source`` attribute shows the code each record goes through.
-A key depends on its record alone, so ``sort``, which holds every line
-and key until it sorts, keeps a memo from line text to key: each distinct
-line is scanned and encoded once, and equal lines share one key object.
+A key depends on its record alone, so ``sort``, which holds every key
+(and, for ``--output lines``, every line) until it sorts, keeps a memo
+from line text to key: each distinct line is scanned and encoded once,
+and equal lines share one key object.
 ``encode`` streams and encodes every line, so its memory does not grow
 with the input.  Input is read ``_CHUNK`` raw lines at a time, and each
 batch is encoded in one loop before any of it is written.  Keys leave
@@ -96,7 +97,7 @@ def _read_order(path: str) -> OrderNode:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = raw[: exc.start].decode("utf-8")
-        span = SourceSpan(before.count("\n") + 1, len(before) - before.rfind("\n"), len(before))
+        span = SourceSpan.at(before, len(before))
         raise TsodlSyntaxError(span, "UTF-8 text", f"byte 0x{raw[exc.start]:02x}") from None
     return parse_order(text)
 
@@ -234,11 +235,13 @@ def _cmd_sort(args) -> int:
     mode = "packed" if prepare(tree).packed_ok else "padded"
     lines: list[str] = []
     keys: list[bytes] = []
-    # Every line and key is held until the sort anyway, so the memo adds only
-    # its hash table, and that goes with the generator, before the sort runs.
+    # Every key is held until the sort anyway, so the memo adds only its hash
+    # table and one copy of each distinct line, and that goes with the
+    # generator, before the sort runs.
     batches = _encode_records(tree, args.data, mode, args.nan_high, args.skip_bad, memo={})
     for batch_lines, batch_keys in batches:
-        lines += batch_lines
+        if args.output == "lines":
+            lines += batch_lines
         keys += batch_keys
     # Looked up on the module at call time, so a wrapper installed there sees the sort.
     order = _pure_sort.msd_sort_indices(keys)

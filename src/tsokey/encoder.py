@@ -72,7 +72,9 @@ from .errors import (
     shown,
 )
 from .order_model import (
+    COUNT_CAP,
     KIND_TABLE,
+    MAX_DEPTH,
     OMEGA,
     Builtin,
     BuiltinKind,
@@ -106,7 +108,6 @@ __all__ = [
 ]
 
 PAD_DEFAULT = 0xF0  # lex counter 15, contrelex counter 0
-COUNT_CAP = 1 << 64
 
 _PAD_TRIPLE = bytes((PAD_DEFAULT, PAD_DEFAULT, PAD_DEFAULT))
 _LEAF_TRIPLE = bytes((PAD_DEFAULT, 0x00, 0xE0))  # a one-byte leaf, data byte zero
@@ -132,21 +133,12 @@ def wrap_finite_leaf(data: bytes) -> bytes:
 
 def empty_sequence_pattern(kind: SeqKind, depth: int) -> bytes:
     """The single triple standing for an empty sequence at a given node depth."""
-    if depth < 0 or depth > 14:
+    if depth < 0 or depth > MAX_DEPTH:
         raise DepthOverflow(f"empty-sequence marker cannot store depth {depth}")
-    if kind in (SeqKind.CONTRELEX, SeqKind.ANTICONTRELEX):
+    if kind.end_mark == "C":
         return bytes((0xF0 | (15 - depth), 0x00, PAD_DEFAULT))
     # lex family and next: sorts below every non-empty encoding
     return bytes(((depth << 4), 0x00, PAD_DEFAULT))
-
-
-# Which sequence kinds leave a mark on the final byte of their encoding.
-_CHAIN_CHAR = {
-    SeqKind.LEX: "L",
-    SeqKind.ANTILEX: "L",
-    SeqKind.CONTRELEX: "C",
-    SeqKind.ANTICONTRELEX: "C",
-}
 
 
 @lru_cache(maxsize=None)
@@ -283,42 +275,41 @@ def _spread(data: bytes) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _rational_fragments(spread):
-    """The precomputed fragments of the rational walk, each passed through ``spread``.
+def _rational_fragments():
+    """The precomputed fragments of the rational walk, in padding triples.
 
     ``signs[inverted][negative]`` is the sign byte, ``terms[flip][t]`` the
     unit of a term t below 256 (flag 00, then the count header 80 01 t), and
     ``terminators[flip]`` the infinity terminator 01; ``flip`` 1 bit-flips a
-    fragment.  Two sets exist, raw (``spread`` is ``bytes``) and padded
-    (``_spread``), about 30 KB each, built on first use so that a process
-    encoding no rational builds neither.
+    fragment.  About 30 KB, built on first use so that a process encoding
+    no rational builds none.
     """
 
     def pair(data: bytes):
-        return spread(data), spread(data.translate(_FLIP))
+        return _spread(data), _spread(data.translate(_FLIP))
 
-    signs = (spread(b"\x01"), spread(b"\x00")), (spread(b"\xfe"), spread(b"\xff"))
+    signs = (_spread(b"\x01"), _spread(b"\x00")), (_spread(b"\xfe"), _spread(b"\xff"))
     units = [pair(bytes((0x00, 0x80, 0x01, term))) for term in range(256)]
     terms = tuple(unit[0] for unit in units), tuple(unit[1] for unit in units)
-    return signs, terms, pair(b"\x01"), spread
+    return signs, terms, pair(b"\x01")
 
 
-def _wide_unit(term: int, flip, spread) -> bytes:
+def _wide_unit(term: int, flip) -> bytes:
     """The unit of a continued-fraction term of 256 or more: flag 00 and its count header."""
     unit = b"\x00" + _count_header_unbounded(term)
-    return spread(unit.translate(_FLIP) if flip else unit)
+    return _spread(unit.translate(_FLIP) if flip else unit)
 
 
 def _rational_walk(num: int, den: int, inverted: bool, out: bytearray, fragments) -> None:
-    """Append the key of num/den (den > 0), bit-flipped when ``inverted``, to ``out``.
+    """Append the key of num/den (den > 0) in padding triples, bit-flipped when ``inverted``, to ``out``.
 
     One Euclid ``divmod`` per continued-fraction term, two terms per pass so
     that the pair never swaps.  A term below 256 appends its precomputed
     unit, of the flip state of its rank; a larger one builds its uncapped
-    count header, so terms of any size encode.  ``rational_key`` runs this
-    walk over the raw fragments and rational plan steps over the padded ones.
+    count header, so terms of any size encode.  ``rational_key`` and the
+    rational plan steps both run this walk.
     """
-    signs, terms, terminators, spread = fragments
+    signs, terms, terminators = fragments
     negative = num < 0
     out += signs[inverted][negative]
     if negative:
@@ -327,12 +318,12 @@ def _rational_walk(num: int, den: int, inverted: bool, out: bytearray, fragments
     even, odd = terms[flip], terms[flip ^ 1]
     while True:
         term, num = divmod(num, den)
-        out += even[term] if term < 256 else _wide_unit(term, flip, spread)
+        out += even[term] if term < 256 else _wide_unit(term, flip)
         if not num:
             out += terminators[flip ^ 1]
             return
         term, den = divmod(den, num)
-        out += odd[term] if term < 256 else _wide_unit(term, flip ^ 1, spread)
+        out += odd[term] if term < 256 else _wide_unit(term, flip ^ 1)
         if not den:
             out += terminators[flip]
             return
@@ -345,17 +336,17 @@ def rational_key(p: int, q: int) -> bytes:
     continued-fraction terms of |p|/q, each a flag byte 0x00 plus an
     uncapped count header, closed by an infinity terminator flag 0x01;
     terms sitting at odd ranks are bit-flipped, and for negative p the
-    whole payload behind the sign byte is bit-flipped.  The bytes come from
-    the one continued-fraction walk the encode plans run, over a table of
-    the precomputed units of every term below 256.
+    whole payload behind the sign byte is bit-flipped.  The bytes are the
+    data bytes of the one continued-fraction walk the encode plans run,
+    over a table of the precomputed units of every term below 256.
     """
     if q == 0:
         raise ZeroDenominator("denominator is zero")
     if q < 0:
         raise ValueError("rational_key needs q > 0")
     out = bytearray()
-    _rational_walk(p, q, False, out, _rational_fragments(bytes))
-    return bytes(out)
+    _rational_walk(p, q, False, out, _rational_fragments())
+    return bytes(out[1::3])
 
 
 def compare_keys(a: bytes, b: bytes) -> Ordering:
@@ -772,7 +763,7 @@ class _Compiler:
                 "else:",
                 f"    num, den = _rational({var})",
             ]
-        fragments = self.const(_rational_fragments(_spread), "fragments")
+        fragments = self.const(_rational_fragments(), "fragments")
         return lines + [f"_rational_walk(num, den, {bool(node.inverted)}, out, {fragments})", "out[-1] = 0xE0"]
 
     def byte_string(self, node: Builtin, depth: int, chain, var: str):
@@ -782,7 +773,7 @@ class _Compiler:
         table = None if node.collation is None else bytes(node.collation)
         if node.inverted:
             table = _FLIP if table is None else table.translate(_FLIP)
-        ends = self.ends(0xE0, chain + (_CHAIN_CHAR[kind],))
+        ends = self.ends(0xE0, chain + (kind.end_mark,))
         if self.doc:  # a str, as JSON gives, first; _bytes words the fault of a lone surrogate
             fallback = f"{var} = _bytes({var}, True)"
             encode = ["try:", f"    {var} = {var}.encode()", "except UnicodeEncodeError:", f"    {fallback}"]
@@ -805,8 +796,8 @@ class _Compiler:
 
     def sequence(self, node: SeqOp, depth: int, chain, var: str):
         kind, min_len, max_len = node.kind, node.min_len, node.max_len
-        marks = not self.packed and kind in _CHAIN_CHAR
-        inner = chain + (_CHAIN_CHAR[kind],) if marks else chain
+        mark = None if self.packed else kind.end_mark
+        inner = chain + (mark,) if mark else chain
         steps = [self.step(child, depth + 1, inner, "item") for child in node.prelude + node.period]
         plain = f"type({var}) is list" + ("" if self.doc else f" or type({var}) is tuple")
         lines = [f"items = {var} if {plain} else _items({var}, {self.doc})", "length = len(items)"]
@@ -821,7 +812,7 @@ class _Compiler:
         items = self.items(node, [code if ends == "last" else code + [f"last = {ends}"] for code, ends in steps])
         # An empty element writes the hierar header alone, or the empty-sequence marker.
         if kind.is_hierar_family:
-            flip = kind in (SeqKind.CONTREHIERAR, SeqKind.ANTICONTREHIERAR)
+            flip = not kind.shorter_sorts_first  # the contre kinds: longer sequences first
             wide = "_count_header_unbounded(length)" + (".translate(_FLIP)" if flip else "")
             headers = self.const(_hierar_headers()[flip], "headers")
             lines.append(f"out += {headers}[length] if length < 256 else wrap_finite_leaf({wide})")
@@ -831,7 +822,7 @@ class _Compiler:
             empty = [f"out += {marker}", f"last = {self.ends(PAD_DEFAULT, chain)}"]
         if not items:
             return lines + empty, "last"
-        if marks:
+        if mark:
             items.append(f"out[-1] = last[{len(chain)}]")
         if min_len or kind.is_hierar_family:
             return lines + (empty if not min_len else []) + items, "last"

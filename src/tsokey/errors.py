@@ -8,6 +8,8 @@ mean validation let a bad tree through) to exit code 2.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 
 class TsokeyError(Exception):
     """Base class for all package errors."""
@@ -142,29 +144,21 @@ class MixedCellKinds(TsokeyError):
 # Order definition language
 
 
+@dataclass(frozen=True, slots=True)
 class SourceSpan:
     """Position of a token in a definition file: 1-based line and column."""
 
-    __slots__ = ("line", "column", "offset")
+    line: int
+    column: int
+    offset: int
 
-    def __init__(self, line: int, column: int, offset: int):
-        self.line = line
-        self.column = column
-        self.offset = offset
-
-    def __repr__(self) -> str:
-        return f"SourceSpan(line={self.line}, column={self.column}, offset={self.offset})"
+    @classmethod
+    def at(cls, text: str, offset: int) -> SourceSpan:
+        """The span of ``offset`` in ``text``: only ``\\n`` ends a line, and a column counts characters."""
+        return cls(text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset), offset)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SourceSpan):
-            return NotImplemented
-        return (self.line, self.column, self.offset) == (other.line, other.column, other.offset)
-
-    def __hash__(self) -> int:
-        return hash((self.line, self.column, self.offset))
 
 
 class TsodlSyntaxError(TsokeyError):

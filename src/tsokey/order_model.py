@@ -84,11 +84,10 @@ __all__ = [
     "push_inv_to_leaves",
 ]
 
-# Budgets imposed by the key format: padding nibbles hold 0..15 and the
-# empty-sequence marker stores the node depth in one nibble.
+# The key format's one nesting budget: the empty-sequence marker stores the
+# node depth in one nibble, and the padding nibbles (0..15) then hold every
+# end mark too, since no path has more marking levels than operator levels.
 MAX_DEPTH = 14
-MAX_LEX_PATH = 14  # one decrement is reserved for the leaf itself
-MAX_CONTRELEX_PATH = 15
 
 COUNT_CAP = 1 << 64  # sequence counts and finite ranks must stay below this
 
@@ -155,6 +154,14 @@ class SeqKind(str, Enum):
             SeqKind.ANTIHIERAR,
             SeqKind.ANTICONTREHIERAR,
         )
+
+    @property
+    def end_mark(self) -> str | None:
+        """The mark the kind's encoding leaves on its final byte: "L" (lex family, a
+        step down), "C" (contrelex family, a step up), or None (next, hierar family)."""
+        if self.value.endswith("contrelex"):
+            return "C"
+        return "L" if self.value.endswith("lex") else None
 
     @property
     def shorter_sorts_first(self) -> bool:
@@ -488,17 +495,10 @@ def _walk_stats(node: OrderNode, path: str) -> tuple[int, int, int, bool]:
                 path,
                 f"sum has {len(node.cases)} cases for master cardinality {node.master.cardinality}",
             )
-        depth = lex_n = contre_n = 0
-        varlen = False
-        for index, case in enumerate(node.cases):
-            d, l, c, v = _walk_stats(case, f"{path}.cases[{index}]")
-            depth = max(depth, d)
-            lex_n = max(lex_n, l)
-            contre_n = max(contre_n, c)
-            varlen = varlen or v
-        return depth + 1, lex_n, contre_n, varlen
+        children = [(f"{path}.cases[{index}]", case) for index, case in enumerate(node.cases)]
+        mark, varlen = None, False
 
-    if isinstance(node, SeqOp):
+    elif isinstance(node, SeqOp):
         if not isinstance(node.min_len, int) or isinstance(node.min_len, bool) or node.min_len < 0:
             raise MalformedNode(path, f"min_len {node.min_len!r} must be a non-negative integer")
         bounded = node.max_len is not OMEGA
@@ -526,51 +526,36 @@ def _walk_stats(node: OrderNode, path: str) -> tuple[int, int, int, bool]:
                 raise AntiNotUniform(
                     f"{path}: {node.kind.value} requires an empty prelude and a one-order period"
                 )
+        children = [
+            (f"{path}.{part}[{index}]", child)
+            for part in ("prelude", "period")
+            for index, child in enumerate(getattr(node, part))
+        ]
+        mark, varlen = node.kind.end_mark, node.max_len != node.min_len + 1
 
-        depth = lex_n = contre_n = 0
-        varlen = node.max_len != node.min_len + 1
-        for index, child in enumerate(node.prelude):
-            d, l, c, v = _walk_stats(child, f"{path}.prelude[{index}]")
-            depth = max(depth, d)
-            lex_n = max(lex_n, l)
-            contre_n = max(contre_n, c)
-            varlen = varlen or v
-        for index, child in enumerate(node.period):
-            d, l, c, v = _walk_stats(child, f"{path}.period[{index}]")
-            depth = max(depth, d)
-            lex_n = max(lex_n, l)
-            contre_n = max(contre_n, c)
-            varlen = varlen or v
+    else:
+        raise MalformedNode(path, f"not an order node: {type(node).__name__}")
 
-        if node.kind in (SeqKind.LEX, SeqKind.ANTILEX):
-            lex_n += 1
-        elif node.kind in (SeqKind.CONTRELEX, SeqKind.ANTICONTRELEX):
-            contre_n += 1
-        return depth + 1, lex_n, contre_n, varlen
-
-    raise MalformedNode(path, f"not an order node: {type(node).__name__}")
+    depth = lex_n = contre_n = 0
+    for child_path, child in children:
+        d, l, c, v = _walk_stats(child, child_path)
+        depth, lex_n, contre_n, varlen = max(depth, d), max(lex_n, l), max(contre_n, c), varlen or v
+    return depth + 1, lex_n + (mark == "L"), contre_n + (mark == "C"), varlen
 
 
 def validate(tree: OrderNode) -> PathStats:
     """Check every structural invariant of a tree and return its PathStats.
 
     Raises a ValidationError subclass naming the offending node path.  The
-    depth and counter budgets come from the key format: padding nibbles hold
-    0..15, one lex decrement is reserved for the leaf wrapping itself, and
-    empty-sequence markers store the node depth in one nibble.
+    one budget comes from the key format: empty-sequence markers store the
+    node depth in one nibble, so at most MAX_DEPTH operator levels nest.
+    Every level that adds to a lex or contrelex path is an operator level
+    (a bytes leaf counts as one), so both path counts are at most the
+    depth, and the padding nibbles (0..15) hold every end mark.
     """
     depth, lex_n, contre_n, varlen = _walk_stats(tree, "$")
     if depth > MAX_DEPTH:
         raise OrderTooDeep(f"operator nesting {depth} exceeds the maximum of {MAX_DEPTH}")
-    if lex_n > MAX_LEX_PATH:
-        raise OrderTooDeep(
-            f"{lex_n} decrementing operators on one path exceed the budget of "
-            f"{MAX_LEX_PATH} (one decrement is reserved for the leaf)"
-        )
-    if contre_n > MAX_CONTRELEX_PATH:
-        raise OrderTooDeep(
-            f"{contre_n} incrementing operators on one path exceed the budget of {MAX_CONTRELEX_PATH}"
-        )
     return PathStats(depth, lex_n, contre_n, varlen)
 
 

@@ -25,6 +25,7 @@ valid input.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 from .errors import SourceSpan, TsodlSyntaxError
@@ -43,7 +44,6 @@ from .order_model import (
 
 __all__ = ["parse", "serialize"]
 
-_PUNCT = "()[],="
 _HEX_DIGITS = frozenset("0123456789abcdef")
 _NAMED_COLLATIONS = ("ascii", "identity")  # both are the identity table
 
@@ -55,102 +55,81 @@ MAX_NESTING = 100
 _SEQ_KINDS = {kind.value: kind for kind in SeqKind}
 _BUILTIN_KINDS = {kind.value: kind for kind in BuiltinKind}
 
-
-class _Token:
-    __slots__ = ("kind", "text", "span")
-
-    def __init__(self, kind: str, text: str, span: SourceSpan):
-        self.kind = kind  # "word" | "punct" | "end"
-        self.text = text
-        self.span = span
-
-    def describe(self) -> str:
-        if self.kind == "end":
-            return "end of input"
-        return f"'{self.text}'"
+# Whitespace and comments, then a token (an ASCII word or one punctuation
+# character), then any other character, which is an error.
+_TOKEN = re.compile(r"[ \t\r\n]+|//[^\n]*|([A-Za-z0-9_]+|[()\[\],=])|(.)", re.DOTALL)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    column = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            column += 1
-            i += 1
-            continue
-        if ch == "/" and text[i + 1 : i + 2] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-                column += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, SourceSpan(line, column, i)))
-            column += 1
-            i += 1
-            continue
-        if ch.isascii() and (ch.isalnum() or ch == "_"):
-            start = i
-            start_column = column
-            while i < n and text[i].isascii() and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                column += 1
-            tokens.append(_Token("word", text[start:i], SourceSpan(line, start_column, start)))
-            continue
-        raise TsodlSyntaxError(SourceSpan(line, column, i), "a token", f"character {ch!r}")
-    tokens.append(_Token("end", "", SourceSpan(line, column, n)))
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """Each token's text and offset, then ``("", len(text))`` for the end of input."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        token, bad = match.groups()
+        if bad is not None:
+            raise TsodlSyntaxError(SourceSpan.at(text, match.start()), "a token", f"character {bad!r}")
+        if token is not None:
+            tokens.append((token, match.start()))
+    tokens.append(("", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
+    """One method per production; a token is consumed only once it has matched."""
+
+    def __init__(self, text: str):
+        self._text = text
+        self._tokens = _tokenize(text)
         self._pos = 0
         self._depth = 0
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
+    def _fail(self, expected: str) -> None:
+        token, offset = self._tokens[self._pos]
+        found = f"'{token}'" if token else "end of input"
+        raise TsodlSyntaxError(SourceSpan.at(self._text, offset), expected, found)
 
-    def _advance(self) -> _Token:
-        token = self._tokens[self._pos]
-        if token.kind != "end":
-            self._pos += 1
-        return token
+    def _peek(self) -> str:
+        return self._tokens[self._pos][0]
 
-    def _fail(self, expected: str, token: _Token | None = None) -> None:
-        token = token or self._peek()
-        raise TsodlSyntaxError(token.span, expected, token.describe())
+    def _accept(self, token: str) -> bool:
+        """Consume the next token if it is ``token``, a punctuation or a keyword in any case."""
+        if self._peek().lower() != token:
+            return False
+        self._pos += 1
+        return True
 
-    def _expect_punct(self, ch: str) -> _Token:
+    def _expect(self, token: str) -> None:
+        if not self._accept(token):
+            self._fail(f"'{token}'")
+
+    def _int(self, what: str) -> int:
         token = self._peek()
-        if token.kind != "punct" or token.text != ch:
-            self._fail(f"'{ch}'")
-        return self._advance()
-
-    def _at_punct(self, ch: str) -> bool:
-        token = self._peek()
-        return token.kind == "punct" and token.text == ch
-
-    def _int(self, what: str = "an integer") -> int:
-        token = self._peek()
-        if token.kind != "word" or not token.text.isdigit():
+        if not token.isdigit():
             self._fail(what)
-        self._advance()
-        return int(token.text)
+        self._pos += 1
+        return int(token)
 
-    def _hexlist(self, token: _Token, what: str) -> tuple[int, ...]:
-        word = token.text.lower()
-        if len(word) % 2 != 0 or not set(word) <= _HEX_DIGITS:
-            self._fail(what, token)
-        return tuple(int(word[i : i + 2], 16) for i in range(0, len(word), 2))
+    def _nodes(self) -> tuple[OrderNode, ...]:
+        """A comma-separated node list: a prelude, a period or the cases of a sum."""
+        nodes = [self.node()]
+        while self._accept(","):
+            nodes.append(self.node())
+        return tuple(nodes)
+
+    def _collation(self, named: bool) -> tuple[int, ...] | None:
+        """The table of a ``collation=`` clause; with ``named`` (a bytes leaf) a name means None."""
+        what = "a collation name or hex byte table" if named else "a hex byte table"
+        self._expect("collation")
+        self._expect("=")
+        word = self._peek().lower()
+        table = None
+        if not named or word not in _NAMED_COLLATIONS:
+            if not word or len(word) % 2 != 0 or not set(word) <= _HEX_DIGITS:
+                self._fail(what)
+            table = tuple(bytes.fromhex(word))
+            if named and len(table) != 256:
+                self._fail("a 256-entry hex byte table")
+        self._pos += 1
+        return table
 
     # -- productions --------------------------------------------------------
 
@@ -163,17 +142,14 @@ class _Parser:
         return tree
 
     def _node(self) -> OrderNode:
-        token = self._peek()
-        if token.kind != "word":
-            self._fail("an order node")
-        word = token.text.lower()
+        word = self._peek().lower()
         if word == "finite":
             return self.finite()
         if word == "inv":
-            self._advance()
-            self._expect_punct("(")
+            self._pos += 1
+            self._expect("(")
             child = self.node()
-            self._expect_punct(")")
+            self._expect(")")
             if isinstance(child, Builtin):
                 return replace(child, inverted=not child.inverted)
             return Inv(child)
@@ -186,109 +162,54 @@ class _Parser:
         self._fail("an order node")
 
     def finite(self) -> Finite:
-        token = self._peek()
-        if token.kind != "word" or token.text.lower() != "finite":
-            self._fail("'finite'")
-        self._advance()
-        self._expect_punct("(")
+        self._expect("finite")
+        self._expect("(")
         cardinality = self._int("a cardinality")
-        collation = None
-        if self._at_punct(","):
-            self._advance()
-            key = self._peek()
-            if key.kind != "word" or key.text.lower() != "collation":
-                self._fail("'collation'")
-            self._advance()
-            self._expect_punct("=")
-            value = self._peek()
-            if value.kind != "word":
-                self._fail("a hex byte table")
-            self._advance()
-            collation = self._hexlist(value, "a hex byte table")
-        self._expect_punct(")")
+        collation = self._collation(named=False) if self._accept(",") else None
+        self._expect(")")
         return Finite(cardinality, collation)
 
     def _builtin(self, kind: BuiltinKind) -> Builtin:
-        self._advance()
+        self._pos += 1
         collation = None
-        if self._at_punct("("):
+        if self._peek() == "(":
             if kind is not BuiltinKind.BYTES:
                 self._fail("'desc' or the end of the leaf")
-            self._advance()
-            key = self._peek()
-            if key.kind != "word" or key.text.lower() != "collation":
-                self._fail("'collation'")
-            self._advance()
-            self._expect_punct("=")
-            value = self._peek()
-            if value.kind != "word":
-                self._fail("a collation name or hex byte table")
-            self._advance()
-            if value.text.lower() in _NAMED_COLLATIONS:
-                collation = None
-            else:
-                collation = self._hexlist(value, "a collation name or hex byte table")
-                if len(collation) != 256:
-                    self._fail(
-                        "a 256-entry hex byte table",
-                        value,
-                    )
-            self._expect_punct(")")
-        inverted = False
-        trailer = self._peek()
-        if trailer.kind == "word" and trailer.text.lower() == "desc":
-            self._advance()
-            inverted = True
-        return Builtin(kind, collation, inverted)
+            self._pos += 1
+            collation = self._collation(named=True)
+            self._expect(")")
+        return Builtin(kind, collation, self._accept("desc"))
 
     def _seqop(self, kind: SeqKind) -> SeqOp:
-        self._advance()
-        self._expect_punct("(")
+        self._pos += 1
+        self._expect("(")
         min_len = self._int("a minimum length")
-        self._expect_punct(",")
-        bound = self._peek()
-        if bound.kind == "word" and bound.text.lower() == "omega":
-            self._advance()
-            max_len = OMEGA
-        else:
-            max_len = self._int("a maximum length or 'omega'")
-        self._expect_punct(",")
-        self._expect_punct("(")
-        prelude: list[OrderNode] = []
-        if not self._at_punct(")") and not self._at_punct("["):
-            prelude.append(self.node())
-            while self._at_punct(","):
-                self._advance()
-                prelude.append(self.node())
-        period: list[OrderNode] = []
-        if self._at_punct("["):
-            self._advance()
-            period.append(self.node())
-            while self._at_punct(","):
-                self._advance()
-                period.append(self.node())
-            self._expect_punct("]")
-        self._expect_punct(")")
-        self._expect_punct(")")
-        return SeqOp(kind, min_len, max_len, tuple(prelude), tuple(period))
+        self._expect(",")
+        max_len = OMEGA if self._accept("omega") else self._int("a maximum length or 'omega'")
+        self._expect(",")
+        self._expect("(")
+        prelude = () if self._peek() in (")", "[") else self._nodes()
+        period = ()
+        if self._accept("["):
+            period = self._nodes()
+            self._expect("]")
+        self._expect(")")
+        self._expect(")")
+        return SeqOp(kind, min_len, max_len, prelude, period)
 
     def _sum(self) -> Sum:
-        self._advance()
-        self._expect_punct("(")
+        self._pos += 1
+        self._expect("(")
         master = self.finite()
-        self._expect_punct(",")
-        self._expect_punct("(")
-        cases: list[OrderNode] = [self.node()]
-        while self._at_punct(","):
-            self._advance()
-            cases.append(self.node())
-        self._expect_punct(")")
-        self._expect_punct(")")
-        return Sum(master, tuple(cases))
+        self._expect(",")
+        self._expect("(")
+        cases = self._nodes()
+        self._expect(")")
+        self._expect(")")
+        return Sum(master, cases)
 
     def end(self) -> None:
-        token = self._peek()
-        if token.kind != "end":
+        if self._peek():
             self._fail("end of input")
 
 
@@ -298,7 +219,7 @@ def parse(text: str) -> OrderNode:
     Raises TsodlSyntaxError with the offending token's position on bad
     syntax and forwards ValidationError from the structural checks.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     tree = parser.node()
     parser.end()
     validate(tree)

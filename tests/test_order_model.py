@@ -294,3 +294,34 @@ def _walk(node):
         yield from _walk(node.master)
         for case in node.cases:
             yield from _walk(case)
+
+
+def _marking_chain(rng, levels, leaf):
+    """``levels`` lex- and contrelex-family nodes around ``leaf``, some under an Inv."""
+    node = leaf
+    for _ in range(levels):
+        kind = rng.choice((SeqKind.LEX, SeqKind.CONTRELEX, SeqKind.ANTILEX, SeqKind.ANTICONTRELEX))
+        bound = 3 if kind.is_anti else OMEGA
+        node = SeqOp(kind, 0, bound, (), (node,))
+        if rng.random() < 0.2:
+            node = Inv(node)
+    return node
+
+
+def test_path_counts_never_exceed_the_depth():
+    """validate has one cap, on depth: no accepted tree has more lex or contrelex levels on a path."""
+    rng = random.Random(17)
+    trees = [random_tree(rng, budget) for budget in range(15) for _ in range(60)]
+    for levels in range(16):
+        for leaf in (UINT8, BYTES, Builtin(BuiltinKind.BYTES, None, True), RATIONAL):
+            trees += [_marking_chain(rng, levels, leaf) for _ in range(8)]
+    accepted = 0
+    for tree in trees:
+        try:
+            stats = validate(tree)
+        except OrderTooDeep:
+            continue
+        accepted += 1
+        assert stats.max_lex_path <= stats.depth
+        assert stats.max_contrelex_path <= stats.depth
+    assert accepted > len(trees) // 2
