@@ -28,19 +28,21 @@ skipped lines.
 
 Exit codes: 0 success, 1 user error (bad file, bad syntax, bad element),
 2 internal invariant failure.
+
+What only ``bench`` and ``selftest`` use is imported inside them, so
+``validate``, ``encode`` and ``sort`` load none of it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
-import statistics
 import sys
 import time
 from functools import partial
 from itertools import islice
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from . import _pure_sort
 from .encoder import prepare
@@ -57,10 +59,10 @@ from .errors import (
     TsokeyError,
 )
 from .order_model import Builtin, BuiltinKind, OrderNode
-from .randgen import random_element
-from .selfcheck import run_selftest
-from .sorter import LongCell
 from .tsodl import parse as parse_order
+
+if TYPE_CHECKING:  # bench imports it when it runs
+    import random
 
 __all__ = ["main"]
 
@@ -131,14 +133,22 @@ def _scan(line: str):
 
 
 def _encode_records(
-    tree: OrderNode, path: str, mode: str, nan_high: bool, skip_bad: bool, memo: dict | None = None
+    tree: OrderNode,
+    path: str,
+    mode: str,
+    nan_high: bool,
+    skip_bad: bool,
+    memo: dict | None = None,
+    lines: list[str] | None = None,
 ):
-    """Yield (lines, keys) for each batch of ``_CHUNK`` input lines; bad lines raise or warn per skip_bad.
+    """Yield the keys of each batch of ``_CHUNK`` input lines; bad lines raise or warn per skip_bad.
 
-    A batch holds fewer lines and keys than it read when some of its lines
-    are blank or skipped.  Lines are read as bytes so that one that is not
+    A batch holds fewer keys than it read lines when some of its lines are
+    blank or skipped.  Lines are read as bytes so that one that is not
     UTF-8 fails on its own, with its number.  When a line raises, the keys
     before it in its batch are yielded first, so they are still written.
+    With a ``lines`` list, the decoded text of each line that gives a key
+    is appended to it, in step with the keys.
 
     With a ``memo`` dict, each line that encodes is stored as
     ``memo[line] = key`` under its decoded text, and a later line with the
@@ -153,7 +163,6 @@ def _encode_records(
     number = 0  # the number of the last line read
     try:
         while True:
-            lines: list[str] = []
             keys: list[bytes] = []
             first = number
             try:
@@ -163,39 +172,36 @@ def _encode_records(
                             line = raw.rstrip(b"\r\n").decode("utf-8")
                         except UnicodeDecodeError as exc:
                             raise ElementMismatch(f"not valid UTF-8: {exc}") from None
-                        if memo is not None:
-                            key = memo.get(line)
-                            if key is not None:
-                                lines.append(line)
-                                keys.append(key)
-                                continue
-                        doc = _scan(line)
-                        if doc is _UNSCANNED:
-                            if not line.strip():  # a blank line never scans
-                                continue
-                            try:
-                                doc = json.loads(line)
-                            except (ValueError, RecursionError) as exc:
-                                # ValueError covers JSONDecodeError and integers past the
-                                # interpreter's digit limit; RecursionError, deep nesting.
-                                raise ElementMismatch(f"not valid JSON: {exc}") from None
-                        key = encode_record(doc)
-                        if memo is not None:
-                            memo[line] = key
+                        key = memo.get(line) if memo is not None else None
+                        if key is None:
+                            doc = _scan(line)
+                            if doc is _UNSCANNED:
+                                if not line.strip():  # a blank line never scans
+                                    continue
+                                try:
+                                    doc = json.loads(line)
+                                except (ValueError, RecursionError) as exc:
+                                    # ValueError covers JSONDecodeError and integers past the
+                                    # interpreter's digit limit; RecursionError, deep nesting.
+                                    raise ElementMismatch(f"not valid JSON: {exc}") from None
+                            key = encode_record(doc)
+                            if memo is not None:
+                                memo[line] = key
                     except (ElementError, CountTooLarge) as exc:
                         message = f"line {number}: {exc}"
                         if not skip_bad:
                             raise ElementMismatch(message) from None
                         print(f"warning: skipped {message}", file=sys.stderr)
                         continue
-                    lines.append(line)
+                    if lines is not None:
+                        lines.append(line)
                     keys.append(key)
             except BaseException:
-                yield lines, keys
+                yield keys
                 raise
             if number == first:  # the input is used up
                 return
-            yield lines, keys
+            yield keys
     finally:
         if path != "-":
             handle.close()
@@ -219,7 +225,7 @@ def _cmd_validate(args) -> int:
 def _cmd_encode(args) -> int:
     tree = _read_order(args.order)
     out = sys.stdout
-    for _, keys in _encode_records(tree, args.data, args.mode, args.nan_high, args.skip_bad):
+    for keys in _encode_records(tree, args.data, args.mode, args.nan_high, args.skip_bad):
         if not keys:
             continue
         if args.hex:
@@ -233,25 +239,25 @@ def _cmd_encode(args) -> int:
 def _cmd_sort(args) -> int:
     tree = _read_order(args.order)
     mode = "packed" if prepare(tree).packed_ok else "padded"
-    lines: list[str] = []
+    lines: list[str] | None = [] if args.output == "lines" else None
     keys: list[bytes] = []
     # Every key is held until the sort anyway, so the memo adds only its hash
     # table and one copy of each distinct line, and that goes with the
     # generator, before the sort runs.
-    batches = _encode_records(tree, args.data, mode, args.nan_high, args.skip_bad, memo={})
-    for batch_lines, batch_keys in batches:
-        if args.output == "lines":
-            lines += batch_lines
+    batches = _encode_records(tree, args.data, mode, args.nan_high, args.skip_bad, memo={}, lines=lines)
+    for batch_keys in batches:
         keys += batch_keys
     # Looked up on the module at call time, so a wrapper installed there sees the sort.
     order = _pure_sort.msd_sort_indices(keys)
-    shown = lines.__getitem__ if args.output == "lines" else str
+    shown = str if lines is None else lines.__getitem__
     for start in range(0, len(order), _CHUNK):
         sys.stdout.write("\n".join(map(shown, order[start : start + _CHUNK])) + "\n")
     return 0
 
 
 def _cmd_selftest(args) -> int:
+    from .selfcheck import run_selftest
+
     results = run_selftest(seed=args.seed, golden_path=args.golden, trials=args.trials)
     failures = 0
     for result in results:
@@ -284,6 +290,8 @@ def _bench_keys(generator: str, tree: OrderNode | None, rng: random.Random, n: i
             for _ in range(n)
         ]
     # custom: random elements of the supplied order, padded keys
+    from .randgen import random_element
+
     assert tree is not None
     encode = prepare(tree).plan()
     return [encode(random_element(rng, tree)) for _ in range(n)]
@@ -297,6 +305,11 @@ def _time_ns(run) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import random
+    import statistics
+
+    from .sorter import LongCell
+
     tree = None
     if args.gen == "custom":
         if not args.order:

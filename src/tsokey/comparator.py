@@ -13,6 +13,9 @@ encoder is tested against.  ``compare`` walks the tree recursively:
 
 Floats follow the total order of the key format: -0.0 sorts below +0.0 and,
 under the nan_high policy, every NaN is one equivalence class above +inf.
+
+``compare_keys`` gives the same ``Ordering`` for two encoded keys, by their
+bytes alone; the tests hold it equal to ``compare`` on the elements.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import struct
 from enum import IntEnum
 from typing import Optional
 
-from .errors import IncompatibleElements, shown
+from .errors import IncompatibleElements, PrefixAnomaly, shown
 from .order_model import (
     KIND_TABLE,
     Builtin,
@@ -37,7 +40,7 @@ from .order_model import (
     rational_parts,
 )
 
-__all__ = ["Ordering", "compare", "find_question"]
+__all__ = ["Ordering", "compare", "compare_keys", "find_question"]
 
 
 class Ordering(IntEnum):
@@ -48,6 +51,20 @@ class Ordering(IntEnum):
     @property
     def reversed(self) -> "Ordering":
         return Ordering(-self.value)
+
+
+def compare_keys(a: bytes, b: bytes) -> Ordering:
+    """Bytewise unsigned comparison of two encoded keys.
+
+    Distinct keys of the same order always disagree before either ends; a
+    strict prefix therefore means an encoder bug, and debug runs flag it.
+    """
+    if a == b:
+        return Ordering.EQUAL
+    if __debug__:
+        if a.startswith(b) or b.startswith(a):
+            raise PrefixAnomaly(f"key {a.hex()} is a strict prefix of {b.hex()}")
+    return Ordering.LESS if a < b else Ordering.GREATER
 
 
 def _cmp(a, b) -> Ordering:

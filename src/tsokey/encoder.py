@@ -57,7 +57,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .comparator import Ordering
 from .errors import (
     CounterOverflow,
     CounterUnderflow,
@@ -67,7 +66,6 @@ from .errors import (
     ElementMismatch,
     NaNRejected,
     PackedModeUnavailable,
-    PrefixAnomaly,
     ZeroDenominator,
     shown,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "encode_doc",
     "check_element",
     "encode_batch",
-    "compare_keys",
     "wrap_finite_leaf",
     "empty_sequence_pattern",
     "hierar_count_header",
@@ -347,20 +344,6 @@ def rational_key(p: int, q: int) -> bytes:
     out = bytearray()
     _rational_walk(p, q, False, out, _rational_fragments())
     return bytes(out[1::3])
-
-
-def compare_keys(a: bytes, b: bytes) -> Ordering:
-    """Bytewise unsigned comparison of two encoded keys.
-
-    Distinct keys of the same order always disagree before either ends; a
-    strict prefix therefore means an encoder bug, and debug runs flag it.
-    """
-    if a == b:
-        return Ordering.EQUAL
-    if __debug__:
-        if a.startswith(b) or b.startswith(a):
-            raise PrefixAnomaly(f"key {a.hex()} is a strict prefix of {b.hex()}")
-    return Ordering.LESS if a < b else Ordering.GREATER
 
 
 # ---------------------------------------------------------------------------

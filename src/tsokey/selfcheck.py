@@ -22,8 +22,8 @@ from importlib import resources
 from math import gcd
 from pathlib import Path
 
-from .comparator import Ordering, compare
-from .encoder import _count_header_unbounded, compare_keys, hierar_count_header, prepare, rational_key
+from .comparator import Ordering, compare, compare_keys
+from .encoder import _count_header_unbounded, hierar_count_header, prepare, rational_key
 from .randgen import random_pair, random_tree
 from .tsodl import parse
 

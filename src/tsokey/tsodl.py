@@ -26,6 +26,7 @@ valid input.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import replace
 
 from .errors import SourceSpan, TsodlSyntaxError
@@ -102,11 +103,16 @@ class _Parser:
             self._fail(f"'{token}'")
 
     def _int(self, what: str) -> int:
-        token = self._peek()
+        token, offset = self._tokens[self._pos]
         if not token.isdigit():
             self._fail(what)
+        try:
+            value = int(token)
+        except ValueError:  # more digits than the interpreter converts to an int
+            found = f"an integer of {len(token)} digits (more than {sys.get_int_max_str_digits()})"
+            raise TsodlSyntaxError(SourceSpan.at(self._text, offset), what, found) from None
         self._pos += 1
-        return int(token)
+        return value
 
     def _nodes(self) -> tuple[OrderNode, ...]:
         """A comma-separated node list: a prelude, a period or the cases of a sum."""

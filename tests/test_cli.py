@@ -96,6 +96,24 @@ class TestValidateCommand:
         assert re.match(r"error: 1:\d+: expected nodes nested at most 100 deep", err)
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+        reason="this interpreter reads integers of any length",
+    )
+    @pytest.mark.parametrize(
+        "before, after, position",
+        [("finite(", ")", "1:8"), ("// a comment\nlex(0, ", ", ([uint8]))", "2:8")],
+        ids=["cardinality", "lex-length-bound"],
+    )
+    def test_integer_past_the_digit_limit_is_positioned(self, tmp_path, capsys, before, after, position):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        order = write(tmp_path, "o.tsodl", before + digits + after)
+        assert main(["validate", order]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {position}: expected ")
+        assert f"found an integer of {len(digits)} digits" in captured.err
+
     def test_semantic_error(self, tmp_path, capsys):
         order = write(tmp_path, "bad.tsodl", "lex(0, 5, ())")
         assert main(["validate", order]) == 1

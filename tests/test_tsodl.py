@@ -1,6 +1,7 @@
 """Order definition text: parsing, serializing, and positioned errors."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -131,6 +132,31 @@ class TestSyntaxErrors:
             parse("finite(2)$")
         assert excinfo.value.span.column == 10
         assert "character" in excinfo.value.found
+
+
+# The interpreter's cap on the digits int() reads (0: no cap, as before 3.10.7).
+_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(_INT_DIGIT_LIMIT == 0, reason="this interpreter reads integers of any length")
+class TestIntegerPastTheDigitLimit:
+    @pytest.mark.parametrize(
+        "before, after, line, column, what",
+        [
+            ("finite(", ")", 1, 8, "a cardinality"),
+            ("// a comment\nlex(0, ", ", ([uint8]))", 2, 8, "a maximum length or 'omega'"),
+        ],
+        ids=["cardinality", "lex-length-bound"],
+    )
+    def test_is_a_positioned_syntax_error(self, before, after, line, column, what):
+        digits = "1" * (_INT_DIGIT_LIMIT + 1)
+        with pytest.raises(TsodlSyntaxError) as excinfo:
+            parse(before + digits + after)
+        error = excinfo.value
+        assert (error.span.line, error.span.column) == (line, column)
+        assert error.expected == what
+        assert error.found == f"an integer of {len(digits)} digits (more than {_INT_DIGIT_LIMIT})"
+        assert str(error).startswith(f"{line}:{column}: expected {what}, found ")
 
 
 class TestSerialize:
