@@ -49,7 +49,6 @@ from .encoder import prepare
 from .errors import (
     CounterOverflow,
     CounterUnderflow,
-    CountTooLarge,
     DepthOverflow,
     ElementError,
     ElementMismatch,
@@ -187,7 +186,7 @@ def _encode_records(
                             key = encode_record(doc)
                             if memo is not None:
                                 memo[line] = key
-                    except (ElementError, CountTooLarge) as exc:
+                    except ElementError as exc:
                         message = f"line {number}: {exc}"
                         if not skip_bad:
                             raise ElementMismatch(message) from None
@@ -362,6 +361,17 @@ def _positive_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _positive_int(text: str) -> int:
+    """A count of one or more: ``--repeat`` and ``--trials``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="tsokey",
@@ -394,13 +404,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--gen", choices=("uniform", "prefix", "custom"), default="uniform")
     p_bench.add_argument("--order", help="order file for --gen=custom")
     p_bench.add_argument("--n", type=_positive_sizes, default=None, help="comma-separated sizes")
-    p_bench.add_argument("--repeat", type=int, default=3, help="repeats per size (median wins)")
+    p_bench.add_argument("--repeat", type=_positive_int, default=3, help="repeats per size (median wins)")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_selftest = commands.add_parser("selftest", help="run the built-in checks")
     p_selftest.add_argument("--seed", type=int, default=0)
-    p_selftest.add_argument("--trials", type=int, default=2000, help="random equivalence trials")
+    p_selftest.add_argument("--trials", type=_positive_int, default=2000, help="random equivalence trials")
     p_selftest.add_argument("--golden", default=None, help="alternative golden-table file")
     p_selftest.set_defaults(func=_cmd_selftest)
 

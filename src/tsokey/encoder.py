@@ -53,7 +53,6 @@ from __future__ import annotations
 import struct
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
@@ -146,45 +145,32 @@ def _ending_values(base: int, kinds: tuple[str, ...]) -> tuple[int, ...]:
     out ("L" for lex family, "C" for contrelex family); entry j of the
     result is the byte shown once the innermost j of them have ended.  A
     key stopping at this byte must sort below any continuation of an open
-    lex node and above any continuation of an open contrelex node, which
-    pins the relative order of all the values: everything after an "L" at
-    value v stays below v, everything after a "C" stays above.  A leading
-    lex run therefore keeps the plain high-nibble decrement, and the rest
-    is laid out by rank inside the gap the last decrement opened (the
-    whole byte range above ``base`` when there is no leading run).
+    lex node and above any continuation of an open contrelex node: where
+    the current items are equal, a lex sequence that ends sorts first and
+    a contrelex one last.  A leading lex run therefore keeps the plain
+    high-nibble decrement.  After it, each contrelex end goes just above
+    the previous mark and each lex end just below it, and the marks are
+    numbered upward from one above the floor the run left, inside the gap
+    its last decrement opened (the whole byte range above ``base`` when
+    there is no leading run).
     """
     values = [base]
-    i = 0
-    while i < len(kinds) and kinds[i] == "L":
-        nxt = values[-1] - 0x10
-        if nxt < 0:
+    for kind in kinds:
+        if kind != "L":
+            break
+        if values[-1] < 0x10:
             raise CounterUnderflow("lex counter already zero in final padding byte")
-        values.append(nxt)
-        i += 1
-    if i == len(kinds):
-        return tuple(values)
-    floor = values[-1]
-    ceiling = floor + 0x10 if i > 0 else 0x100
-    lo, hi = Fraction(0), Fraction(1)
-    cur = Fraction(0)
-    marks = []
-    for kind in kinds[i:]:
-        if kind == "C":
-            lo = cur
-        else:
-            hi = cur
-        cur = (lo + hi) / 2
-        marks.append(cur)
-    by_mark = sorted(range(len(marks)), key=marks.__getitem__)
-    rank = [0] * len(marks)
-    for position, index in enumerate(by_mark):
-        rank[index] = position
-    for index in range(len(marks)):
-        value = floor + 1 + rank[index]
-        if value >= ceiling:
-            raise CounterOverflow("contrelex counter already fifteen in final padding byte")
-        values.append(value)
-    return tuple(values)
+        values.append(values[-1] - 0x10)
+    run = len(values) - 1
+    floor, ceiling = values[-1], values[-1] + 0x10 if run else 0x100
+    marks: list[int] = []  # the later marks' indices, lowest first
+    at = -1  # where the previous mark sits in ``marks``; the floor sits below them all
+    for index, kind in enumerate(kinds[run:]):
+        at += kind == "C"
+        marks.insert(at, index)
+    if floor + len(marks) >= ceiling:
+        raise CounterOverflow("contrelex counter already fifteen in final padding byte")
+    return tuple(values) + tuple(floor + 1 + marks.index(index) for index in range(len(marks)))
 
 
 def _count_header_unbounded(n: int) -> bytes:
@@ -524,8 +510,6 @@ def _items(value, doc: bool):
 # ---------------------------------------------------------------------------
 # Compiling a tree into a plan
 
-_UNROLL = 8  # a fixed-length next node of at most this many items gets one block per rank
-
 # What a plan's functions may use besides builtins and their own constants.
 _PLAN_HELPERS = {name: globals()[name] for name in (
     "_Fault ElementMismatch NaNRejected shown _decimal _finite _integer _real _rational "
@@ -813,21 +797,17 @@ class _Compiler:
 
     def items(self, node: SeqOp, steps: list[list[str]]) -> list[str]:
         """Each item through its step, in one ``try`` that puts the rank in a fault's path:
-        a block per prelude rank, or per rank of a short ``next`` node, then a loop over
-        the period, backwards for the anti kinds."""
+        a block per prelude rank, then a loop over the period, backwards for the anti kinds."""
         n_prelude, n_period = len(node.prelude), len(node.period)
         top = None if node.max_len is OMEGA else node.max_len - 1  # the most items an element has
         if node.kind.is_anti:
             blocks, loop = 0, "range(length - 1, -1, -1)"
         else:
             blocks = n_prelude if top is None else min(n_prelude, top)
-            if node.kind is SeqKind.NEXT and top <= _UNROLL:
-                blocks = top
             loop = None if blocks == top else f"range({blocks}, length)" if blocks else "range(length)"
         lines = []
         for rank in range(blocks):
-            index = rank if rank < n_prelude else n_prelude + (rank - n_prelude) % n_period
-            block = [f"rank = {rank}", f"item = items[{rank}]", *steps[index]]
+            block = [f"rank = {rank}", f"item = items[{rank}]", *steps[rank]]
             lines += block if rank < node.min_len else [f"if length > {rank}:", *_indent(block)]
         if loop is not None:
             if n_period == 1:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .errors import (
@@ -653,8 +652,6 @@ def _int_bounds(kind: BuiltinKind) -> tuple[int, int]:
 
 def rational_parts(value) -> tuple[int, int]:
     """(num, den) with den > 0 for any accepted rational spelling."""
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
     if isinstance(value, int) and not isinstance(value, bool):
         return value, 1
     if isinstance(value, tuple) and len(value) == 2:
@@ -668,6 +665,10 @@ def rational_parts(value) -> tuple[int, int]:
             if den <= 0:
                 raise ElementMismatch(f"rational denominator must be positive, got {shown(den, format)}")
             return num, den
+    from fractions import Fraction  # loaded only for the spelling that needs it
+
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise ElementMismatch(
         f"expected a Fraction, an int, or a (num, den) pair, got {type(value).__name__}"
     )

@@ -699,6 +699,14 @@ class TestBenchCommand:
             main(["bench", "--n", "-4"])
         assert excinfo.value.code == 1
 
+    def test_zero_repeats_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--n", "16", "--repeat", "0"])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no CSV header
+        assert "argument --repeat: expected a positive integer, got '0'" in captured.err
+
 
 class TestSelftestCommand:
     def test_all_checks_pass(self, capsys):
@@ -713,6 +721,14 @@ class TestSelftestCommand:
         assert lines[-1].endswith("checks passed")
         count = len(lines) - 1
         assert lines[-1] == f"{count}/{count} checks passed"
+
+    def test_negative_trials_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["selftest", "--trials", "-3"])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --trials: expected a positive integer, got '-3'" in captured.err
 
     def test_corrupted_golden_file_names_the_table(self, tmp_path, capsys):
         from tsokey.selfcheck import load_golden_tables

@@ -1,5 +1,6 @@
 """Key encoding: building blocks, frozen vectors, and oracle agreement."""
 
+import hashlib
 import json
 import math
 import random
@@ -119,6 +120,21 @@ class TestEndingValues:
         assert _ending_values(0xF0, ("C",) * 15)[-1] == 0xFF
         with pytest.raises(CounterOverflow):
             _ending_values(0xF0, ("C",) * 16)
+
+    def test_every_chain_up_to_sixteen_marks_is_pinned(self):
+        # SHA-256 over each base, chain and table (or exception class and
+        # message), as the bisection over Fractions computed them before the
+        # insertion rule replaced it: 262,142 chains.
+        digest = hashlib.sha256()
+        for base in (0xE0, 0xF0):
+            for length in range(17):
+                for kinds in product("LC", repeat=length):
+                    try:
+                        shown = bytes(_ending_values.__wrapped__(base, kinds)).hex()
+                    except TsokeyError as exc:
+                        shown = f"{type(exc).__name__}: {exc}"
+                    digest.update(f"{base:02x} {''.join(kinds)} {shown}\n".encode())
+        assert digest.hexdigest() == "312d24d97fd1fdc37cf86fd0aa0d378129348680aa0fff033a9bd8f259130552"
 
     @given(
         st.lists(st.sampled_from("LC"), max_size=10).map(tuple),

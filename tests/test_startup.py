@@ -24,6 +24,9 @@ COMMAND_MODULES = {
 }
 # Modules that only `bench`, `selftest` or the library's other names use.
 NEVER_LOADED = {
+    "decimal",
+    "fractions",
+    "numbers",
     "statistics",
     "tsokey.comparator",
     "tsokey.randgen",
@@ -64,24 +67,33 @@ def test_cli_commands_load_only_what_they_run(tmp_path):
     order.write_text("next(2, 3, (int32 desc, bytes))\n", encoding="utf-8")
     rows = tmp_path / "rows.jsonl"
     rows.write_text('[3,"b"]\n[5,"a"]\n[3,"a"]\n[3,{"hex":"61"}]\n', encoding="utf-8")
+    # Every JSON spelling of a rational; a Fraction element alone needs `fractions`.
+    rational = tmp_path / "rational.tsodl"
+    rational.write_text("lex(0, omega, ([rational]))\n", encoding="utf-8")
+    rationals = tmp_path / "rationals.jsonl"
+    spellings = ['5', '"-7"', '"355/113"', '{"num": 1, "den": 3}', '{"num": "2", "den": "9"}']
+    rationals.write_text("".join(f"[{spelling}]\n" for spelling in spellings), encoding="utf-8")
     result = run_fresh(
         """
         import contextlib, io
         from tsokey import cli
-        order, rows = sys.argv[1:]
+        order, rows, rational, rationals = sys.argv[1:]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             codes = [
                 cli.main(['validate', order]),
                 cli.main(['encode', order, rows, '--hex']),
+                cli.main(['encode', rational, rationals, '--hex']),
                 cli.main(['sort', order, rows, '--output', 'indices']),
             ]
         print(json.dumps({'codes': codes, 'out': out.getvalue(), 'modules': sorted(sys.modules)}))
         """,
         str(order),
         str(rows),
+        str(rational),
+        str(rationals),
     )
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     assert result["out"].endswith("1\n2\n3\n0\n")  # the sort ran
     modules = set(result["modules"])
     assert {m for m in modules if m.split(".")[0] == "tsokey"} == COMMAND_MODULES
