@@ -2,11 +2,14 @@
 
 This module executes the order definitions directly on the element values
 and never touches the byte-key encoder, so it doubles as the oracle the
-encoder is tested against.  ``compare`` walks the tree recursively:
+encoder is tested against.  ``compare`` validates the tree once, as
+``encode`` does, then walks it recursively:
 
-* sequence operators locate the question (the first rank, from the front or
-  from the back for anti* operators, where the items differ) and fall back
-  to a length rule when there is none;
+* every sequence operator extends one rule, "if the current items are
+  equal, compare the next items": one search finds the question, the
+  first position where the items differ, reading front to back (back to
+  front for the anti* operators), and a length rule decides when there is
+  none;
 * hierar-family operators compare lengths before looking for a question;
 * Sum compares master ranks first, then the sub-values;
 * Inv (structural or the builtin ``inverted`` flag) flips the outcome.
@@ -28,6 +31,7 @@ from typing import Optional
 from .errors import IncompatibleElements, PrefixAnomaly, shown
 from .order_model import (
     KIND_TABLE,
+    OMEGA,
     Builtin,
     BuiltinKind,
     Finite,
@@ -38,6 +42,7 @@ from .order_model import (
     _int_bounds,
     item_order_at,
     rational_parts,
+    validate,
 )
 
 __all__ = ["Ordering", "compare", "compare_keys", "find_question"]
@@ -104,65 +109,72 @@ def _float_cmp(x: float, y: float, kind: BuiltinKind, nan_high: bool) -> Orderin
     return Ordering.LESS if x_neg else Ordering.GREATER
 
 
-def _seq_items(value) -> list:
-    if isinstance(value, str) or not hasattr(value, "__len__"):
+def _seq_items(node: SeqOp, value) -> list:
+    """The items of a sequence value, checked against the node's length bounds."""
+    if isinstance(value, (str, set, frozenset)) or not hasattr(value, "__len__"):
         raise IncompatibleElements(f"expected a sequence, got {type(value).__name__}")
-    return list(value)
+    items = list(value)
+    if len(items) < node.min_len or (node.max_len is not OMEGA and len(items) >= node.max_len):
+        raise IncompatibleElements(f"sequence length {len(items)} outside [{node.min_len}, {node.max_len})")
+    return items
 
 
-def find_question(node: SeqOp, x, y, *, nan_high: bool = False) -> Optional[int]:
-    """Smallest rank below min(len) where the items of x and y differ.
+def _question(node: SeqOp, xs: list, ys: list, nan_high: bool) -> Optional[tuple[int, Ordering]]:
+    """Where the items of xs and ys first differ, and their verdict; None if nowhere.
 
-    Returns None when one sequence is a prefix of the other or they are
-    equal.  Item inequality is judged recursively under the item order the
-    node assigns to that rank.
+    The anti kinds read back to front, so their positions count from the end;
+    ``item_order_at`` gives them their one period order at every position.
     """
-    xs = _seq_items(x)
-    ys = _seq_items(y)
-    for rank in range(min(len(xs), len(ys))):
-        if compare(item_order_at(node, rank), xs[rank], ys[rank], nan_high=nan_high):
-            return rank
+    if node.kind.is_anti:
+        xs, ys = xs[::-1], ys[::-1]
+    for position in range(min(len(xs), len(ys))):
+        verdict = _compare(item_order_at(node, position), xs[position], ys[position], nan_high)
+        if verdict:
+            return position, verdict
     return None
 
 
+def find_question(node: SeqOp, x, y, *, nan_high: bool = False) -> Optional[int]:
+    """The position of the question: where the items of x and y first differ.
+
+    Positions count from the front, but from the end under the four anti
+    kinds, which read back to front: there 0 is the last items.  None means
+    the items agree up to the shorter length, so the length rule decides
+    (the hierar kinds apply it first whenever the lengths differ).  Raises
+    what ``compare`` raises.
+    """
+    validate(node)
+    if not isinstance(node, SeqOp):
+        raise TypeError(f"find_question needs a SeqOp node, got {type(node).__name__}")
+    question = _question(node, _seq_items(node, x), _seq_items(node, y), nan_high)
+    return None if question is None else question[0]
+
+
 def _compare_seq(node: SeqOp, x, y, nan_high: bool) -> Ordering:
-    xs = _seq_items(x)
-    ys = _seq_items(y)
-    for items in (xs, ys):
-        length = len(items)
-        if length < node.min_len or not node.max_len > length:
-            raise IncompatibleElements(
-                f"sequence length {length} outside [{node.min_len}, {node.max_len})"
-            )
-
-    kind = node.kind
+    xs = _seq_items(node, x)
+    ys = _seq_items(node, y)
     length_cmp = _cmp(len(xs), len(ys))
-    if not kind.shorter_sorts_first:
+    if not node.kind.shorter_sorts_first:
         length_cmp = length_cmp.reversed
-
-    if kind.is_hierar_family and length_cmp:
+    if node.kind.is_hierar_family and length_cmp:
         return length_cmp
-
-    if kind.is_anti:
-        # Items are read from the right end; the period is a single order.
-        item_order = node.period[0]
-        for back in range(1, min(len(xs), len(ys)) + 1):
-            verdict = compare(item_order, xs[len(xs) - back], ys[len(ys) - back], nan_high=nan_high)
-            if verdict:
-                return verdict
-        return length_cmp
-
-    for rank in range(min(len(xs), len(ys))):
-        verdict = compare(item_order_at(node, rank), xs[rank], ys[rank], nan_high=nan_high)
-        if verdict:
-            return verdict
-    return length_cmp
+    question = _question(node, xs, ys, nan_high)
+    return length_cmp if question is None else question[1]
 
 
 def compare(tree: OrderNode, x, y, *, nan_high: bool = False) -> Ordering:
-    """Compare two elements of ``tree``; raises IncompatibleElements on misuse."""
+    """Compare two elements of ``tree``.
+
+    Raises the tree's ValidationError when it is not a valid order, and
+    IncompatibleElements when x or y is not one of its elements.
+    """
+    validate(tree)
+    return _compare(tree, x, y, nan_high)
+
+
+def _compare(tree: OrderNode, x, y, nan_high: bool) -> Ordering:
     if isinstance(tree, Inv):
-        return compare(tree.child, x, y, nan_high=nan_high).reversed
+        return _compare(tree.child, x, y, nan_high).reversed
 
     if isinstance(tree, Finite):
         # A bool is an int, so it is a rank here as in the encoder.
@@ -184,19 +196,17 @@ def compare(tree: OrderNode, x, y, *, nan_high: bool = False) -> Ordering:
     if isinstance(tree, SeqOp):
         return _compare_seq(tree, x, y, nan_high)
 
-    if isinstance(tree, Sum):
-        mx, sx = _sum_pair(tree, x)
-        my, sy = _sum_pair(tree, y)
-        master_cmp = compare(tree.master, mx, my, nan_high=nan_high)
-        if master_cmp:
-            return master_cmp
-        return compare(tree.cases[mx], sx, sy, nan_high=nan_high)
-
-    raise IncompatibleElements(f"not an order node: {type(tree).__name__}")
+    # A Sum: validate() admits no other node.
+    mx, sx = _sum_pair(tree, x)
+    my, sy = _sum_pair(tree, y)
+    master_cmp = _compare(tree.master, mx, my, nan_high)
+    if master_cmp:
+        return master_cmp
+    return _compare(tree.cases[mx], sx, sy, nan_high)
 
 
 def _sum_pair(node: Sum, value) -> tuple[int, object]:
-    if isinstance(value, str) or not hasattr(value, "__len__") or len(value) != 2:
+    if isinstance(value, (str, set, frozenset)) or not hasattr(value, "__len__") or len(value) != 2:
         raise IncompatibleElements("expected a (master_rank, sub) pair")
     master_rank, sub = value
     if (

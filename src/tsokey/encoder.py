@@ -502,7 +502,7 @@ def _items(value, doc: bool):
     """The items of a sequence node's value that is not exactly a list (or, outside doc, a tuple)."""
     if doc and not isinstance(value, list):
         raise _Fault(ElementMismatch, f"expected an array, got {type(value).__name__}")
-    if not doc and (isinstance(value, str) or not hasattr(value, "__len__")):
+    if not doc and (isinstance(value, (str, set, frozenset)) or not hasattr(value, "__len__")):
         raise _Fault(ElementMismatch, f"expected a sequence, got {type(value).__name__}")
     return value if doc else list(value)
 
@@ -824,7 +824,7 @@ class _Compiler:
         if self.doc:
             check, shape = f"not isinstance({var}, list) or len({var}) != 2", "a [master_rank, sub] array"
         else:
-            check = f'isinstance({var}, str) or not hasattr({var}, "__len__") or len({var}) != 2'
+            check = f'isinstance({var}, (str, set, frozenset)) or not hasattr({var}, "__len__") or len({var}) != 2'
             shape = "a (master_rank, sub) pair"
         lines = [f"if {check}:", f'    raise _Fault(ElementMismatch, "expected {shape}")', f"rank, sub = {var}"]
         if self.doc:

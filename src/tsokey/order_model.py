@@ -92,7 +92,11 @@ COUNT_CAP = 1 << 64  # sequence counts and finite ranks must stay below this
 
 
 class _Omega:
-    """Sentinel upper bound meaning "any finite length is allowed"."""
+    """The upper bound of a sequence node that allows any finite length.
+
+    A sentinel, tested by identity (``max_len is OMEGA``): it has no order
+    against integers.  It is one object per process, unpickling included.
+    """
 
     _singleton = None
 
@@ -103,27 +107,6 @@ class _Omega:
 
     def __repr__(self):
         return "OMEGA"
-
-    # OMEGA compares greater than every integer.
-    def __gt__(self, other):
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, int):
-            return True
-        return other is self
-
-    def __lt__(self, other):
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, int):
-            return False
-        return other is self
 
 
 OMEGA = _Omega()
@@ -503,9 +486,9 @@ def _walk_stats(node: OrderNode, path: str) -> tuple[int, int, int, bool]:
         bounded = node.max_len is not OMEGA
         if bounded and (not isinstance(node.max_len, int) or isinstance(node.max_len, bool)):
             raise MalformedNode(path, f"max_len {node.max_len!r} must be an integer or OMEGA")
-        if bounded and node.max_len > COUNT_CAP:
+        if bounded and COUNT_CAP < node.max_len:
             raise MalformedNode(path, f"max_len {node.max_len} above 2**64")
-        if not node.max_len > node.min_len:
+        if bounded and node.max_len <= node.min_len:
             raise MalformedNode(path, f"bounds require min_len < max_len, got {node.min_len} and {node.max_len}")
         if not bounded and not node.period:
             raise PeriodMissing(f"{path}: unbounded {node.kind.value} node needs a period")
@@ -566,7 +549,7 @@ def item_order_at(node: SeqOp, rank: int) -> OrderNode:
     """The order governing the item at ``rank`` in elements of ``node``."""
     if not isinstance(node, SeqOp):
         raise TypeError(f"item_order_at needs a SeqOp node, got {type(node).__name__}")
-    if rank < 0 or not node.max_len > rank:
+    if rank < 0 or (node.max_len is not OMEGA and rank >= node.max_len):
         raise RankOutOfRange(f"rank {rank} outside 0..{node.max_len}-1")
     if rank < len(node.prelude):
         return node.prelude[rank]

@@ -13,13 +13,19 @@ from tsokey import (
     BYTES,
     FLOAT32,
     FLOAT64,
+    INT8,
     OMEGA,
     UINT8,
+    AntiNotUniform,
     Builtin,
     BuiltinKind,
     Finite,
     IncompatibleElements,
+    MalformedNode,
     Ordering,
+    PeriodMissing,
+    SeqKind,
+    SeqOp,
     anticontrehierar,
     anticontrelex,
     antihierar,
@@ -31,6 +37,7 @@ from tsokey import (
     finite,
     hierar,
     inv,
+    item_order_at,
     lex,
     next_,
     sum_of,
@@ -112,6 +119,68 @@ class TestFindQuestion:
         tree = bit_seq(lex)
         assert find_question(tree, [0], [0, 1]) is None
         assert find_question(tree, [1, 0], [1, 0]) is None
+
+    def test_anti_positions_count_from_the_end(self):
+        tree = antilex(0, 4, period=(UINT8,))
+        assert compare(tree, [1, 2, 3], [2, 3]) is Ordering.GREATER
+        assert find_question(tree, [1, 2, 3], [2, 3]) is None
+        assert find_question(tree, [5, 2, 3], [7, 2, 3]) == 2
+
+    def test_anticontrehierar_finds_the_question_before_the_length_rule(self):
+        tree = anticontrehierar(0, 4, period=(finite(3),))
+        assert find_question(tree, [2, 0, 1], [0, 2, 1]) == 1
+        assert compare(tree, [2, 0, 1], [0, 2, 1]) is Ordering.LESS
+        # Lengths differ, so longer sorts first whatever the question says.
+        assert find_question(tree, [0, 1], [2, 1, 1]) == 1
+        assert compare(tree, [0, 1], [2, 1, 1]) is Ordering.GREATER
+
+    def test_the_question_decides_where_the_length_rule_does_not(self):
+        # Criterion 2's generator and seed, on the trees whose root is a sequence.
+        rng = random.Random(20260818)
+        kinds = set()
+        questions = 0
+        while len(kinds) < len(SeqKind) or questions < 2000:
+            tree = random_tree(rng, rng.randrange(0, 6))
+            if not isinstance(tree, SeqOp):
+                continue
+            x, y = random_pair(rng, tree, length_cap=4)
+            verdict = compare(tree, x, y)
+            length_rule = Ordering((len(x) > len(y)) - (len(x) < len(y)))
+            if not tree.kind.shorter_sorts_first:
+                length_rule = length_rule.reversed
+            position = find_question(tree, x, y)
+            if position is None or (tree.kind.is_hierar_family and length_rule):
+                assert verdict is length_rule
+                continue
+            kinds.add(tree.kind)
+            questions += 1
+            at = -1 - position if tree.kind.is_anti else position
+            assert compare(item_order_at(tree, position), x[at], y[at]) is verdict
+
+
+class TestInvalidTrees:
+    """compare and find_question reject the trees that encode rejects."""
+
+    @pytest.mark.parametrize(
+        "tree, x, y, error",
+        [
+            (Finite(3, (0, 0, 1)), 0, 1, MalformedNode),
+            (SeqOp(SeqKind.ANTILEX, 0, 3, (), (UINT8, INT8)), [1, 2], [1, 3], AntiNotUniform),
+            (SeqOp(SeqKind.LEX, 0, OMEGA, (), ()), [], [], PeriodMissing),
+            (lex(0, 3, period=(finite(3, (0, 0, 1)),)), [0], [1], MalformedNode),
+        ],
+        ids=["repeated-collation", "anti-two-order-period", "unbounded-no-period", "bad-item-order"],
+    )
+    def test_the_tree_is_validated(self, tree, x, y, error):
+        with pytest.raises(error):
+            compare(tree, x, y)
+        if isinstance(tree, SeqOp):
+            with pytest.raises(error):
+                find_question(tree, x, y)
+
+    def test_find_question_needs_a_sequence_node(self):
+        with pytest.raises(TypeError):
+            find_question(finite(2), 0, 1)
 
 
 class TestLeaves:

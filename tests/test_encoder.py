@@ -493,6 +493,26 @@ class TestValidatorsAgree:
         with pytest.raises(IncompatibleElements):
             compare(tree, bad, good)
 
+    @pytest.mark.parametrize(
+        "tree, bad, message",
+        [
+            (lex(0, OMEGA, period=(BYTES,)), {b"a", b"b", b"c"}, "expected a sequence, got set"),
+            (lex(0, OMEGA, period=(UINT8,)), frozenset({0}), "expected a sequence, got frozenset"),
+            (sum_of(F2, (F2, F2)), {0, 1}, "expected a (master_rank, sub) pair"),
+            (sum_of(F2, (F2, F2)), frozenset({0, 1}), "expected a (master_rank, sub) pair"),
+        ],
+        ids=["set-sequence", "frozenset-sequence", "set-sum", "frozenset-sum"],
+    )
+    def test_unordered_collections_rejected(self, tree, bad, message):
+        # Their iteration order can change with the hash seed, so no key is stable.
+        for run in (lambda: encode(tree, bad), lambda: check_element(tree, bad)):
+            with pytest.raises(ElementMismatch) as info:
+                run()
+            assert str(info.value) == f"$: {message}"
+        with pytest.raises(IncompatibleElements) as info:
+            compare(tree, bad, bad)
+        assert str(info.value) == message
+
     def test_list_collation_keys_as_tuple(self):
         listed, tupled = Finite(3, [2, 0, 1]), Finite(3, (2, 0, 1))
         assert listed == tupled
@@ -929,6 +949,7 @@ def test_equal_elements_share_one_key(seed):
 # ones are what a JSON Lines reader hands over.
 _MISFITS = [json.loads(text) for text in ("[0, 1]", "1.0", "true", '"ab"', "null", '{"hex": "61"}')]
 _MISFITS += [[97, 98], memoryview(b"q"), 2**70, math.nan, 1e300, (1, 0), _DEEP_LIST, 10**5000]
+_MISFITS += [{1, 2}, frozenset({0})]  # unordered, so neither a sequence nor a sum value
 
 
 def _mutate(rng, value):

@@ -1,5 +1,7 @@
 """Tree validation, rewrites, and element conformance."""
 
+import operator
+import pickle
 import random
 
 import pytest
@@ -158,6 +160,26 @@ class TestValidate:
         with pytest.raises(NextNotFixedLength):
             validate(next_(0, 3, period=(Finite(2),)))
         validate(next_(2, 3, period=(Finite(2),)))
+
+
+class TestOmega:
+    def test_unpickles_as_the_same_object(self):
+        assert pickle.loads(pickle.dumps(OMEGA)) is OMEGA
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_has_no_order_against_integers(self, op):
+        with pytest.raises(TypeError):
+            op(OMEGA, 5)
+
+    def test_unbounded_node_supplies_any_rank(self):
+        node = lex(0, OMEGA, prelude=(Finite(2),), period=(Finite(3), Finite(4)))
+        assert item_order_at(node, 10**30) == Finite(4)
+
+    @pytest.mark.parametrize("min_len, max_len", [(3, 3), (3, 2)])
+    def test_bounds_message(self, min_len, max_len):
+        with pytest.raises(MalformedNode) as info:
+            validate(SeqOp(SeqKind.LEX, min_len, max_len, (), (Finite(2),)))
+        assert str(info.value) == f"$: bounds require min_len < max_len, got {min_len} and {max_len}"
 
 
 class TestItemOrderAt:
