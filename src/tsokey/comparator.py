@@ -1,9 +1,12 @@
 """Reference comparison of two elements under an order tree.
 
 This module executes the order definitions directly on the element values
-and never touches the byte-key encoder, so it doubles as the oracle the
-encoder is tested against.  ``compare`` validates the tree once, as
-``encode`` does, then walks it recursively:
+and never reads a byte key, so it doubles as the oracle the encoder is
+tested against for order.  Membership has one definition, the encoder's
+plan: ``compare`` first runs the padded plan ``check_element`` runs on
+both values, so a non-element anywhere in either value raises
+IncompatibleElements with the plan's message, and then walks the tree
+recursively, only ordering:
 
 * every sequence operator extends one rule, "if the current items are
   equal, compare the next items": one search finds the question, the
@@ -28,21 +31,18 @@ import struct
 from enum import IntEnum
 from typing import Optional
 
-from .errors import IncompatibleElements, PrefixAnomaly, shown
+from .encoder import prepare
+from .errors import ElementError, IncompatibleElements, PrefixAnomaly
 from .order_model import (
     KIND_TABLE,
-    OMEGA,
     Builtin,
     BuiltinKind,
     Finite,
     Inv,
     OrderNode,
     SeqOp,
-    Sum,
-    _int_bounds,
     item_order_at,
     rational_parts,
-    validate,
 )
 
 __all__ = ["Ordering", "compare", "compare_keys", "find_question"]
@@ -80,20 +80,29 @@ def _cmp(a, b) -> Ordering:
     return Ordering.EQUAL
 
 
-def _float_cmp(x: float, y: float, kind: BuiltinKind, nan_high: bool) -> Ordering:
+def _check(plan, x, y) -> None:
+    """Raise IncompatibleElements unless ``plan`` accepts both x and y.
+
+    ``plan`` is the tree's padded plan, the one ``check_element`` runs, so
+    the message is the plan's, tree path included.  ``prepare`` validates a
+    tree once and caches it; an invalid tree raises its ValidationError there.
+    """
+    try:
+        plan(x)
+        plan(y)
+    except ElementError as exc:
+        raise IncompatibleElements(str(exc)) from None
+
+
+def _float_cmp(x: float, y: float, kind: BuiltinKind) -> Ordering:
     """Total order on floats: ... < -0.0 < +0.0 < ... < +inf < NaN class."""
     if kind is BuiltinKind.FLOAT32:
         # The leaf stores float32: round both sides the way the encoder will.
-        try:
-            x = struct.unpack(">f", struct.pack(">f", x))[0]
-            y = struct.unpack(">f", struct.pack(">f", y))[0]
-        except OverflowError:
-            raise IncompatibleElements("value does not fit in float32") from None
+        x = struct.unpack(">f", struct.pack(">f", x))[0]
+        y = struct.unpack(">f", struct.pack(">f", y))[0]
     x_nan = math.isnan(x)
     y_nan = math.isnan(y)
-    if x_nan or y_nan:
-        if not nan_high:
-            raise IncompatibleElements("NaN element without the nan_high policy")
+    if x_nan or y_nan:  # an element only under the nan_high policy
         if x_nan and y_nan:
             return Ordering.EQUAL
         return Ordering.GREATER if x_nan else Ordering.LESS
@@ -109,17 +118,7 @@ def _float_cmp(x: float, y: float, kind: BuiltinKind, nan_high: bool) -> Orderin
     return Ordering.LESS if x_neg else Ordering.GREATER
 
 
-def _seq_items(node: SeqOp, value) -> list:
-    """The items of a sequence value, checked against the node's length bounds."""
-    if isinstance(value, (str, set, frozenset)) or not hasattr(value, "__len__"):
-        raise IncompatibleElements(f"expected a sequence, got {type(value).__name__}")
-    items = list(value)
-    if len(items) < node.min_len or (node.max_len is not OMEGA and len(items) >= node.max_len):
-        raise IncompatibleElements(f"sequence length {len(items)} outside [{node.min_len}, {node.max_len})")
-    return items
-
-
-def _question(node: SeqOp, xs: list, ys: list, nan_high: bool) -> Optional[tuple[int, Ordering]]:
+def _question(node: SeqOp, xs: list, ys: list) -> Optional[tuple[int, Ordering]]:
     """Where the items of xs and ys first differ, and their verdict; None if nowhere.
 
     The anti kinds read back to front, so their positions count from the end;
@@ -128,7 +127,7 @@ def _question(node: SeqOp, xs: list, ys: list, nan_high: bool) -> Optional[tuple
     if node.kind.is_anti:
         xs, ys = xs[::-1], ys[::-1]
     for position in range(min(len(xs), len(ys))):
-        verdict = _compare(item_order_at(node, position), xs[position], ys[position], nan_high)
+        verdict = _compare(item_order_at(node, position), xs[position], ys[position])
         if verdict:
             return position, verdict
     return None
@@ -141,24 +140,23 @@ def find_question(node: SeqOp, x, y, *, nan_high: bool = False) -> Optional[int]
     kinds, which read back to front: there 0 is the last items.  None means
     the items agree up to the shorter length, so the length rule decides
     (the hierar kinds apply it first whenever the lengths differ).  Raises
-    what ``compare`` raises.
+    what ``compare`` raises, and TypeError when ``node`` is no sequence node.
     """
-    validate(node)
     if not isinstance(node, SeqOp):
         raise TypeError(f"find_question needs a SeqOp node, got {type(node).__name__}")
-    question = _question(node, _seq_items(node, x), _seq_items(node, y), nan_high)
+    _check(prepare(node).plan(nan_high=nan_high), x, y)
+    question = _question(node, list(x), list(y))
     return None if question is None else question[0]
 
 
-def _compare_seq(node: SeqOp, x, y, nan_high: bool) -> Ordering:
-    xs = _seq_items(node, x)
-    ys = _seq_items(node, y)
+def _compare_seq(node: SeqOp, x, y) -> Ordering:
+    xs, ys = list(x), list(y)
     length_cmp = _cmp(len(xs), len(ys))
     if not node.kind.shorter_sorts_first:
         length_cmp = length_cmp.reversed
     if node.kind.is_hierar_family and length_cmp:
         return length_cmp
-    question = _question(node, xs, ys, nan_high)
+    question = _question(node, xs, ys)
     return length_cmp if question is None else question[1]
 
 
@@ -166,102 +164,56 @@ def compare(tree: OrderNode, x, y, *, nan_high: bool = False) -> Ordering:
     """Compare two elements of ``tree``.
 
     Raises the tree's ValidationError when it is not a valid order, and
-    IncompatibleElements when x or y is not one of its elements.
+    IncompatibleElements, with the message ``check_element`` gives, when x
+    or y is not one of its elements, wherever in the value the fault lies.
     """
-    validate(tree)
-    return _compare(tree, x, y, nan_high)
+    _check(prepare(tree).plan(nan_high=nan_high), x, y)
+    return _compare(tree, x, y)
 
 
-def _compare(tree: OrderNode, x, y, nan_high: bool) -> Ordering:
+def _compare(tree: OrderNode, x, y) -> Ordering:
+    """The order of two values already known to be elements of ``tree``."""
     if isinstance(tree, Inv):
-        return _compare(tree.child, x, y, nan_high).reversed
+        return _compare(tree.child, x, y).reversed
 
     if isinstance(tree, Finite):
-        # A bool is an int, so it is a rank here as in the encoder.
-        x = int(x) if isinstance(x, bool) else x
-        y = int(y) if isinstance(y, bool) else y
-        for value in (x, y):
-            if not isinstance(value, int):
-                raise IncompatibleElements(f"expected a rank integer, got {type(value).__name__}")
-            if not 0 <= value < tree.cardinality:
-                raise IncompatibleElements(f"rank {shown(value, format)} outside 0..{tree.cardinality - 1}")
         if tree.collation is not None:
             return _cmp(tree.collation[x], tree.collation[y])
         return _cmp(x, y)
 
     if isinstance(tree, Builtin):
-        verdict = _compare_builtin(tree, x, y, nan_high)
+        verdict = _compare_builtin(tree, x, y)
         return verdict.reversed if tree.inverted else verdict
 
     if isinstance(tree, SeqOp):
-        return _compare_seq(tree, x, y, nan_high)
+        return _compare_seq(tree, x, y)
 
     # A Sum: validate() admits no other node.
-    mx, sx = _sum_pair(tree, x)
-    my, sy = _sum_pair(tree, y)
-    master_cmp = _compare(tree.master, mx, my, nan_high)
+    mx, sx = x
+    my, sy = y
+    master_cmp = _compare(tree.master, mx, my)
     if master_cmp:
         return master_cmp
-    return _compare(tree.cases[mx], sx, sy, nan_high)
+    return _compare(tree.cases[mx], sx, sy)
 
 
-def _sum_pair(node: Sum, value) -> tuple[int, object]:
-    if isinstance(value, (str, set, frozenset)) or not hasattr(value, "__len__") or len(value) != 2:
-        raise IncompatibleElements("expected a (master_rank, sub) pair")
-    master_rank, sub = value
-    if (
-        not isinstance(master_rank, int)
-        or isinstance(master_rank, bool)
-        or not 0 <= master_rank < node.master.cardinality
-    ):
-        raise IncompatibleElements(f"master rank {shown(master_rank)} out of range")
-    return master_rank, sub
-
-
-def _compare_builtin(leaf: Builtin, x, y, nan_high: bool) -> Ordering:
+def _compare_builtin(leaf: Builtin, x, y) -> Ordering:
     kind = leaf.kind
     if KIND_TABLE[kind].family == "float":
-        for value in (x, y):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise IncompatibleElements(f"expected a float, got {type(value).__name__}")
-        try:
-            x, y = float(x), float(y)
-        except OverflowError:
-            raise IncompatibleElements(f"integer too large for {kind.value}") from None
-        return _float_cmp(x, y, kind, nan_high)
+        return _float_cmp(float(x), float(y), kind)
 
     if kind is BuiltinKind.RATIONAL:
-        try:
-            px, qx = rational_parts(x)
-            py, qy = rational_parts(y)
-        except Exception as exc:
-            raise IncompatibleElements(str(exc)) from None
+        px, qx = rational_parts(x)
+        py, qy = rational_parts(y)
         return _cmp(px * qy, py * qx)
 
-    if kind is BuiltinKind.BYTES:
-        for value in (x, y):
-            if not isinstance(value, (bytes, bytearray)):
-                raise IncompatibleElements(f"expected bytes, got {type(value).__name__}")
-        if leaf.collation is not None:
-            table = leaf.collation
-            for a, b in zip(x, y):
-                verdict = _cmp(table[a], table[b])
-                if verdict:
-                    return verdict
-            return _cmp(len(x), len(y))
-        return _cmp(bytes(x), bytes(y))
+    if kind is BuiltinKind.BYTES and leaf.collation is not None:
+        table = leaf.collation
+        for a, b in zip(x, y):
+            verdict = _cmp(table[a], table[b])
+            if verdict:
+                return verdict
+        return _cmp(len(x), len(y))
 
-    if kind is BuiltinKind.BOOL:
-        for value in (x, y):
-            if not isinstance(value, (bool, int)) or value not in (0, 1):
-                raise IncompatibleElements("expected a bool")
-        return _cmp(int(x), int(y))
-
-    # Fixed-width integers.
-    lo, hi = _int_bounds(kind)
-    for value in (x, y):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise IncompatibleElements(f"expected an integer, got {type(value).__name__}")
-        if not lo <= value <= hi:
-            raise IncompatibleElements(f"{shown(value, format)} outside {kind.value} range")
+    # Bytes, bools (either 0/1 spelling) and fixed-width integers order as they are.
     return _cmp(x, y)

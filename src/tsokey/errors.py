@@ -68,7 +68,10 @@ class ElementMismatch(ElementError):
 
 
 class IncompatibleElements(ElementError):
-    """compare() was handed values that do not fit the node being compared."""
+    """compare() or find_question() was handed a value that is not an element of the tree.
+
+    The message is the one check_element gives for that value, tree path included.
+    """
 
 
 class NaNRejected(ElementError):

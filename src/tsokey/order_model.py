@@ -19,7 +19,8 @@ Elements of an order are plain Python values: ints for Finite ranks and
 integer leaves, floats, bools, bytes, Fraction or (num, den) pairs for
 rationals, lists/tuples for sequence nodes and (master_rank, sub) pairs for
 Sum nodes.  The encoder's plan for a tree is the one definition of which
-values are elements: ``tsokey.check_element`` runs it and discards the key.
+values are elements: ``tsokey.check_element`` runs it and discards the key,
+and ``tsokey.compare`` runs it on both values before it orders them.
 """
 
 from __future__ import annotations
@@ -233,11 +234,12 @@ def _cached_hash():
     return field(default=None, init=False, repr=False, compare=False)
 
 
-def _freeze_collation(node) -> None:
-    # Nodes are hashed (prepare is cached per tree), so a list table given
-    # by the caller becomes a tuple; validate() checks the entries.
-    if isinstance(node.collation, list):
-        object.__setattr__(node, "collation", tuple(node.collation))
+def _freeze(node, *names) -> None:
+    # Nodes are hashed (prepare is cached per tree), so a list of children or
+    # a list table given by the caller becomes a tuple; validate() checks the entries.
+    for name in names:
+        if isinstance(getattr(node, name), list):
+            object.__setattr__(node, name, tuple(getattr(node, name)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,7 +258,7 @@ class Finite:
     __reduce__ = _node_reduce
 
     def __post_init__(self):
-        _freeze_collation(self)
+        _freeze(self, "collation")
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,7 +279,7 @@ class Builtin:
     __reduce__ = _node_reduce
 
     def __post_init__(self):
-        _freeze_collation(self)
+        _freeze(self, "collation")
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,6 +310,9 @@ class SeqOp:
     __hash__ = _node_hash
     __reduce__ = _node_reduce
 
+    def __post_init__(self):
+        _freeze(self, "prelude", "period")
+
 
 @dataclass(frozen=True, slots=True)
 class Sum:
@@ -322,6 +327,9 @@ class Sum:
     _hash: int | None = _cached_hash()
     __hash__ = _node_hash
     __reduce__ = _node_reduce
+
+    def __post_init__(self):
+        _freeze(self, "cases")
 
 
 OrderNode = Union[Finite, Builtin, Inv, SeqOp, Sum]
@@ -559,9 +567,12 @@ def item_order_at(node: SeqOp, rank: int) -> OrderNode:
 
 
 def _reversed_finite(node: Finite) -> Finite:
-    table = node.collation or tuple(range(node.cardinality))
+    # Rank r of an uncollated leaf reads top - r from a range: a cardinality
+    # may reach 2**64, too many entries for a table.
     top = node.cardinality - 1
-    return Finite(node.cardinality, tuple(top - r for r in table))
+    if node.collation is None:
+        return Finite(node.cardinality, range(top, -1, -1))
+    return Finite(node.cardinality, tuple(top - r for r in node.collation))
 
 
 def contre_rewrite(node: SeqOp | Sum) -> OrderNode:

@@ -205,6 +205,15 @@ class TestEncodeCommand:
         expected = [encode_doc(tree, doc).hex().upper() for doc in docs]
         assert capsys.readouterr().out.splitlines() == expected
 
+    def test_rational_key_is_the_documented_one(self, tmp_path, capsys, monkeypatch):
+        order = write(tmp_path, "o.tsodl", "rational")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b'"355/113"\n')))
+        assert main(["encode", order, "-", "--hex"]) == 0
+        data = bytes.fromhex(capsys.readouterr().out.strip())[1::3]
+        page = (Path(__file__).resolve().parent.parent / "docs" / "key_format.md").read_text(encoding="utf-8")
+        documented = re.search(r"^rational 355/113 +(.*)$", page, re.M).group(1).replace(" ", "")
+        assert data.hex() == documented
+
     def test_deep_nesting_is_invalid_json(self, tmp_path, capsys):
         order = write(tmp_path, "o.tsodl", "lex(0, omega, ([uint8]))")
         deep = "[" * 100_000 + "]" * 100_000
@@ -639,6 +648,31 @@ class TestRepeatedLines:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: line 5: ")
+
+    @pytest.mark.parametrize(
+        "rows, indices, skipped",
+        [
+            (['[3,"b"]', '[5,"a"]', '[3,"a"]', '[3,{"hex":"61"}]'], [1, 2, 3, 0], []),
+            ([' [3,"b"]\t', '[5,"a"]', '[3,"a"] ', '\t[3,{"hex":"61"}]'], [1, 2, 3, 0], []),
+            (['[3,"b"]', '[5,"a"]', '[3,"b"]', "[3,]", '[5,"a"]', "[3,]", '[3,"a"]'], [1, 3, 4, 0, 2], [4, 6]),
+        ],
+        ids=["rows", "spaced-rows", "repeated-rows-with-bad-copies"],
+    )
+    def test_small_datasets(self, tmp_path, capsys, rows, indices, skipped):
+        order = write(tmp_path, "o.tsodl", self.ORDER)
+        data = write(tmp_path, "d.jsonl", "\n".join(rows) + "\n")
+        argv = ["sort", order, data, "--output", "indices"] + (["--skip-bad"] if skipped else [])
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == list(map(str, indices))
+        numbers = re.findall(r"^warning: skipped line (\d+): ", captured.err, re.M)
+        assert list(map(int, numbers)) == skipped and len(captured.err.splitlines()) == len(skipped)
+
+    def test_bad_json_line_fails_the_sort(self, tmp_path, capsys):
+        order = write(tmp_path, "o.tsodl", self.ORDER)
+        data = write(tmp_path, "d.jsonl", '[3,"b"]\n[3,]\n')
+        assert main(["sort", order, data]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: not valid JSON: Expecting value")
 
     @pytest.mark.parametrize(
         "output, expected",

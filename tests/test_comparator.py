@@ -19,6 +19,7 @@ from tsokey import (
     AntiNotUniform,
     Builtin,
     BuiltinKind,
+    ElementError,
     Finite,
     IncompatibleElements,
     MalformedNode,
@@ -30,6 +31,7 @@ from tsokey import (
     anticontrelex,
     antihierar,
     antilex,
+    check_element,
     compare,
     contrehierar,
     contrelex,
@@ -40,6 +42,7 @@ from tsokey import (
     item_order_at,
     lex,
     next_,
+    parse,
     sum_of,
 )
 from tsokey.randgen import random_pair, random_tree
@@ -181,6 +184,35 @@ class TestInvalidTrees:
     def test_find_question_needs_a_sequence_node(self):
         with pytest.raises(TypeError):
             find_question(finite(2), 0, 1)
+
+
+class TestMembership:
+    """A non-element anywhere in either value is rejected with the plan's message,
+    also past the question, where the order rules alone would stop reading."""
+
+    @pytest.mark.parametrize(
+        "text, bad, good, message",
+        [
+            ("next(2, 3, (uint8, bytes))", [1, "not bytes"], [2, b"x"], "$[1]: expected bytes, got str"),
+            ("lex(0, omega, ([uint8]))", [1, 300], [1], "$[1]: 300 outside uint8 range"),
+            ("sum(finite(2), (float32, uint8))", (0, 1e300), (1, 0), "$.case(0): 1e+300 does not fit in float32"),
+            ("hierar(0, omega, ([uint8]))", [300], [1, 2], "$[0]: 300 outside uint8 range"),
+            ("lex(0, omega, ([float64]))", [0.0, math.nan], [1.0], "$[1]: NaN needs the nan_high policy"),
+        ],
+        ids=["next-past-question", "lex-past-question", "sum-past-master", "hierar-past-length", "nan-past-question"],
+    )
+    def test_non_element_past_the_question(self, text, bad, good, message):
+        tree = parse(text)
+        with pytest.raises(ElementError) as info:
+            check_element(tree, bad)
+        assert str(info.value) == message
+        runs = [lambda: compare(tree, bad, good), lambda: compare(tree, good, bad)]
+        if isinstance(tree, SeqOp):
+            runs += [lambda: find_question(tree, bad, good), lambda: find_question(tree, good, bad)]
+        for run in runs:
+            with pytest.raises(IncompatibleElements) as info:
+                run()
+            assert str(info.value) == message
 
 
 class TestLeaves:

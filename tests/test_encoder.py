@@ -35,6 +35,8 @@ from tsokey import (
     PackedModeUnavailable,
     PrefixAnomaly,
     SeqKind,
+    SeqOp,
+    Sum,
     TsokeyError,
     anticontrehierar,
     anticontrelex,
@@ -60,6 +62,7 @@ from tsokey import (
     prepare,
     primitive_key,
     sum_of,
+    validate,
     wrap_finite_leaf,
 )
 from tsokey import encoder
@@ -511,12 +514,23 @@ class TestValidatorsAgree:
             assert str(info.value) == f"$: {message}"
         with pytest.raises(IncompatibleElements) as info:
             compare(tree, bad, bad)
-        assert str(info.value) == message
+        assert str(info.value) == f"$: {message}"
 
-    def test_list_collation_keys_as_tuple(self):
-        listed, tupled = Finite(3, [2, 0, 1]), Finite(3, (2, 0, 1))
-        assert listed == tupled
-        assert [encode(listed, v) for v in range(3)] == [encode(tupled, v) for v in range(3)]
+    @pytest.mark.parametrize(
+        "listed, tupled, values",
+        [
+            (Finite(3, [2, 0, 1]), Finite(3, (2, 0, 1)), [0, 1, 2]),
+            (SeqOp(SeqKind.LEX, 0, OMEGA, [], [UINT8]), lex(0, OMEGA, period=(UINT8,)), [[], [1], [1, 2], [2]]),
+            (SeqOp(SeqKind.NEXT, 2, 3, [UINT8, BYTES]), next_(2, 3, (UINT8, BYTES)), [[1, b""], [1, b"a"], [0, b"b"]]),
+            (Sum(F2, [UINT8, UINT8]), sum_of(F2, (UINT8, UINT8)), [(0, 5), (1, 3), (1, 4)]),
+        ],
+        ids=["list-collation", "list-period", "list-prelude", "list-cases"],
+    )
+    def test_lists_key_and_compare_as_tuples(self, listed, tupled, values):
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert [encode(listed, v) for v in values] == [encode(tupled, v) for v in values]
+        for x, y in product(values, repeat=2):
+            assert compare(listed, x, y) is compare(tupled, x, y)
 
 
 class TestPaperDefinitions:
@@ -589,6 +603,14 @@ class TestInvertedShapes:
 
     def test_inverted_leaf_stores_the_mirrored_rank(self):
         assert encode(inv(finite(3)), 0) == bytes.fromhex("f002e0")
+
+    def test_inverted_leaf_of_the_largest_cardinality(self):
+        n = 2**64
+        tree, plain = inv(finite(n)), finite(n)
+        validate(tree)
+        for rank in (0, 1, 2**63, n - 2, n - 1):
+            assert encode(tree, rank) == encode(plain, n - 1 - rank)
+        assert compare(tree, 0, n - 1) is Ordering.GREATER
 
 
 class TestKeyComparison:
@@ -976,12 +998,14 @@ def _accepts(run):
 def test_validator_encoder_and_comparator_agree_on_membership(draw, nan_high):
     rng = random.Random(draw)
     tree = random_tree(rng, rng.randrange(0, 4))
-    value = random_element(rng, tree, length_cap=3)
+    value = good = random_element(rng, tree, length_cap=3)
     if rng.random() < 0.8:
         value = _mutate(rng, value)
     verdicts = (
         _accepts(lambda: check_element(tree, value, nan_high=nan_high)),
         _accepts(lambda: encode(tree, value, nan_high=nan_high)),
         _accepts(lambda: compare(tree, value, value, nan_high=nan_high)),
+        _accepts(lambda: compare(tree, value, good, nan_high=nan_high)),
+        _accepts(lambda: compare(tree, good, value, nan_high=nan_high)),
     )
-    assert len(set(verdicts)) == 1, f"{tree!r} {value!r}: check/encode/compare {verdicts}"
+    assert len(set(verdicts)) == 1, f"{tree!r} {value!r} {good!r}: check/encode/compare x3 {verdicts}"
