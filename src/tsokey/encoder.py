@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import struct
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -65,6 +64,7 @@ from .errors import (
     ElementMismatch,
     NaNRejected,
     PackedModeUnavailable,
+    Record,
     ZeroDenominator,
     shown,
 )
@@ -336,8 +336,7 @@ def rational_key(p: int, q: int) -> bytes:
 # Whole-tree encoding
 
 
-@dataclass(frozen=True)
-class PreparedOrder:
+class PreparedOrder(Record):
     """A validated tree lowered for encoding, and the plans compiled from it.
 
     ``tree`` has all Inv structure pushed into the leaves and is otherwise
@@ -347,10 +346,12 @@ class PreparedOrder:
     result in ``plans``, so a tree is interpreted once, not once per element.
     """
 
-    tree: OrderNode
-    stats: PathStats
-    packed_ok: bool
-    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __match_args__ = ("tree", "stats", "packed_ok")
+    __slots__ = (*__match_args__, "plans")
+
+    def __init__(self, tree: OrderNode, stats: PathStats, packed_ok: bool):
+        self._store(tree, stats, packed_ok)
+        object.__setattr__(self, "plans", {})
 
     def plan(self, mode: str = "padded", *, nan_high: bool = False, doc: bool = False):
         """The function taking one element to its key; ``plan().source`` is its code.

@@ -8,7 +8,45 @@ mean validation let a bad tree through) to exit code 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+
+class Record:
+    """Base of the package's frozen slotted value records (tree nodes, spans, ...).
+
+    A subclass lists its fields in ``__match_args__``, names its slots and
+    stores the fields in ``__init__`` through ``_store``.  The base gives
+    equality within one class, a hash, a repr and pickling by those fields
+    alone, and refuses assignment and deletion with ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _store(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class TsokeyError(Exception):
@@ -33,6 +71,9 @@ class MalformedNode(ValidationError):
         super().__init__(f"{path}: {reason}")
         self.path = path
         self.reason = reason
+
+    def __reduce__(self):
+        return type(self), (self.path, self.reason)
 
 
 class OrderTooDeep(ValidationError):
@@ -147,13 +188,13 @@ class MixedCellKinds(TsokeyError):
 # Order definition language
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
+class SourceSpan(Record):
     """Position of a token in a definition file: 1-based line and column."""
 
-    line: int
-    column: int
-    offset: int
+    __slots__ = __match_args__ = ("line", "column", "offset")
+
+    def __init__(self, line: int, column: int, offset: int):
+        self._store(line, column, offset)
 
     @classmethod
     def at(cls, text: str, offset: int) -> SourceSpan:
@@ -176,3 +217,6 @@ class TsodlSyntaxError(TsokeyError):
         self.span = span
         self.expected = expected
         self.found = found
+
+    def __reduce__(self):
+        return type(self), (self.span, self.expected, self.found)

@@ -21,11 +21,16 @@ rationals, lists/tuples for sequence nodes and (master_rank, sub) pairs for
 Sum nodes.  The encoder's plan for a tree is the one definition of which
 values are elements: ``tsokey.check_element`` runs it and discards the key,
 and ``tsokey.compare`` runs it on both values before it orders them.
+
+Nodes and ``PathStats`` are frozen slotted records (``errors.Record``), not
+dataclasses: equal when class and fields are, hashable (a node caches its
+hash), picklable by their fields, matched by position through
+``__match_args__``; assignment raises ``AttributeError``.  A list of
+children or a list collation table becomes a tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Union
 
@@ -37,6 +42,7 @@ from .errors import (
     OrderTooDeep,
     PeriodMissing,
     RankOutOfRange,
+    Record,
     shown,
 )
 
@@ -220,18 +226,9 @@ def _node_hash(node) -> int:
     # prepare() is cached by tree value, so a one-shot encode hashes the tree.
     value = node._hash
     if value is None:
-        value = hash(tuple(getattr(node, name) for name in node.__match_args__))
+        value = hash(node._values())
         object.__setattr__(node, "_hash", value)
     return value
-
-
-def _node_reduce(node):
-    # Pickled by its fields alone: a string's hash differs between processes.
-    return type(node), tuple(getattr(node, name) for name in node.__match_args__)
-
-
-def _cached_hash():
-    return field(default=None, init=False, repr=False, compare=False)
 
 
 def _freeze(node, *names) -> None:
@@ -242,8 +239,18 @@ def _freeze(node, *names) -> None:
             object.__setattr__(node, name, tuple(getattr(node, name)))
 
 
-@dataclass(frozen=True, slots=True)
-class Finite:
+class _Node(Record):
+    # The cached hash lives in a slot of its own, outside eq, repr and pickling.
+    __slots__ = ("_hash",)
+    __hash__ = _node_hash
+
+    def _store(self, *values) -> None:
+        object.__setattr__(self, "_hash", None)
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+
+class Finite(_Node):
     """The naturals 0 .. cardinality-1.
 
     ``collation`` optionally re-enumerates the raw values: it maps a raw
@@ -251,18 +258,14 @@ class Finite:
     allowed for cardinality <= 256 (one data byte).
     """
 
-    cardinality: int
-    collation: tuple[int, ...] | None = None
-    _hash: int | None = _cached_hash()
-    __hash__ = _node_hash
-    __reduce__ = _node_reduce
+    __slots__ = __match_args__ = ("cardinality", "collation")
 
-    def __post_init__(self):
+    def __init__(self, cardinality: int, collation: tuple[int, ...] | None = None):
+        self._store(cardinality, collation)
         _freeze(self, "collation")
 
 
-@dataclass(frozen=True, slots=True)
-class Builtin:
+class Builtin(_Node):
     """A scalar leaf with a dedicated key encoder.
 
     ``collation`` applies to BYTES leaves only.  ``inverted`` marks a
@@ -271,29 +274,23 @@ class Builtin:
     BYTES leaf also ends as a contrelex node).
     """
 
-    kind: BuiltinKind
-    collation: tuple[int, ...] | None = None
-    inverted: bool = False
-    _hash: int | None = _cached_hash()
-    __hash__ = _node_hash
-    __reduce__ = _node_reduce
+    __slots__ = __match_args__ = ("kind", "collation", "inverted")
 
-    def __post_init__(self):
+    def __init__(self, kind: BuiltinKind, collation: tuple[int, ...] | None = None, inverted: bool = False):
+        self._store(kind, collation, inverted)
         _freeze(self, "collation")
 
 
-@dataclass(frozen=True, slots=True)
-class Inv:
+class Inv(_Node):
     """The child order reversed."""
 
-    child: "OrderNode"
-    _hash: int | None = _cached_hash()
-    __hash__ = _node_hash
-    __reduce__ = _node_reduce
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: OrderNode):
+        self._store(child)
 
 
-@dataclass(frozen=True, slots=True)
-class SeqOp:
+class SeqOp(_Node):
     """An order on sequences of length L with min_len <= L < max_len.
 
     The item order at rank r is prelude[r] while r falls inside the prelude,
@@ -301,42 +298,38 @@ class SeqOp:
     length) provided the period is non-empty.
     """
 
-    kind: SeqKind
-    min_len: int
-    max_len: Union[int, _Omega]
-    prelude: tuple["OrderNode", ...] = ()
-    period: tuple["OrderNode", ...] = ()
-    _hash: int | None = _cached_hash()
-    __hash__ = _node_hash
-    __reduce__ = _node_reduce
+    __slots__ = __match_args__ = ("kind", "min_len", "max_len", "prelude", "period")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        kind: SeqKind,
+        min_len: int,
+        max_len: Union[int, _Omega],
+        prelude: tuple[OrderNode, ...] = (),
+        period: tuple[OrderNode, ...] = (),
+    ):
+        self._store(kind, min_len, max_len, prelude, period)
         _freeze(self, "prelude", "period")
 
 
-@dataclass(frozen=True, slots=True)
-class Sum:
+class Sum(_Node):
     """Disjoint union tagged by a Finite master order.
 
     Elements are (master_rank, sub) pairs; master_rank picks the case the
     sub-value lives in, and the master order decides first.
     """
 
-    master: Finite
-    cases: tuple["OrderNode", ...]
-    _hash: int | None = _cached_hash()
-    __hash__ = _node_hash
-    __reduce__ = _node_reduce
+    __slots__ = __match_args__ = ("master", "cases")
 
-    def __post_init__(self):
+    def __init__(self, master: Finite, cases: tuple[OrderNode, ...]):
+        self._store(master, cases)
         _freeze(self, "cases")
 
 
 OrderNode = Union[Finite, Builtin, Inv, SeqOp, Sum]
 
 
-@dataclass(frozen=True, slots=True)
-class PathStats:
+class PathStats(Record):
     """What validate() learned while walking a tree.
 
     depth counts operator nodes (SeqOp / Sum) on the deepest root-leaf path;
@@ -346,10 +339,10 @@ class PathStats:
     soon as any node can produce elements of more than one encoded length.
     """
 
-    depth: int
-    max_lex_path: int
-    max_contrelex_path: int
-    has_variable_length: bool
+    __slots__ = __match_args__ = ("depth", "max_lex_path", "max_contrelex_path", "has_variable_length")
+
+    def __init__(self, depth: int, max_lex_path: int, max_contrelex_path: int, has_variable_length: bool):
+        self._store(depth, max_lex_path, max_contrelex_path, has_variable_length)
 
 
 # ---------------------------------------------------------------------------

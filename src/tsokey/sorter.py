@@ -25,8 +25,11 @@ __all__ = ["ShortCell", "LongCell", "HAVE_COMPILED", "sort_cells"]
 
 
 # Both cells stay frozen slotted dataclasses (eq, hash, repr, pickling and
-# ``dataclasses.replace`` are the generated ones); only ``__init__`` is
-# written here.  It stores each field through its slot's member descriptor,
+# ``dataclasses.replace`` are the generated ones), unlike the package's other
+# records: their tests bind that contract (``FrozenInstanceError``,
+# ``dataclasses.fields`` and ``replace``), and ``tsokey validate``, ``encode``
+# and ``sort`` never load this module, so none of them imports ``dataclasses``.
+# Only ``__init__`` is written here.  It stores each field through its slot's member descriptor,
 # taken from the final class below, instead of the generated
 # ``object.__setattr__`` per field, about 30% of building a cell.
 

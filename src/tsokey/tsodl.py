@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import replace
 
 from .errors import SourceSpan, TsodlSyntaxError
 from .order_model import (
@@ -157,7 +156,7 @@ class _Parser:
             child = self.node()
             self._expect(")")
             if isinstance(child, Builtin):
-                return replace(child, inverted=not child.inverted)
+                return Builtin(child.kind, child.collation, not child.inverted)
             return Inv(child)
         if word == "sum":
             return self._sum()
@@ -264,7 +263,7 @@ def serialize(tree: OrderNode) -> str:
         if not flipped:
             return serialize(base)
         if isinstance(base, Builtin):
-            return serialize(replace(base, inverted=not base.inverted))
+            return serialize(Builtin(base.kind, base.collation, not base.inverted))
         return f"inv({serialize(base)})"
     if isinstance(tree, SeqOp):
         bound = "omega" if tree.max_len is OMEGA else str(tree.max_len)

@@ -1,5 +1,7 @@
 """Tree validation, rewrites, and element conformance."""
 
+import copy
+import math
 import operator
 import pickle
 import random
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from tsokey import (
     BOOL,
     BYTES,
+    FLOAT64,
     INT8,
     OMEGA,
     RATIONAL,
@@ -25,22 +28,30 @@ from tsokey import (
     NaNRejected,
     NextNotFixedLength,
     OrderTooDeep,
+    PackedModeUnavailable,
+    PathStats,
     PeriodMissing,
+    PreparedOrder,
     RankOutOfRange,
     SeqKind,
     SeqOp,
+    SourceSpan,
     Sum,
+    TsodlSyntaxError,
+    antilex,
     check_element,
     compare,
     contre_rewrite,
     contrehierar,
     contrelex,
+    encode,
     finite,
     hierar,
     inv,
     item_order_at,
     lex,
     next_,
+    parse,
     push_inv_to_leaves,
     rational_parts,
     sum_of,
@@ -347,3 +358,136 @@ def test_path_counts_never_exceed_the_depth():
         assert stats.max_lex_path <= stats.depth
         assert stats.max_contrelex_path <= stats.depth
     assert accepted > len(trees) // 2
+
+
+# A parsed tree holding every node kind: a sum, sequence nodes (one unbounded),
+# a finite leaf with a collation, an Inv over a sequence and inverted builtins.
+RECORD_TREE = (
+    "sum(finite(2), (lex(0, omega, (finite(3, collation=020001) [inv(hierar(1, 3, ([uint8])))])),"
+    " next(1, 2, (bytes desc, float64))))"
+)
+
+
+def _records():
+    tree = parse(RECORD_TREE)
+    stats = validate(tree)
+    return [*_walk(tree), stats, SourceSpan(2, 5, 17), PreparedOrder(tree, stats, False)]
+
+
+class TestRecords:
+    """Tree nodes, PathStats, SourceSpan and PreparedOrder are frozen value records."""
+
+    def test_repr(self):
+        tree = parse(RECORD_TREE)
+        assert repr(tree) == (
+            "Sum(master=Finite(cardinality=2, collation=None), cases=(SeqOp(kind=<SeqKind.LEX: 'lex'>,"
+            " min_len=0, max_len=OMEGA, prelude=(Finite(cardinality=3, collation=(2, 0, 1)),),"
+            " period=(Inv(child=SeqOp(kind=<SeqKind.HIERAR: 'hierar'>, min_len=1, max_len=3, prelude=(),"
+            " period=(Builtin(kind=<BuiltinKind.UINT8: 'uint8'>, collation=None, inverted=False),))),)),"
+            " SeqOp(kind=<SeqKind.NEXT: 'next'>, min_len=1, max_len=2,"
+            " prelude=(Builtin(kind=<BuiltinKind.BYTES: 'bytes'>, collation=None, inverted=True),"
+            " Builtin(kind=<BuiltinKind.FLOAT64: 'float64'>, collation=None, inverted=False)), period=())))"
+        )
+        assert repr(validate(tree)) == (
+            "PathStats(depth=3, max_lex_path=1, max_contrelex_path=0, has_variable_length=True)"
+        )
+        assert repr(SourceSpan(2, 5, 17)) == "SourceSpan(line=2, column=5, offset=17)"
+
+    def test_records_of_different_classes_are_unequal(self):
+        class Subclass(Finite):
+            __slots__ = ()
+
+        assert Finite(2) != Subclass(2)
+        assert Subclass(2) == Subclass(2)
+        assert Finite(2) != (2, None)
+        assert Inv(Finite(2)) != Inv(Subclass(2))
+        assert SourceSpan(1, 1, 0) != (1, 1, 0)
+
+    def test_equal_trees_hash_equal_and_the_cached_hash_is_hidden(self):
+        first, second = parse(RECORD_TREE), parse(RECORD_TREE)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        node, twin = Finite(3), Finite(3)
+        object.__setattr__(node, "_hash", 12345)
+        assert hash(node) == 12345
+        assert node == twin and repr(node) == repr(twin) == "Finite(cardinality=3, collation=None)"
+        for cls in (Finite, Builtin, Inv, SeqOp, Sum):
+            assert "_hash" not in cls.__match_args__
+
+    @pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+    def test_fields_cannot_be_set_or_deleted(self, record):
+        for field in type(record).__match_args__:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(record, field, 1)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(record, field)
+
+    @pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+    def test_pickle_and_deepcopy_round_trip(self, record):
+        for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+            assert type(clone) is type(record)
+            assert clone == record and hash(clone) == hash(record) and repr(clone) == repr(record)
+
+    def test_keyword_construction(self):
+        leaf = Finite(cardinality=3, collation=(2, 0, 1))
+        assert leaf == Finite(3, (2, 0, 1))
+        assert Builtin(kind=BuiltinKind.BYTES, collation=None, inverted=True) == Builtin(BuiltinKind.BYTES, None, True)
+        assert Builtin(BuiltinKind.UINT8) == Builtin(BuiltinKind.UINT8, None, False)
+        assert Inv(child=leaf) == Inv(leaf)
+        seq = SeqOp(kind=SeqKind.LEX, min_len=0, max_len=OMEGA, prelude=(leaf,), period=(UINT8,))
+        assert seq == SeqOp(SeqKind.LEX, 0, OMEGA, (leaf,), (UINT8,))
+        assert SeqOp(SeqKind.NEXT, 1, 2) == SeqOp(SeqKind.NEXT, 1, 2, (), ())
+        assert Sum(master=Finite(2), cases=(UINT8, leaf)) == Sum(Finite(2), (UINT8, leaf))
+        stats = PathStats(depth=1, max_lex_path=1, max_contrelex_path=0, has_variable_length=True)
+        assert stats == PathStats(1, 1, 0, True)
+        assert SourceSpan(line=2, column=5, offset=17) == SourceSpan(2, 5, 17)
+        assert PreparedOrder(tree=seq, stats=stats, packed_ok=False) == PreparedOrder(seq, stats, False)
+
+    def test_list_children_and_tables_become_tuples(self):
+        node = SeqOp(SeqKind.LEX, 0, OMEGA, [Finite(2)], [Finite(3, [2, 0, 1])])
+        assert node.prelude == (Finite(2),) and type(node.prelude) is tuple
+        assert node.period[0].collation == (2, 0, 1) and type(node.period[0].collation) is tuple
+        assert type(Sum(Finite(2), [UINT8, BOOL]).cases) is tuple
+        assert type(Builtin(BuiltinKind.BYTES, list(range(256))).collation) is tuple
+        assert hash(node) == hash(SeqOp(SeqKind.LEX, 0, OMEGA, (Finite(2),), (Finite(3, (2, 0, 1)),)))
+
+    def test_match_by_position(self):
+        match parse("finite(3, collation=020001)"):
+            case Finite(cardinality, collation):
+                assert (cardinality, collation) == (3, (2, 0, 1))
+            case _:
+                pytest.fail("no match")
+        match parse("lex(0, omega, (uint8 [bytes desc]))"):
+            case SeqOp(SeqKind.LEX, 0, max_len, (Builtin(BuiltinKind.UINT8),), (Builtin(_, None, True),)):
+                assert max_len is OMEGA
+            case _:
+                pytest.fail("no match")
+        assert Sum.__match_args__ == ("master", "cases")
+        assert Inv.__match_args__ == ("child",)
+        assert PathStats.__match_args__ == ("depth", "max_lex_path", "max_contrelex_path", "has_variable_length")
+
+
+# One call for each error class that parse, validate and encode raise.
+FAILING_CALLS = [
+    (TsodlSyntaxError, lambda: parse("finite(3)\n  x")),
+    (MalformedNode, lambda: validate(Finite(3, (0, 1, 1)))),
+    (OrderTooDeep, lambda: validate(nested(lex, 15))),
+    (PeriodMissing, lambda: validate(lex(0, OMEGA))),
+    (AntiNotUniform, lambda: validate(antilex(0, OMEGA, prelude=(Finite(2),), period=(Finite(3),)))),
+    (NextNotFixedLength, lambda: validate(next_(0, 3, period=(Finite(2),)))),
+    (ElementMismatch, lambda: encode(lex(0, OMEGA, period=(UINT8,)), [1, "x"])),
+    (NaNRejected, lambda: encode(FLOAT64, math.nan)),
+    (PackedModeUnavailable, lambda: encode(lex(0, OMEGA, period=(UINT8,)), [1], mode="packed")),
+]
+
+
+@pytest.mark.parametrize("cls, call", FAILING_CALLS, ids=[cls.__name__ for cls, _ in FAILING_CALLS])
+def test_errors_survive_pickling(cls, call):
+    """Errors cross process boundaries: same class, message and attributes after a round trip."""
+    with pytest.raises(cls) as info:
+        call()
+    error = info.value
+    clone = pickle.loads(pickle.dumps(error))
+    assert type(clone) is type(error) is cls
+    assert str(clone) == str(error) and clone.args == error.args
+    assert vars(clone) == vars(error)

@@ -22,10 +22,13 @@ COMMAND_MODULES = {
     "tsokey.order_model",
     "tsokey.tsodl",
 }
-# Modules that only `bench`, `selftest` or the library's other names use.
+# Modules that only `bench`, `selftest` or the library's other names use
+# (`dataclasses`, which pulls in `inspect`, only for the sorter's cells).
 NEVER_LOADED = {
+    "dataclasses",
     "decimal",
     "fractions",
+    "inspect",
     "numbers",
     "statistics",
     "tsokey.comparator",
