@@ -2,7 +2,7 @@
 
 Build an order tree (or parse one from its text form), encode elements into
 byte keys whose plain bytewise comparison reproduces the tree order, and
-sort large key arrays with the built-in timsort (C, no build step).
+sort large key arrays: by distinct key where keys repeat, else by timsort.
 
 Importing the package loads none of its modules: each public name below is
 looked up in its module on first use (PEP 562), so ``tsokey sort`` pays

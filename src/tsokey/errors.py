@@ -8,6 +8,8 @@ mean validation let a bad tree through) to exit code 2.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class Record:
     """Base of the package's frozen slotted value records (tree nodes, spans, ...).
@@ -16,31 +18,38 @@ class Record:
     stores the fields in ``__init__`` through ``_store``.  The base gives
     equality within one class, a hash, a repr and pickling by those fields
     alone, and refuses assignment and deletion with ``AttributeError``.
+    ``_values``, the tuple of the fields, is an ``attrgetter`` made per class.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = getattr(cls, "__match_args__", ())
+        if len(names) > 1:
+            cls._values = property(attrgetter(*names))
+        elif names:  # attrgetter of one name gives the bare value
+            get = attrgetter(*names)
+            cls._values = property(lambda self: (get(self),))
 
     def _store(self, *values) -> None:
         for name, value in zip(self.__match_args__, values):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values == other._values
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -226,7 +226,7 @@ def _node_hash(node) -> int:
     # prepare() is cached by tree value, so a one-shot encode hashes the tree.
     value = node._hash
     if value is None:
-        value = hash(node._values())
+        value = hash(node._values)
         object.__setattr__(node, "_hash", value)
     return value
 

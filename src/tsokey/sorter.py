@@ -3,9 +3,10 @@
 Keys travel in cells that pair the key bytes with an opaque reference (a
 row id, an input line number, ...).  Short cells carry exactly eight key
 bytes, long cells any number.  Because the keys sort correctly under plain
-bytewise comparison, ``sort_cells`` needs no kernel of its own: it is the
-built-in timsort of the cells by their key bytes, which runs in C and
-compares whole keys with memcmp.
+bytewise comparison, ``sort_cells`` is the stable sort of the cells by
+their key bytes that ``_pure_sort.sort_by_key`` gives ``tsokey sort`` too:
+a counting sort over the distinct keys when keys repeat, the built-in
+timsort otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 
+from ._pure_sort import sort_by_key
 from .errors import MixedCellKinds
 
 # No compiled core ships; kept because perfbench's traced harness reads it.
@@ -90,4 +92,4 @@ def sort_cells(cells: list) -> list:
     """Return the cells in stable ascending order of bytewise key comparison."""
     if cells:
         _check_cells(cells)
-    return sorted(cells, key=attrgetter("key"))
+    return sort_by_key(cells, attrgetter("key"))

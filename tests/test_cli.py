@@ -566,13 +566,13 @@ class TestRepeatedLines:
 
     ORDER = "next(2, 3, (int32 desc, bytes))"
 
-    def _rows(self):
-        """2500 records drawn from 60 distinct lines, two spellings of one record among them."""
+    def _rows(self, count=2500):
+        """``count`` records drawn from 60 distinct lines, two spellings of one record among them."""
         compact = (",", ":")
         pool = [json.dumps([i % 7 - 3, "abcdef"[i % 6] * (1 + i // 42)], separators=compact) for i in range(59)]
         pool.append(pool[0].replace(",", ", "))
         rng = random.Random(13)
-        rows = [rng.choice(pool) for _ in range(2500)]
+        rows = [rng.choice(pool) for _ in range(count)]
         rows[1023] = rows[1024] = rows[2047] = rows[0]  # copies on both sides of each batch boundary
         return rows
 
@@ -602,9 +602,10 @@ class TestRepeatedLines:
         monkeypatch.setattr(cli, "prepare", lambda tree: Counting(real_prepare(tree)))
         return calls
 
+    @pytest.mark.parametrize("count", [2500, 9000])
     @pytest.mark.parametrize("output", ["lines", "indices"])
-    def test_sort_is_a_stable_sort_of_per_line_keys(self, tmp_path, capsys, output):
-        rows = self._rows()
+    def test_sort_is_a_stable_sort_of_per_line_keys(self, tmp_path, capsys, output, count):
+        rows = self._rows(count)
         order = write(tmp_path, "o.tsodl", self.ORDER)
         data = write(tmp_path, "d.jsonl", "\n".join(rows) + "\n")
         assert main(["sort", order, data, "--output", output]) == 0
@@ -614,6 +615,10 @@ class TestRepeatedLines:
         expected = sorted(range(len(rows)), key=keys.__getitem__)
         shown = rows.__getitem__ if output == "lines" else str
         assert capsys.readouterr().out.splitlines() == list(map(shown, expected))
+        # Ties keep input order, also between the two spellings of one record.
+        ties = [(i, j) for i, j in zip(expected, expected[1:]) if keys[i] == keys[j]]
+        assert all(i < j for i, j in ties)
+        assert any(rows[i] != rows[j] for i, j in ties)
 
     def test_one_plan_call_per_distinct_valid_line(self, tmp_path, monkeypatch, capsys):
         rows = self._rows()

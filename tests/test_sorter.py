@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsokey import LongCell, MixedCellKinds, ShortCell, encode, parse, sort_cells
-from tsokey._pure_sort import msd_sort_indices
+from tsokey._pure_sort import _groups, msd_sort_indices
 
 
 def short_cells(rng, n, distinct_bytes=256):
@@ -44,6 +44,62 @@ def path_cells(rng, n):
     return [
         LongCell(keys[int(len(keys) * rng.random() ** 3)], ref) for ref in range(n)
     ]
+
+
+def zipf_keys(rng, n, distinct, exponent=3):
+    """n padded path keys over ``distinct`` paths, low ranks drawn far more often."""
+    bytes_order = parse("bytes")
+    keys = [encode(bytes_order, b"/srv/data/part_%05d.bin" % rank) for rank in range(distinct)]
+    return [keys[int(distinct * rng.random() ** exponent)] for _ in range(n)]
+
+
+def distinct_keys(rng, n):
+    return [bytes(rng.randrange(256) for _ in range(6)) + ref.to_bytes(3, "big") for ref in range(n)]
+
+
+def layout(name):
+    """Keys for one layout the grouping sort must choose for or against."""
+    rng = random.Random(name)
+    if name == "all-distinct":
+        return distinct_keys(rng, 6000)
+    if name == "half-repeats":
+        keys = distinct_keys(rng, 3000)
+        keys += [rng.choice(keys) for _ in range(3000)]
+        rng.shuffle(keys)
+        return keys
+    if name == "zipf-94%-repeats":
+        return zipf_keys(rng, 10000, 600)
+    if name == "all-equal":
+        return [b"\x07" * 8] * 5000
+    if name == "repeats-then-distinct":
+        # Passes the checks at 4096 and 8192, fails the one at 16384.
+        return [rng.choice([b"a", b"b", b"c"]) * 8 for _ in range(8192)] + distinct_keys(rng, 12000)
+    if name == "repeats-then-distinct-half":
+        # Passes every check; the unchecked last chunk is all distinct.
+        return [rng.choice([b"a", b"b", b"c"]) * 8 for _ in range(8192)] + distinct_keys(rng, 8192)
+    if name == "equal-keys-apart":
+        # Equal keys held in distinct bytes objects, so buckets meet by value.
+        keys = [bytes(bytearray(b"key-%d" % rng.randrange(40))) for _ in range(5000)]
+        assert len({id(key) for key in keys}) == len(keys)
+        return keys
+    size = int(name.removeprefix("n="))  # sizes around the probe
+    return [b"%02d" % rng.randrange(30) for _ in range(size)]
+
+
+LAYOUTS = [
+    "all-distinct",
+    "half-repeats",
+    "zipf-94%-repeats",
+    "all-equal",
+    "repeats-then-distinct",
+    "repeats-then-distinct-half",
+    "equal-keys-apart",
+    "n=0",
+    "n=1",
+    "n=4095",
+    "n=4096",
+    "n=4097",
+]
 
 
 def stable_oracle(cells):
@@ -214,6 +270,26 @@ class TestSortCells:
         assert [c.ref for c in sort(cells)] == [1, 0]
         assert sort([LongCell(b"x", 0)]) == [LongCell(b"x", 0)]
 
+    @SORTS
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_key_layouts(self, sort, name):
+        cells = [LongCell(key, ref) for ref, key in enumerate(layout(name))]
+        assert sort(cells) == stable_oracle(cells)
+
+    @SORTS
+    def test_unhashable_keys_still_sort(self, sort):
+        cells = [LongCell(bytearray(b"b"), 0), LongCell(b"a", 1), LongCell(bytearray(b"a"), 2)]
+        assert [cell.ref for cell in sort(cells)] == [1, 2, 0]
+
+    @SORTS
+    @pytest.mark.parametrize("position", [0, 4095, 4096, 9999])
+    def test_one_unhashable_key_anywhere(self, sort, position):
+        # In the probe, in the first grouped chunk past it, and in the last chunk.
+        keys = layout("zipf-94%-repeats")
+        keys[position] = bytearray(keys[position])
+        cells = [LongCell(key, ref) for ref, key in enumerate(keys)]
+        assert sort(cells) == stable_oracle(cells)
+
     def test_mixed_kinds_rejected(self):
         cells = [ShortCell(b"\x00" * 8, 0), LongCell(b"a", 1)]
         with pytest.raises(MixedCellKinds):
@@ -225,6 +301,25 @@ class TestSortCells:
 
 
 class TestPureKernels:
+    @pytest.mark.parametrize(
+        "name, grouped",
+        [
+            ("all-distinct", False),
+            ("half-repeats", False),
+            ("zipf-94%-repeats", True),
+            ("all-equal", False),  # already in order: timsort takes it in one pass
+            ("repeats-then-distinct", False),
+            ("repeats-then-distinct-half", True),
+            ("equal-keys-apart", True),
+        ],
+    )
+    def test_grouping_is_chosen_by_the_repeat_share(self, name, grouped):
+        keys = layout(name)
+        groups = _groups(range(len(keys)), keys.__getitem__)
+        assert (groups is not None) is grouped
+        if grouped:
+            assert len(groups) == len(set(keys))
+
     def test_msd_trivial_sizes(self):
         assert msd_sort_indices([]) == []
         assert msd_sort_indices([b"z"]) == [0]
