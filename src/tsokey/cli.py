@@ -351,13 +351,14 @@ def _cmd_bench(args) -> int:
 # Wiring
 
 
-def _positive_sizes(text: str) -> list[int]:
-    sizes = []
-    for chunk in text.split(","):
-        value = int(chunk)
-        if value < 0:
-            raise ValueError("sizes must be non-negative")
-        sizes.append(value)
+def _sizes(text: str) -> list[int]:
+    """Comma-separated counts of zero or more: ``--n``."""
+    try:
+        sizes = [int(chunk) for chunk in text.split(",")]
+    except ValueError:
+        sizes = [-1]
+    if min(sizes) < 0:
+        raise argparse.ArgumentTypeError(f"expected comma-separated non-negative integers, got {text!r}")
     return sizes
 
 
@@ -403,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = commands.add_parser("bench", help="time the key argsort against a sort of cells")
     p_bench.add_argument("--gen", choices=("uniform", "prefix", "custom"), default="uniform")
     p_bench.add_argument("--order", help="order file for --gen=custom")
-    p_bench.add_argument("--n", type=_positive_sizes, default=None, help="comma-separated sizes")
+    p_bench.add_argument("--n", type=_sizes, default=None, help="comma-separated sizes")
     p_bench.add_argument("--repeat", type=_positive_int, default=3, help="repeats per size (median wins)")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=_cmd_bench)

@@ -121,10 +121,7 @@ def wrap_finite_leaf(data: bytes) -> bytes:
     """Wrap raw leaf bytes in padding triples, final padding dropped to (14,0)."""
     if not data:
         raise ValueError("cannot wrap an empty data string")
-    out = bytearray(_PAD_TRIPLE * len(data))
-    out[1::3] = data
-    out[-1] = 0xE0
-    return bytes(out)
+    return _spread(data)[:-1] + b"\xe0"
 
 
 def empty_sequence_pattern(kind: SeqKind, depth: int) -> bytes:
@@ -176,8 +173,8 @@ def _ending_values(base: int, kinds: tuple[str, ...]) -> tuple[int, ...]:
 def _count_header_unbounded(n: int) -> bytes:
     """Count header of any size: continued-fraction terms use it as is.
 
-    Sequence counts go through ``hierar_count_header``, which caps them
-    below 2**64; for counts in that range the bytes are the same.
+    The plans call it for sequences of 256 or more items, which stay below
+    the 2**64 cap ``hierar_count_header`` checks.
 
     Layout: a unary run of U ones followed by a zero, padded out to whole
     bytes, where U is the byte length of B; then B, the byte length of n,
@@ -187,8 +184,6 @@ def _count_header_unbounded(n: int) -> bytes:
     if n < 0:
         raise ValueError("count cannot be negative")
     value_len = max(1, (n.bit_length() + 7) // 8)
-    if value_len < 256:  # U = 1: the prefix is the one byte 0b10000000
-        return bytes((0x80, value_len)) + n.to_bytes(value_len, "big")
     unary_len = (value_len.bit_length() + 7) // 8
     prefix_len = unary_len // 8 + 1  # U ones and a zero, in whole bytes
     prefix = ((1 << unary_len) - 1) << (8 * prefix_len - unary_len)
@@ -257,30 +252,27 @@ def _spread(data: bytes) -> bytes:
     return bytes(out)
 
 
+def _pair(data: bytes) -> tuple[bytes, bytes]:
+    """``data`` in padding triples, plain and bit-flipped."""
+    return _spread(data), _spread(data.translate(_FLIP))
+
+
+def _unit(term: int) -> tuple[bytes, bytes]:
+    """The unit of a continued-fraction term, plain and bit-flipped: flag 00 and its count header."""
+    return _pair(b"\x00" + _count_header_unbounded(term))
+
+
 @lru_cache(maxsize=None)
 def _rational_fragments():
     """The precomputed fragments of the rational walk, in padding triples.
 
     ``signs[inverted][negative]`` is the sign byte, ``terms[flip][t]`` the
-    unit of a term t below 256 (flag 00, then the count header 80 01 t), and
-    ``terminators[flip]`` the infinity terminator 01; ``flip`` 1 bit-flips a
-    fragment.  About 30 KB, built on first use so that a process encoding
-    no rational builds none.
+    unit of a term t below 256, and ``terminators[flip]`` the infinity
+    terminator 01; ``flip`` 1 bit-flips a fragment.  About 30 KB, built on
+    first use so that a process encoding no rational builds none.
     """
-
-    def pair(data: bytes):
-        return _spread(data), _spread(data.translate(_FLIP))
-
-    signs = (_spread(b"\x01"), _spread(b"\x00")), (_spread(b"\xfe"), _spread(b"\xff"))
-    units = [pair(bytes((0x00, 0x80, 0x01, term))) for term in range(256)]
-    terms = tuple(unit[0] for unit in units), tuple(unit[1] for unit in units)
-    return signs, terms, pair(b"\x01")
-
-
-def _wide_unit(term: int, flip) -> bytes:
-    """The unit of a continued-fraction term of 256 or more: flag 00 and its count header."""
-    unit = b"\x00" + _count_header_unbounded(term)
-    return _spread(unit.translate(_FLIP) if flip else unit)
+    signs = tuple(zip(_pair(b"\x01"), _pair(b"\x00")))
+    return signs, tuple(zip(*map(_unit, range(256)))), _pair(b"\x01")
 
 
 def _rational_walk(num: int, den: int, inverted: bool, out: bytearray, fragments) -> None:
@@ -301,12 +293,12 @@ def _rational_walk(num: int, den: int, inverted: bool, out: bytearray, fragments
     even, odd = terms[flip], terms[flip ^ 1]
     while True:
         term, num = divmod(num, den)
-        out += even[term] if term < 256 else _wide_unit(term, flip)
+        out += even[term] if term < 256 else _unit(term)[flip]
         if not num:
             out += terminators[flip ^ 1]
             return
         term, den = divmod(den, num)
-        out += odd[term] if term < 256 else _wide_unit(term, flip ^ 1)
+        out += odd[term] if term < 256 else _unit(term)[flip ^ 1]
         if not den:
             out += terminators[flip]
             return
@@ -633,20 +625,19 @@ class _Compiler:
             return self.union(node, depth, chain, var)
         if isinstance(node, Finite):
             return self.finite(node, var), self.ends(0xE0, chain)
-        if isinstance(node, Builtin):
-            kind = node.kind
-            if kind is BuiltinKind.BYTES:
-                return self.byte_string(node, depth, chain, var)
-            if kind is BuiltinKind.BOOL:
-                lines = self.boolean(node, var)
-            elif kind is BuiltinKind.RATIONAL:
-                lines = self.rational(node, var)
-            elif KIND_TABLE[kind].family == "float":
-                lines = self.real(node, var)
-            else:
-                lines = self.integer(node, var)
-            return lines, self.ends(0xE0, chain)
-        raise AssertionError(f"{type(node).__name__} node survived preparation")
+        # A Builtin: prepare admits no other node.
+        kind = node.kind
+        if kind is BuiltinKind.BYTES:
+            return self.byte_string(node, depth, chain, var)
+        if kind is BuiltinKind.BOOL:
+            lines = self.boolean(node, var)
+        elif kind is BuiltinKind.RATIONAL:
+            lines = self.rational(node, var)
+        elif KIND_TABLE[kind].family == "float":
+            lines = self.real(node, var)
+        else:
+            lines = self.integer(node, var)
+        return lines, self.ends(0xE0, chain)
 
     def fixed(self, width: int, data: str) -> list[str]:
         """Append ``width`` data bytes, big-endian, of the int expression ``data``."""

@@ -23,8 +23,7 @@ class Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls) -> None:
         names = getattr(cls, "__match_args__", ())
         if len(names) > 1:
             cls._values = property(attrgetter(*names))

@@ -335,8 +335,10 @@ class PathStats(Record):
     depth counts operator nodes (SeqOp / Sum) on the deepest root-leaf path;
     max_lex_path and max_contrelex_path count decrementing respectively
     incrementing operators on any single path, byte-string leaves included
-    since their key is that of a lex node.  has_variable_length is True as
-    soon as any node can produce elements of more than one encoded length.
+    as lex nodes, each as the encoder writes it: under an odd number of
+    inversions (Inv nodes, a ``desc`` leaf) lex and contrelex swap.
+    has_variable_length is True as soon as any node can produce elements of
+    more than one encoded length.
     """
 
     __slots__ = __match_args__ = ("depth", "max_lex_path", "max_contrelex_path", "has_variable_length")
@@ -434,13 +436,15 @@ def _check_collation(table: tuple[int, ...], size: int, path: str) -> None:
         seen[value] = True
 
 
-def _walk_stats(node: OrderNode, path: str) -> tuple[int, int, int, bool]:
+def _walk_stats(node: OrderNode, path: str, inverted: bool) -> tuple[int, int, int, bool]:
     """Return (depth, lex_path, contrelex_path, variable_length) for node.
 
-    Byte-string leaves are charged as one lex level because the encoder
-    writes them as the key of lex(0, OMEGA, [finite(256)]), end mark and
-    empty-sequence marker included; anything else would let a deep tree
-    pass validation and then underflow a padding counter.
+    ``inverted`` (an odd number of Inv nodes above) swaps lex and contrelex,
+    as ``push_inv_to_leaves`` does.  Byte-string leaves are charged as one
+    lex level (contrelex when inverted) because the encoder writes them as
+    the key of lex(0, OMEGA, [finite(256)]), end mark and empty-sequence
+    marker included; anything else would let a deep tree pass validation
+    and then underflow a padding counter.
     """
     if isinstance(node, Finite):
         if not isinstance(node.cardinality, int) or isinstance(node.cardinality, bool):
@@ -461,18 +465,18 @@ def _walk_stats(node: OrderNode, path: str) -> tuple[int, int, int, bool]:
                 raise MalformedNode(path, f"collation not allowed on {node.kind.value}")
             _check_collation(node.collation, 256, path)
         if node.kind is BuiltinKind.BYTES:
-            return 1, 1, 0, True
+            return (1, 0, 1, True) if inverted != bool(node.inverted) else (1, 1, 0, True)
         if node.kind is BuiltinKind.RATIONAL:
             return 0, 0, 0, True
         return 0, 0, 0, False
 
     if isinstance(node, Inv):
-        return _walk_stats(node.child, path + ".child")
+        return _walk_stats(node.child, path + ".child", not inverted)
 
     if isinstance(node, Sum):
         if not isinstance(node.master, Finite):
             raise MalformedNode(path, "sum master must be a finite order")
-        _walk_stats(node.master, path + ".master")
+        _walk_stats(node.master, path + ".master", inverted)
         if len(node.cases) != node.master.cardinality:
             raise MalformedNode(
                 path,
@@ -514,14 +518,15 @@ def _walk_stats(node: OrderNode, path: str) -> tuple[int, int, int, bool]:
             for part in ("prelude", "period")
             for index, child in enumerate(getattr(node, part))
         ]
-        mark, varlen = node.kind.end_mark, node.max_len != node.min_len + 1
+        kind = _CONTRE_PARTNER[node.kind] if inverted else node.kind
+        mark, varlen = kind.end_mark, node.max_len != node.min_len + 1
 
     else:
         raise MalformedNode(path, f"not an order node: {type(node).__name__}")
 
     depth = lex_n = contre_n = 0
     for child_path, child in children:
-        d, l, c, v = _walk_stats(child, child_path)
+        d, l, c, v = _walk_stats(child, child_path, inverted)
         depth, lex_n, contre_n, varlen = max(depth, d), max(lex_n, l), max(contre_n, c), varlen or v
     return depth + 1, lex_n + (mark == "L"), contre_n + (mark == "C"), varlen
 
@@ -534,9 +539,10 @@ def validate(tree: OrderNode) -> PathStats:
     node depth in one nibble, so at most MAX_DEPTH operator levels nest.
     Every level that adds to a lex or contrelex path is an operator level
     (a bytes leaf counts as one), so both path counts are at most the
-    depth, and the padding nibbles (0..15) hold every end mark.
+    depth, and the padding nibbles (0..15) hold every end mark.  A tree and
+    ``push_inv_to_leaves`` of it, which the encoder writes, agree on them.
     """
-    depth, lex_n, contre_n, varlen = _walk_stats(tree, "$")
+    depth, lex_n, contre_n, varlen = _walk_stats(tree, "$", False)
     if depth > MAX_DEPTH:
         raise OrderTooDeep(f"operator nesting {depth} exceeds the maximum of {MAX_DEPTH}")
     return PathStats(depth, lex_n, contre_n, varlen)

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import tempfile
+import time
 from functools import cmp_to_key
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from tsokey import compare, encode, encode_doc, parse, prepare, serialize, tsodl
-from tsokey.cli import _UNSCANNED, _scan, main
+from tsokey.cli import _UNSCANNED, _bench_keys, _scan, main
 from tsokey.errors import DepthOverflow, TsokeyError
 from tsokey.randgen import random_element, random_tree
 
@@ -707,7 +708,9 @@ class TestBenchCommand:
     HEADER = "generator,n,nextify_ns,radix_sort_ns,comparison_sort_ns,ratio"
 
     def test_csv_shape(self, capsys):
+        start = time.perf_counter_ns()
         assert main(["bench", "--n", "0,64", "--repeat", "1"]) == 0
+        elapsed = time.perf_counter_ns() - start
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == self.HEADER
         assert lines[1] == "uniform,0,0,0,0,0.000"
@@ -715,7 +718,8 @@ class TestBenchCommand:
         assert generator == "uniform"
         assert int(n) == 64
         assert int(nextify) > 0 and int(radix) > 0 and int(comparison) > 0
-        float(ratio)
+        assert int(nextify) + int(radix) + int(comparison) < elapsed  # timed one after another inside main
+        assert ratio == f"{int(comparison) / int(radix):.3f}"
 
     def test_prefix_generator(self, capsys):
         assert main(["bench", "--gen", "prefix", "--n", "32", "--repeat", "1"]) == 0
@@ -733,10 +737,20 @@ class TestBenchCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("custom,16,")
 
-    def test_negative_sizes_rejected(self, capsys):
+    @pytest.mark.parametrize("sizes", ["x", "-1", "1,,2"])
+    def test_negative_sizes_rejected(self, sizes, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--n", "-4"])
+            main(["bench", "--n", sizes])
         assert excinfo.value.code == 1
+        message = f"argument --n: expected comma-separated non-negative integers, got '{sizes}'"
+        assert message in capsys.readouterr().err
+
+    def test_prefix_keys_have_the_readme_shape(self):
+        """README: 100-128-byte strings sharing a 90-byte prefix; one seed, one key list."""
+        keys = _bench_keys("prefix", None, random.Random(3), 2000)
+        assert {len(key) for key in keys} == set(range(100, 129))
+        assert len({key[:90] for key in keys}) == 1 and len({key[90] for key in keys}) > 1
+        assert _bench_keys("prefix", None, random.Random(3), 2000) == keys
 
     def test_zero_repeats_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -744,6 +758,7 @@ class TestBenchCommand:
         assert excinfo.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""  # no CSV header
+        assert captured.err.startswith("usage: tsokey bench")
         assert "argument --repeat: expected a positive integer, got '0'" in captured.err
 
 
@@ -815,6 +830,8 @@ class TestSelftestCommand:
         assert f"FAIL golden:{name}" in out
         assert "produced" in out
         assert "ok   golden:lex" in out
+        lines = out.splitlines()
+        assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed"
 
 
 class TestExitCodes:

@@ -182,7 +182,7 @@ class TestInvalidTrees:
                 find_question(tree, x, y)
 
     def test_find_question_needs_a_sequence_node(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="find_question needs a SeqOp node, got Finite"):
             find_question(finite(2), 0, 1)
 
 

@@ -795,10 +795,13 @@ class TestFaultPaths:
             # Values whose repr fails are shown by their type's name.
             (parse("uint8"), _DEEP_LIST, _DEEP_LIST, ElementMismatch, "$: list outside uint8 range"),
             (parse("int64"), 10**5000, 10**5000, ElementMismatch, "$: int outside int64 range"),
+            # A repr of up to 200 characters is shown whole.
+            (parse("uint8"), b"x" * 197, b"x" * 197, ElementMismatch, f"$: {b'x' * 197!r} outside uint8 range"),
+            (parse("uint8"), b"x" * 198, b"x" * 198, ElementMismatch, "$: bytes outside uint8 range"),
         ],
         ids=[
             "bytes-in-case", "uint8-in-case", "master", "anti-rank", "nan-under-hierar",
-            "list-too-deep-to-repr", "int-too-long-to-repr",
+            "list-too-deep-to-repr", "int-too-long-to-repr", "repr-at-the-limit", "repr-past-the-limit",
         ],
     )
     def test_message_and_class(self, tree, value, doc, cls, message):

@@ -96,6 +96,29 @@ class TestValidate:
         assert stats.max_lex_path == 1
         assert stats.has_variable_length
 
+    @pytest.mark.parametrize(
+        "text", ["inv(lex(0, omega, ([uint8])))", "contrelex(0, omega, ([uint8 desc]))", "bytes desc"]
+    )
+    def test_path_counts_follow_inversion(self, text):
+        # The first two encode [1, 2] alike, f0fee0f0fde1: one contrelex level each.
+        stats = validate(parse(text))
+        assert (stats.max_lex_path, stats.max_contrelex_path) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "tree, stats",
+        [
+            (finite(3), PathStats(0, 0, 0, False)),
+            (RATIONAL, PathStats(0, 0, 0, True)),
+            (lex(0, 1), PathStats(1, 1, 0, False)),  # no children, still one level
+        ],
+    )
+    def test_stats_of_leaves_and_a_childless_node(self, tree, stats):
+        assert validate(tree) == stats
+
+    def test_bounds_at_the_count_cap_pass(self):
+        # Ranks and lengths stay below the bound, so 2**64 is the largest one allowed.
+        validate(lex(0, 1 << 64, period=(Finite(1 << 64),)))
+
     def test_rational_leaf_is_variable_length(self):
         assert validate(RATIONAL).has_variable_length
 
@@ -126,11 +149,14 @@ class TestValidate:
             Finite(3, (0, 1, 1)),
             Finite(3, (0, 1, 3)),
             Finite(300, tuple(range(300))),
+            Finite(257, tuple(range(257))),
             Builtin(BuiltinKind.UINT8, tuple(range(256))),
             SeqOp(SeqKind.LEX, -1, 3, (), (Finite(2),)),
             SeqOp(SeqKind.LEX, 3, 3, (), (Finite(2),)),
             SeqOp(SeqKind.LEX, 3, 2, (), (Finite(2),)),
             SeqOp(SeqKind.LEX, 0, 1 << 65, (), (Finite(2),)),
+            SeqOp(SeqKind.LEX, 0, "3", (), (Finite(2),)),
+            SeqOp(SeqKind.LEX, 0, True, (), (Finite(2),)),
             Sum(Finite(2), (Finite(2),)),
             Sum(UINT8, (Finite(2), Finite(2))),
             "not a tree",
@@ -360,6 +386,15 @@ def test_path_counts_never_exceed_the_depth():
     assert accepted > len(trees) // 2
 
 
+def test_pushing_inversions_to_the_leaves_keeps_the_path_stats():
+    """Over criterion 2's generator, whose finite leaves have at most 256 ranks:
+    inverting a larger one gives a range collation, which validate rejects."""
+    rng = random.Random(20260818)
+    for _ in range(5000):
+        tree = random_tree(rng, rng.randrange(0, 6))
+        assert validate(tree) == validate(push_inv_to_leaves(tree))
+
+
 # A parsed tree holding every node kind: a sum, sequence nodes (one unbounded),
 # a finite leaf with a collation, an Inv over a sequence and inverted builtins.
 RECORD_TREE = (
@@ -389,7 +424,7 @@ class TestRecords:
             " Builtin(kind=<BuiltinKind.FLOAT64: 'float64'>, collation=None, inverted=False)), period=())))"
         )
         assert repr(validate(tree)) == (
-            "PathStats(depth=3, max_lex_path=1, max_contrelex_path=0, has_variable_length=True)"
+            "PathStats(depth=3, max_lex_path=1, max_contrelex_path=1, has_variable_length=True)"
         )
         assert repr(SourceSpan(2, 5, 17)) == "SourceSpan(line=2, column=5, offset=17)"
 
@@ -400,6 +435,7 @@ class TestRecords:
         assert Finite(2) != Subclass(2)
         assert Subclass(2) == Subclass(2)
         assert Finite(2) != (2, None)
+        assert (Finite(2) == (2, None)) is False
         assert Inv(Finite(2)) != Inv(Subclass(2))
         assert SourceSpan(1, 1, 0) != (1, 1, 0)
 

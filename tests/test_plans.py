@@ -146,3 +146,4 @@ def test_renamed_functions_still_compile_each_shape_once():
     assert encoder._code.cache_info().misses == before.misses
     assert [code.co_name for code in cached] == ["step", "step", "step", "run"]
     assert plan.__code__ is not cached[-1] and plan.__code__.co_name == "run_3"
+    assert getattr(plan.__code__, "co_qualname", "run_3") == "run_3"  # 3.10 has no co_qualname

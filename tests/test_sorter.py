@@ -5,6 +5,7 @@ import dataclasses
 import pickle
 import random
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -295,9 +296,12 @@ class TestSortCells:
         with pytest.raises(MixedCellKinds):
             sort_cells(cells)
 
-    def test_non_cell_rejected(self):
-        with pytest.raises(MixedCellKinds, match="bytes"):
-            sort_cells([LongCell(b"a", 0), b"bare key"])
+    @pytest.mark.parametrize(
+        "cells", [[LongCell(b"a", 0), b"bare key"], [b"bare key", ShortCell(b"\x00" * 8, 1)]]
+    )
+    def test_non_cell_rejected(self, cells):
+        with pytest.raises(MixedCellKinds, match="not a cell: bytes"):
+            sort_cells(cells)
 
 
 class TestPureKernels:
@@ -374,3 +378,11 @@ def test_sort_cells_matches_oracle_on_random_short_keys(keys):
     cells = [ShortCell(key, ref) for ref, key in enumerate(keys)]
     assert sort_cells(cells) == stable_oracle(cells)
     assert msd_sort_indices(keys) == [cell.ref for cell in stable_oracle(cells)]
+
+
+def test_readme_quick_start_prints_its_closing_comment(capsys):
+    """The ``python`` block under README "Quick start" runs and prints the line its last comment gives."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Quick start\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == block.rstrip().splitlines()[-1].removeprefix("# ") + "\n"

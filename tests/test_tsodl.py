@@ -101,6 +101,7 @@ class TestSyntaxErrors:
         [
             ("lex(0, 3)", 1, 9, "','"),
             ("finite()", 1, 8, "a cardinality"),
+            ("finite(1_000)", 1, 8, "a cardinality"),
             ("", 1, 1, "an order node"),
             ("finite(2) finite(2)", 1, 11, "end of input"),
             ("uint8(collation=ff)", 1, 6, "'desc'"),
@@ -109,6 +110,8 @@ class TestSyntaxErrors:
             ("lex(0, omega,\n    [bytes])", 2, 5, "'('"),
             ("sum(uint8, (finite(2)))", 1, 5, "'finite'"),
             ("widget(2)", 1, 1, "an order node"),
+            ("\nwidget(2)", 2, 1, "an order node"),
+            ("finite(3, collation=zz)", 1, 21, "a hex byte table"),
         ],
     )
     def test_positions_and_expectations(self, text, line, column, expected_word):
@@ -122,6 +125,8 @@ class TestSyntaxErrors:
 
     def test_nesting_bound(self):
         assert parse("inv(" * 99 + "uint8" + ")" * 99) == Builtin(BuiltinKind.UINT8, None, True)
+        # The bound is on nesting, not on nodes read: both leaves sit 99 deep.
+        parse("inv(" * 97 + "next(2, 3, (uint8, uint8))" + ")" * 97)
         with pytest.raises(TsodlSyntaxError) as excinfo:
             parse("inv(" * 100 + "uint8" + ")" * 100)
         assert excinfo.value.span.column == 401
@@ -174,6 +179,7 @@ class TestSerialize:
             "sum(finite(2), (uint8, rational desc))",
             "inv(lex(0, 5, ([bytes])))",
             "anticontrehierar(0, 3, ([float64 desc]))",
+            f"bytes(collation={bytes(range(255, -1, -1)).hex()}) desc",
         ],
     )
     def test_canonical_text_round_trips_verbatim(self, text):
