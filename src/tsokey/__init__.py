@@ -83,7 +83,6 @@ _MODULE_NAMES = {
         "anticontrelex",
         "antihierar",
         "antilex",
-        "contre_rewrite",
         "contrehierar",
         "contrelex",
         "finite",

@@ -82,9 +82,8 @@ from .order_model import (
     SeqOp,
     Sum,
     _int_bounds,
-    push_inv_to_leaves,
+    _prepared,
     rational_parts,
-    validate,
 )
 
 __all__ = [
@@ -367,8 +366,8 @@ class PreparedOrder(Record):
 @lru_cache(maxsize=128)
 def prepare(tree: OrderNode) -> PreparedOrder:
     """Validate a tree and lower it once; results are cached by tree value."""
-    stats = validate(tree)
-    return PreparedOrder(push_inv_to_leaves(tree), stats, not stats.has_variable_length)
+    pushed, stats = _prepared(tree)
+    return PreparedOrder(pushed, stats, not stats.has_variable_length)
 
 
 def _finite_width(cardinality: int) -> int:

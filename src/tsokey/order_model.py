@@ -22,6 +22,12 @@ Sum nodes.  The encoder's plan for a tree is the one definition of which
 values are elements: ``tsokey.check_element`` runs it and discards the key,
 and ``tsokey.compare`` runs it on both values before it orders them.
 
+One walk prepares a tree: it checks every node, builds the node with its
+inversions pushed into the leaves (an operator swaps for its contre
+partner, a leaf reverses) and counts depth, lex and contrelex paths and
+variable length on the node it built.  ``validate`` returns the counts,
+``push_inv_to_leaves`` the tree, and ``encoder.prepare`` keeps both.
+
 Nodes and ``PathStats`` are frozen slotted records (``errors.Record``), not
 dataclasses: equal when class and fields are, hashable (a node caches its
 hash), picklable by their fields, matched by position through
@@ -86,7 +92,6 @@ __all__ = [
     "RATIONAL",
     "validate",
     "item_order_at",
-    "contre_rewrite",
     "push_inv_to_leaves",
 ]
 
@@ -255,7 +260,10 @@ class Finite(_Node):
 
     ``collation`` optionally re-enumerates the raw values: it maps a raw
     value to its rank, must be a bijection on 0..cardinality-1 and is only
-    allowed for cardinality <= 256 (one data byte).
+    allowed for cardinality <= 256 (one data byte).  The one exception is
+    ``range(cardinality - 1, -1, -1)``, the reversed enumeration that
+    push_inv_to_leaves gives an inverted leaf: it is allowed at any
+    cardinality.
     """
 
     __slots__ = __match_args__ = ("cardinality", "collation")
@@ -436,11 +444,14 @@ def _check_collation(table: tuple[int, ...], size: int, path: str) -> None:
         seen[value] = True
 
 
-def _walk_stats(node: OrderNode, path: str, inverted: bool) -> tuple[int, int, int, bool]:
-    """Return (depth, lex_path, contrelex_path, variable_length) for node.
+def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int, int, bool]:
+    """Check node and build it with its inversions pushed into the leaves.
 
-    ``inverted`` (an odd number of Inv nodes above) swaps lex and contrelex,
-    as ``push_inv_to_leaves`` does.  Byte-string leaves are charged as one
+    Returns the built node and its (depth, lex_path, contrelex_path,
+    variable_length).  ``negate`` (an odd number of Inv nodes above) swaps
+    an operator for its contre partner, reverses a Finite leaf and flips a
+    Builtin leaf's ``inverted``; the path counts are taken on the built
+    node, as the encoder writes it.  Byte-string leaves are charged as one
     lex level (contrelex when inverted) because the encoder writes them as
     the key of lex(0, OMEGA, [finite(256)]), end mark and empty-sequence
     marker included; anything else would let a deep tree pass validation
@@ -453,36 +464,39 @@ def _walk_stats(node: OrderNode, path: str, inverted: bool) -> tuple[int, int, i
             raise MalformedNode(path, f"cardinality {node.cardinality} < 1")
         if node.cardinality > COUNT_CAP:
             raise MalformedNode(path, f"cardinality {node.cardinality} above 2**64")
-        if node.collation is not None:
+        # The reversed range is what an inverted leaf becomes, at any
+        # cardinality; ranges compare in O(1), and it is never iterated.
+        if node.collation is not None and node.collation != _reversed_ranks(node.cardinality):
             if node.cardinality > 256:
                 raise MalformedNode(path, "collation requires cardinality <= 256")
             _check_collation(node.collation, node.cardinality, path)
-        return 0, 0, 0, False
+        return _reversed_finite(node) if negate else node, 0, 0, 0, False
 
     if isinstance(node, Builtin):
         if node.collation is not None:
             if node.kind is not BuiltinKind.BYTES:
                 raise MalformedNode(path, f"collation not allowed on {node.kind.value}")
             _check_collation(node.collation, 256, path)
+        if negate:
+            node = Builtin(node.kind, node.collation, not node.inverted)
         if node.kind is BuiltinKind.BYTES:
-            return (1, 0, 1, True) if inverted != bool(node.inverted) else (1, 1, 0, True)
-        if node.kind is BuiltinKind.RATIONAL:
-            return 0, 0, 0, True
-        return 0, 0, 0, False
+            return (node, 1, 0, 1, True) if node.inverted else (node, 1, 1, 0, True)
+        return node, 0, 0, 0, node.kind is BuiltinKind.RATIONAL
 
     if isinstance(node, Inv):
-        return _walk_stats(node.child, path + ".child", not inverted)
+        return _walk(node.child, path + ".child", not negate)
 
     if isinstance(node, Sum):
         if not isinstance(node.master, Finite):
             raise MalformedNode(path, "sum master must be a finite order")
-        _walk_stats(node.master, path + ".master", inverted)
+        master = _walk(node.master, path + ".master", negate)[0]
         if len(node.cases) != node.master.cardinality:
             raise MalformedNode(
                 path,
                 f"sum has {len(node.cases)} cases for master cardinality {node.master.cardinality}",
             )
-        children = [(f"{path}.cases[{index}]", case) for index, case in enumerate(node.cases)]
+        parts = [_walk(case, f"{path}.cases[{index}]", negate) for index, case in enumerate(node.cases)]
+        built = Sum(master, tuple(part[0] for part in parts))
         mark, varlen = None, False
 
     elif isinstance(node, SeqOp):
@@ -513,22 +527,30 @@ def _walk_stats(node: OrderNode, path: str, inverted: bool) -> tuple[int, int, i
                 raise AntiNotUniform(
                     f"{path}: {node.kind.value} requires an empty prelude and a one-order period"
                 )
-        children = [
-            (f"{path}.{part}[{index}]", child)
-            for part in ("prelude", "period")
-            for index, child in enumerate(getattr(node, part))
-        ]
-        kind = _CONTRE_PARTNER[node.kind] if inverted else node.kind
+        prelude = [_walk(child, f"{path}.prelude[{index}]", negate) for index, child in enumerate(node.prelude)]
+        period = [_walk(child, f"{path}.period[{index}]", negate) for index, child in enumerate(node.period)]
+        kind = _CONTRE_PARTNER[node.kind] if negate else node.kind
+        built = SeqOp(
+            kind, node.min_len, node.max_len, tuple(part[0] for part in prelude), tuple(part[0] for part in period)
+        )
+        parts = prelude + period
         mark, varlen = kind.end_mark, node.max_len != node.min_len + 1
 
     else:
         raise MalformedNode(path, f"not an order node: {type(node).__name__}")
 
     depth = lex_n = contre_n = 0
-    for child_path, child in children:
-        d, l, c, v = _walk_stats(child, child_path, inverted)
+    for _, d, l, c, v in parts:
         depth, lex_n, contre_n, varlen = max(depth, d), max(lex_n, l), max(contre_n, c), varlen or v
-    return depth + 1, lex_n + (mark == "L"), contre_n + (mark == "C"), varlen
+    return built, depth + 1, lex_n + (mark == "L"), contre_n + (mark == "C"), varlen
+
+
+def _prepared(tree: OrderNode) -> tuple[OrderNode, PathStats]:
+    """The one walk behind validate, push_inv_to_leaves and prepare."""
+    built, depth, lex_n, contre_n, varlen = _walk(tree, "$", False)
+    if depth > MAX_DEPTH:
+        raise OrderTooDeep(f"operator nesting {depth} exceeds the maximum of {MAX_DEPTH}")
+    return built, PathStats(depth, lex_n, contre_n, varlen)
 
 
 def validate(tree: OrderNode) -> PathStats:
@@ -539,13 +561,11 @@ def validate(tree: OrderNode) -> PathStats:
     node depth in one nibble, so at most MAX_DEPTH operator levels nest.
     Every level that adds to a lex or contrelex path is an operator level
     (a bytes leaf counts as one), so both path counts are at most the
-    depth, and the padding nibbles (0..15) hold every end mark.  A tree and
-    ``push_inv_to_leaves`` of it, which the encoder writes, agree on them.
+    depth, and the padding nibbles (0..15) hold every end mark.  The counts
+    are taken on ``push_inv_to_leaves`` of the tree, which the encoder
+    writes; the same walk builds it.
     """
-    depth, lex_n, contre_n, varlen = _walk_stats(tree, "$", False)
-    if depth > MAX_DEPTH:
-        raise OrderTooDeep(f"operator nesting {depth} exceeds the maximum of {MAX_DEPTH}")
-    return PathStats(depth, lex_n, contre_n, varlen)
+    return _prepared(tree)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -565,70 +585,32 @@ def item_order_at(node: SeqOp, rank: int) -> OrderNode:
     return node.period[(rank - len(node.prelude)) % len(node.period)]
 
 
+def _reversed_ranks(cardinality: int) -> range:
+    # Rank r of an inverted uncollated leaf reads top - r from a range: a
+    # cardinality may reach 2**64, too many entries for a table.
+    return range(cardinality - 1, -1, -1)
+
+
 def _reversed_finite(node: Finite) -> Finite:
-    # Rank r of an uncollated leaf reads top - r from a range: a cardinality
-    # may reach 2**64, too many entries for a table.
-    top = node.cardinality - 1
     if node.collation is None:
-        return Finite(node.cardinality, range(top, -1, -1))
+        return Finite(node.cardinality, _reversed_ranks(node.cardinality))
+    if node.collation == _reversed_ranks(node.cardinality):
+        return Finite(node.cardinality)
+    top = node.cardinality - 1
     return Finite(node.cardinality, tuple(top - r for r in node.collation))
 
 
-def contre_rewrite(node: SeqOp | Sum) -> OrderNode:
-    """One inversion step: returns a node order-equivalent to Inv(node).
-
-    The operator is swapped with its contre partner and every child order is
-    wrapped in Inv (the Finite master of a Sum absorbs its inversion
-    directly, staying a Finite).
-    """
-    if isinstance(node, SeqOp):
-        return SeqOp(
-            _CONTRE_PARTNER[node.kind],
-            node.min_len,
-            node.max_len,
-            tuple(Inv(child) for child in node.prelude),
-            tuple(Inv(child) for child in node.period),
-        )
-    if isinstance(node, Sum):
-        return Sum(_reversed_finite(node.master), tuple(Inv(case) for case in node.cases))
-    raise TypeError(f"contre_rewrite needs a SeqOp or Sum node, got {type(node).__name__}")
-
-
-def _push_inv(node: OrderNode, negate: bool) -> OrderNode:
-    if isinstance(node, Inv):
-        return _push_inv(node.child, not negate)
-    if not negate:
-        if isinstance(node, SeqOp):
-            return SeqOp(
-                node.kind,
-                node.min_len,
-                node.max_len,
-                tuple(_push_inv(c, False) for c in node.prelude),
-                tuple(_push_inv(c, False) for c in node.period),
-            )
-        if isinstance(node, Sum):
-            return Sum(node.master, tuple(_push_inv(c, False) for c in node.cases))
-        return node
-    # Inverted subtree: a leaf absorbs the inversion; an operator takes one
-    # contre_rewrite step, which pushes the inversion into its children.
-    if isinstance(node, Finite):
-        return _reversed_finite(node)
-    if isinstance(node, Builtin):
-        return Builtin(node.kind, node.collation, not node.inverted)
-    if isinstance(node, (SeqOp, Sum)):
-        return _push_inv(contre_rewrite(node), False)
-    raise TypeError(f"not an order node: {type(node).__name__}")
-
-
 def push_inv_to_leaves(tree: OrderNode) -> OrderNode:
-    """Rewrite a tree into an equivalent one without structural Inv nodes.
+    """Rewrite a valid tree into an equivalent one without structural Inv nodes.
 
     Inv over a Finite leaf becomes a reversed enumeration; Inv over a
     Builtin leaf becomes the ``inverted`` flag; Inv over an operator swaps
-    the operator with its contre partner and recurses.  The result orders
-    elements exactly as the input does.
+    the operator with its contre partner and inverts its children.  The
+    result orders elements exactly as the input does.  The tree is checked
+    on the way, by the walk validate runs: an invalid tree raises its
+    ValidationError.
     """
-    return _push_inv(tree, False)
+    return _prepared(tree)[0]
 
 
 # ---------------------------------------------------------------------------

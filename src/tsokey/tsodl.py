@@ -39,6 +39,7 @@ from .order_model import (
     SeqKind,
     SeqOp,
     Sum,
+    _reversed_ranks,
     validate,
 )
 
@@ -232,7 +233,13 @@ def parse(text: str) -> OrderNode:
 
 
 def _hex_table(table: tuple[int, ...]) -> str:
-    return "".join(f"{value:02x}" for value in table)
+    return bytes(table).hex()  # ValueError on a rank above 255: no spelling has one
+
+
+def _finite(node: Finite) -> str:
+    if node.collation is None:
+        return f"finite({node.cardinality})"
+    return f"finite({node.cardinality}, collation={_hex_table(node.collation)})"
 
 
 def serialize(tree: OrderNode) -> str:
@@ -241,12 +248,16 @@ def serialize(tree: OrderNode) -> str:
     Inversions normalize on the way out: stacked Inv wrappers cancel in
     pairs, and a net inversion around a builtin leaf prints through the
     ``desc`` sugar, so programmatically built trees and parsed ones print
-    alike and serialize(parse(text)) is a fixpoint.
+    alike and serialize(parse(text)) is a fixpoint.  A leaf whose collation
+    is the reversed range that push_inv_to_leaves gives prints as
+    ``inv(finite(n))``, and as ``finite(n)`` under a net inversion; any
+    other table with a rank above 255 (a sum master of more than 256 cases
+    under an inversion) has no spelling and raises ValueError.
     """
     if isinstance(tree, Finite):
-        if tree.collation is None:
-            return f"finite({tree.cardinality})"
-        return f"finite({tree.cardinality}, collation={_hex_table(tree.collation)})"
+        if tree.collation == _reversed_ranks(tree.cardinality):
+            return f"inv(finite({tree.cardinality}))"
+        return _finite(tree)
     if isinstance(tree, Builtin):
         text = tree.kind.value
         if tree.collation is not None:
@@ -264,6 +275,8 @@ def serialize(tree: OrderNode) -> str:
             return serialize(base)
         if isinstance(base, Builtin):
             return serialize(Builtin(base.kind, base.collation, not base.inverted))
+        if isinstance(base, Finite) and base.collation == _reversed_ranks(base.cardinality):
+            return f"finite({base.cardinality})"
         return f"inv({serialize(base)})"
     if isinstance(tree, SeqOp):
         bound = "omega" if tree.max_len is OMEGA else str(tree.max_len)
@@ -274,5 +287,5 @@ def serialize(tree: OrderNode) -> str:
         return f"{tree.kind.value}({tree.min_len}, {bound}, ({items}))"
     if isinstance(tree, Sum):
         cases = ", ".join(serialize(case) for case in tree.cases)
-        return f"sum({serialize(tree.master)}, ({cases}))"
+        return f"sum({_finite(tree.master)}, ({cases}))"
     raise TypeError(f"not an order node: {type(tree).__name__}")

@@ -41,7 +41,6 @@ from tsokey import (
     antilex,
     check_element,
     compare,
-    contre_rewrite,
     contrehierar,
     contrelex,
     encode,
@@ -52,6 +51,7 @@ from tsokey import (
     lex,
     next_,
     parse,
+    prepare,
     push_inv_to_leaves,
     rational_parts,
     sum_of,
@@ -323,14 +323,20 @@ class TestRewrites:
         ],
     )
     def test_contre_rewrite_matches_inversion(self, node):
-        rewritten = contre_rewrite(node)
+        """One inversion step: the operator swaps for its contre partner, its children invert."""
+        rewritten = push_inv_to_leaves(inv(node))
         for x in elements(node):
             for y in elements(node):
                 assert compare(rewritten, x, y) is compare(inv(node), x, y)
 
-    def test_contre_rewrite_rejects_leaves(self):
-        with pytest.raises(TypeError):
-            contre_rewrite(finite(2))
+    def test_push_inv_validates_the_tree(self):
+        with pytest.raises(MalformedNode, match=r"\$\.child: cardinality 0 < 1"):
+            push_inv_to_leaves(inv(Finite(0)))
+
+    def test_a_reversed_leaf_inverts_back_to_the_plain_leaf(self):
+        pushed = push_inv_to_leaves(inv(finite(2**64)))
+        assert pushed == Finite(2**64, range(2**64 - 1, -1, -1))
+        assert push_inv_to_leaves(inv(pushed)) == finite(2**64)
 
     @given(st.integers(0, 2**32 - 1))
     def test_push_inv_preserves_the_order(self, seed):
@@ -387,12 +393,23 @@ def test_path_counts_never_exceed_the_depth():
 
 
 def test_pushing_inversions_to_the_leaves_keeps_the_path_stats():
-    """Over criterion 2's generator, whose finite leaves have at most 256 ranks:
-    inverting a larger one gives a range collation, which validate rejects."""
+    """Over criterion 2's generator, and on finite leaves of more than 256 ranks
+    under an inversion, which push to a reversed range collation."""
     rng = random.Random(20260818)
     for _ in range(5000):
         tree = random_tree(rng, rng.randrange(0, 6))
         assert validate(tree) == validate(push_inv_to_leaves(tree))
+    wide = [
+        (inv(finite(300)), [0, 1, 256, 299]),
+        (inv(finite(2**64)), [0, 255, 2**63, 2**64 - 1]),
+        (inv(sum_of(finite(300), [UINT8] * 300)), [(0, 7), (1, 0), (299, 255)]),
+    ]
+    for tree, values in wide:
+        pushed = push_inv_to_leaves(tree)
+        assert validate(pushed) == validate(tree)
+        assert prepare(pushed).tree == prepare(tree).tree
+        for value in values:
+            assert encode(pushed, value) == encode(tree, value)
 
 
 # A parsed tree holding every node kind: a sum, sequence nodes (one unbounded),

@@ -20,6 +20,7 @@ from tsokey import (
     TsodlSyntaxError,
     ValidationError,
     parse,
+    push_inv_to_leaves,
     serialize,
 )
 from tsokey.randgen import random_tree
@@ -196,6 +197,19 @@ class TestSerialize:
     def test_rejects_non_nodes(self):
         with pytest.raises(TypeError):
             serialize("finite(2)")
+
+    @pytest.mark.parametrize("cardinality", [3, 300, 2**64])
+    def test_a_pushed_finite_leaf_round_trips(self, cardinality):
+        pushed = push_inv_to_leaves(Inv(Finite(cardinality)))
+        text = serialize(pushed)
+        assert text == f"inv(finite({cardinality}))"
+        assert push_inv_to_leaves(parse(text)) == pushed
+        assert serialize(Inv(pushed)) == f"finite({cardinality})"
+
+    def test_a_rank_above_255_has_no_spelling(self):
+        pushed = push_inv_to_leaves(Inv(Sum(Finite(300), (Builtin(BuiltinKind.UINT8),) * 300)))
+        with pytest.raises(ValueError):
+            serialize(pushed)
 
 
 @given(st.integers(0, 2**32 - 1))
