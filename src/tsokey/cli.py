@@ -18,7 +18,8 @@ A key depends on its record alone, so ``sort``, which holds every key
 from line text to key: each distinct line is scanned and encoded once,
 and equal lines share one key object.
 ``encode`` streams and encodes every line, so its memory does not grow
-with the input.  Input is read ``_CHUNK`` raw lines at a time, and each
+with the input: the plan's leaf memos are bounded (``encoder.MEMO_ENTRIES``
+fragments per leaf).  Input is read ``_CHUNK`` raw lines at a time, and each
 batch is encoded in one loop before any of it is written.  Keys leave
 as hex lines with --hex or length-prefixed binary (4-byte big-endian
 length before each key) by default.  Output goes out in one write per

@@ -41,6 +41,16 @@ as ``plan.source``.  ``encode``, ``encode_doc``, ``check_element`` and
 ``encode_batch`` all run the plan, so the tree is interpreted once, not
 once per element, and an accepted element builds no path strings.
 
+A plan carries bounded state: each padded integer leaf of 3 or more
+bytes and each byte-string leaf keeps a memo of its own, from a value
+of one exact type (``int``; ``str`` in doc plans, ``bytes`` otherwise)
+to the fragment it wrote, so a value it has seen costs one dict lookup.
+A memo keeps at most ``MEMO_ENTRIES`` fragments of at most
+``MEMO_VALUE_BYTES`` data bytes each, only of values that passed their
+checks, and a leaf that fills it with fewer hits than that turns it off
+for the life of the plan.  Keys and faults are those of a plan without
+memos.
+
 Scalar leaves use order-preserving transforms: unsigned ints big-endian,
 signed ints with the sign bit flipped, floats with the sign bit set for
 non-negatives and all bits flipped for negatives.  Rationals encode their
@@ -110,6 +120,14 @@ _LEAF_TRIPLE = bytes((PAD_DEFAULT, 0x00, 0xE0))  # a one-byte leaf, data byte ze
 _TRIPLES = tuple(bytes((PAD_DEFAULT, byte, PAD_DEFAULT)) for byte in range(256))
 _LAST_TRIPLES = tuple(bytes((PAD_DEFAULT, byte, 0xE0)) for byte in range(256))
 _FLIP = bytes(255 - value for value in range(256))
+# Added to the bytes of an extended-slice assignment: CPython copies bytes
+# through the bytearray constructor first, which costs more than this add.
+_EMPTY = bytearray()
+
+# The bounds of a leaf site's memo: the fragments it keeps, and the most
+# data bytes one of them carries.
+MEMO_ENTRIES = 1024
+MEMO_VALUE_BYTES = 32
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +366,9 @@ class PreparedOrder(Record):
         """The function taking one element to its key; ``plan().source`` is its code.
 
         With ``doc`` it takes a ``json.loads`` record instead, as
-        ``encode_doc`` does.  It raises what ``encode`` raises.
+        ``encode_doc`` does.  It raises what ``encode`` raises.  The plan
+        keeps its leaf memos (see the module docstring) for as long as it
+        lives here, at most ``MEMO_ENTRIES`` fragments per leaf.
         """
         key = (mode, nan_high, doc)
         try:
@@ -506,7 +526,7 @@ def _items(value, doc: bool):
 _PLAN_HELPERS = {name: globals()[name] for name in (
     "_Fault ElementMismatch NaNRejected shown _decimal _finite _integer _real _rational "
     "_doc_rational _bytes _items _rational_walk _count_header_unbounded wrap_finite_leaf "
-    "_FLIP _LEAF_TRIPLE _TRIPLES _LAST_TRIPLES"
+    "_FLIP _EMPTY _LEAF_TRIPLE _TRIPLES _LAST_TRIPLES"
 ).split()}
 
 
@@ -555,7 +575,10 @@ class _Compiler:
     tree, and equal shapes give equal text, which ``_code`` compiles once.
     ``plan.source`` lists the functions, each headed by its number, the
     name profiles and tracebacks show for it (``step_3``), and those it calls.
-    Packed plans neither mark nor return tables.
+    Packed plans neither mark nor return tables.  Padded integer leaves of
+    3 or more bytes and byte-string leaves are written behind ``memo``; its
+    dict and hit count are constants their function rebinds, named in a
+    ``global`` line.
     """
 
     def __init__(self, packed: bool, nan_high: bool, doc: bool):
@@ -578,6 +601,9 @@ class _Compiler:
 
     def define(self, name: str, signature: str, lines: list[str]):
         """Run the source of one function in a namespace of its constants; return the function."""
+        rebound = [key for key in self.scope if key.startswith(("memo_", "hits_"))]
+        if rebound:
+            lines = [f"global {', '.join(rebound)}", *lines]
         source = "\n".join([f"def {name}({signature}):", *_indent(lines)]) + "\n"
         namespace = {**_PLAN_HELPERS, **self.scope}
         exec(_code(source), namespace)
@@ -647,7 +673,35 @@ class _Compiler:
         if width == 2:
             return [f"data = {data}", "out += _TRIPLES[data >> 8]", "out += _LAST_TRIPLES[data & 255]"]
         template = self.const(wrap_finite_leaf(bytes(width)), "template")
-        return [f"out += {template}", f"out[{1 - 3 * width}::3] = {data}.to_bytes({width}, 'big')"]
+        return [f"out += {template}", f"out[{1 - 3 * width}::3] = _EMPTY + {data}.to_bytes({width}, 'big')"]
+
+    def memo(self, var: str, exact: str, lines: list[str], size: str, hit=(), keep: str = "") -> list[str]:
+        """``lines`` behind a memo of this leaf's own, from a ``var`` of type exactly ``exact``
+        to the last ``size`` bytes ``lines`` wrote for it; ``hit`` runs after a fragment is reused.
+
+        A miss runs ``lines`` and keeps their fragment if ``var`` is still of
+        that type after their checks passed, and ``keep`` holds, until the
+        memo holds ``MEMO_ENTRIES``.  A leaf that fills it with fewer hits
+        than that turns the memo off for the life of the plan.  Each call
+        reads the memo once into a local, so a thread that turns it off
+        cannot pull it from under another.
+        """
+        memo, hits = self.const({}, "memo"), self.const(0, "hits")
+        store = f"memo is not None and type({var}) is {exact}" + (f" and {keep}" if keep else "")
+        return [
+            f"memo = {memo}",
+            f"if memo is not None and type({var}) is {exact} and (frag := memo.get({var})) is not None:",
+            "    out += frag",
+            f"    {hits} += 1",
+            *_indent(hit),
+            "else:",
+            *_indent(lines),
+            f"    if {store}:",
+            f"        if len(memo) < {MEMO_ENTRIES}:",
+            f"            memo[{var}] = bytes(out[-{size}:])",
+            f"        elif {hits} < {MEMO_ENTRIES}:",
+            f"            {memo} = None",
+        ]
 
     def finite(self, node: Finite, var: str) -> list[str]:
         message = self.const(f"rank %s outside 0..{node.cardinality - 1}", "message")
@@ -678,11 +732,13 @@ class _Compiler:
         data = f"({var} - {low})" if lo else var
         if node.inverted:
             data = f"({data} ^ {self.const((1 << (8 * width)) - 1, 'mask')})"
-        return [
+        lines = [
             f"if type({var}) is not int or not {low} <= {var} <= {high}:",
             f"    {var} = _integer({var}, {self.doc}, {low}, {high}, {message})",
             *self.fixed(width, data),
         ]
+        # A kept fragment pays only where it saves a template and a slice write.
+        return lines if self.packed or width < 3 else self.memo(var, "int", lines, str(3 * width))
 
     def real(self, node: Builtin, var: str) -> list[str]:
         """IEEE bits with the sign bit set on non-negatives, all bits flipped on negatives."""
@@ -732,25 +788,28 @@ class _Compiler:
         if node.inverted:
             table = _FLIP if table is None else table.translate(_FLIP)
         ends = self.ends(0xE0, chain + (kind.end_mark,))
+        plain = f"{var} if type({var}) is bytes else _bytes({var}, {self.doc})"
         if self.doc:  # a str, as JSON gives, first; _bytes words the fault of a lone surrogate
-            fallback = f"{var} = _bytes({var}, True)"
-            encode = ["try:", f"    {var} = {var}.encode()", "except UnicodeEncodeError:", f"    {fallback}"]
-            lines = [f"if type({var}) is str:", *_indent(encode), f"elif type({var}) is not bytes:"]
+            encode = ["try:", f"    data = {var}.encode()", "except UnicodeEncodeError:", f"    data = _bytes({var}, True)"]
+            lines = [f"if type({var}) is str:", *_indent(encode), "else:", f"    data = {plain}"]
         else:
-            lines = [f"if type({var}) is not bytes:"]
-        lines += [f"    {var} = _bytes({var}, {self.doc})", f"if {var}:"]
+            lines = [f"data = {plain}"]
+        lines.append("if data:")
         if table is not None:
-            lines.append(f"    {var} = {var}.translate({self.const(table, 'table')})")
-        return lines + [
-            "    start = len(out)",
-            f"    out += _LEAF_TRIPLE * len({var})",
-            f"    out[start + 1::3] = {var}",
+            lines.append(f"    data = data.translate({self.const(table, 'table')})")
+        lines += [
+            "    out += _LEAF_TRIPLE * len(data)",
+            "    out[1 - 3 * len(data)::3] = _EMPTY + data",
             f"    out[-1] = {self.const(self.scope[ends][len(chain)], 'end')}",
             f"    last = {ends}",
             "else:",
             f"    out += {self.const(empty_sequence_pattern(kind, depth), 'marker')}",
             f"    last = {self.ends(PAD_DEFAULT, chain)}",
-        ], "last"
+        ]
+        # An empty value is not kept: its ``last`` is another table.
+        keep = f"0 < len(data) <= {MEMO_VALUE_BYTES}"
+        exact = "str" if self.doc else "bytes"
+        return self.memo(var, exact, lines, "3 * len(data)", [f"last = {ends}"], keep), "last"
 
     def sequence(self, node: SeqOp, depth: int, chain, var: str):
         kind, min_len, max_len = node.kind, node.min_len, node.max_len
@@ -874,7 +933,15 @@ def encode_batch(
     *,
     nan_high: bool = False,
 ) -> list[bytes]:
-    """Encode many elements through one plan; safe to call from several workers on one tree."""
+    """Encode many elements through one plan; safe to call from several workers on one tree.
+
+    The plan's only state is its leaf memos.  A memo entry is written once,
+    whole, from a fragment the writing call built in its own buffer; each
+    call reads a memo into a local once, so turning it off cannot pull it
+    from under another call.  Calls that race can lose a hit from the
+    count, or each store one fragment past ``MEMO_ENTRIES`` before the
+    memo is seen full; neither changes a key.
+    """
     return list(map(prepare(tree).plan(mode, nan_high=nan_high), values))
 
 

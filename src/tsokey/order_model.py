@@ -455,7 +455,9 @@ def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int
     lex level (contrelex when inverted) because the encoder writes them as
     the key of lex(0, OMEGA, [finite(256)]), end mark and empty-sequence
     marker included; anything else would let a deep tree pass validation
-    and then underflow a padding counter.
+    and then underflow a padding counter.  A node with no Inv at or below
+    it and none above comes back as itself, so an Inv-free tree allocates
+    nothing.
     """
     if isinstance(node, Finite):
         if not isinstance(node.cardinality, int) or isinstance(node.cardinality, bool):
@@ -496,7 +498,9 @@ def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int
                 f"sum has {len(node.cases)} cases for master cardinality {node.master.cardinality}",
             )
         parts = [_walk(case, f"{path}.cases[{index}]", negate) for index, case in enumerate(node.cases)]
-        built = Sum(master, tuple(part[0] for part in parts))
+        cases = tuple(part[0] for part in parts)
+        same = not negate and all(case is old for case, old in zip(cases, node.cases))
+        built = node if same else Sum(master, cases)
         mark, varlen = None, False
 
     elif isinstance(node, SeqOp):
@@ -530,9 +534,9 @@ def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int
         prelude = [_walk(child, f"{path}.prelude[{index}]", negate) for index, child in enumerate(node.prelude)]
         period = [_walk(child, f"{path}.period[{index}]", negate) for index, child in enumerate(node.period)]
         kind = _CONTRE_PARTNER[node.kind] if negate else node.kind
-        built = SeqOp(
-            kind, node.min_len, node.max_len, tuple(part[0] for part in prelude), tuple(part[0] for part in period)
-        )
+        children, cut = tuple(part[0] for part in prelude + period), len(prelude)
+        same = not negate and all(child is old for child, old in zip(children, node.prelude + node.period))
+        built = node if same else SeqOp(kind, node.min_len, node.max_len, children[:cut], children[cut:])
         parts = prelude + period
         mark, varlen = kind.end_mark, node.max_len != node.min_len + 1
 

@@ -338,6 +338,19 @@ class TestRewrites:
         assert pushed == Finite(2**64, range(2**64 - 1, -1, -1))
         assert push_inv_to_leaves(inv(pushed)) == finite(2**64)
 
+    def test_an_inv_free_tree_comes_back_as_itself(self):
+        rng = random.Random(23)
+        trees = [random_tree(rng, budget) for budget in range(6) for _ in range(200)]
+        trees = [tree for tree in trees if not any(isinstance(n, Inv) for n in _walk(tree))]
+        trees.append(parse("next(2, 3, (int32 desc, sum(finite(2, collation=0100), (bytes desc, uint8))))"))
+        assert len(trees) > 300
+        for tree in trees:
+            assert push_inv_to_leaves(tree) is tree
+        # Below an Inv only the inverted part is new: its siblings are the nodes given.
+        plain = lex(0, 3, period=(finite(3),))
+        pushed = push_inv_to_leaves(next_(2, 3, period=(plain, inv(plain))))
+        assert pushed.period[0] is plain and pushed.period[1] is not plain
+
     @given(st.integers(0, 2**32 - 1))
     def test_push_inv_preserves_the_order(self, seed):
         rng = random.Random(seed)

@@ -3,6 +3,9 @@
 import cProfile
 import pickle
 import pstats
+import random
+import sys
+import threading
 
 import pytest
 
@@ -11,6 +14,7 @@ from tsokey import (
     compare,
     compare_keys,
     encode,
+    encode_batch,
     encode_doc,
     parse,
     prepare,
@@ -18,8 +22,9 @@ from tsokey import (
 )
 from tsokey import encoder
 from tsokey.order_model import push_inv_to_leaves
+from tsokey.randgen import random_element, random_tree
 
-from helpers import plan_digest
+from helpers import _BAD_DOCS, _BAD_ELEMENTS, _outcome, _splice_bad, plan_digest, to_doc
 
 # plan_digest() as the nested closures computed it, before plans were
 # generated as source: 58,704 keys and faults over 3,000 seeded trees.
@@ -128,7 +133,7 @@ def test_each_plan_function_has_a_row_of_its_own_in_a_profile():
         "# function 0 (step_0)",
         "# function 1 (step_1)",
         "# function 2 (step_2)",
-        "# function 3 (run_3); step_5 = 0; step_6 = 1; step_7 = 2",
+        "# function 3 (run_3); step_7 = 0; step_8 = 1; step_9 = 2",
     ]
 
 
@@ -147,3 +152,178 @@ def test_renamed_functions_still_compile_each_shape_once():
     assert [code.co_name for code in cached] == ["step", "step", "step", "run"]
     assert plan.__code__ is not cached[-1] and plan.__code__.co_name == "run_3"
     assert getattr(plan.__code__, "co_qualname", "run_3") == "run_3"  # 3.10 has no co_qualname
+
+
+# ---------------------------------------------------------------------------
+# The leaf memos of a plan
+
+
+def _memos(plan):
+    """(namespace, name) of each memo in a plan's functions: its run function and every step it calls."""
+    found, functions = [], [plan]
+    while functions:
+        namespace = functions.pop().__globals__
+        for name, value in namespace.items():
+            if name.startswith("memo_"):
+                found.append((namespace, name))
+            elif name.startswith("step_"):
+                functions.append(value)
+            elif name.startswith("cases_"):
+                functions.extend(value)
+    return found
+
+
+def _plan(tree, mode="padded", doc=False, memo=True):
+    """A freshly compiled plan of ``tree``, its memos turned off unless ``memo``."""
+    plan = encoder._compile(push_inv_to_leaves(tree), mode == "packed", False, doc)
+    if not memo:
+        for namespace, name in _memos(plan):
+            namespace[name] = None
+    return plan
+
+
+def _outcomes(plan, values):
+    return [_outcome(lambda: plan(value)) for value in values]
+
+
+def test_memoized_plans_give_the_keys_and_faults_of_plans_without_memos():
+    """Criterion 2's tree generator; every value list repeats its values, and about
+    a third of them are bad.  Hits must give what misses gave, and both what a
+    plan with its memos off gives."""
+    memoized = 0
+    for index in range(400):
+        rng = random.Random(f"memo:{index}")
+        tree = random_tree(rng, rng.randrange(0, 6))
+        modes = ("padded", "packed") if prepare(tree).packed_ok else ("padded",)
+        elements = [random_element(rng, tree, length_cap=4) for _ in range(4)]
+        for doc in (False, True):
+            values = [to_doc(rng, tree, value) for value in elements] if doc else list(elements)
+            palette = _BAD_DOCS if doc else _BAD_ELEMENTS
+            values += [_splice_bad(rng, value, palette) for value in values[:2]]
+            values = [rng.choice(values) for _ in range(3 * len(values))]
+            for mode in modes:
+                plan = _plan(tree, mode, doc)
+                forwards = _outcomes(plan, values)
+                backwards = _outcomes(plan, values[::-1])[::-1]
+                fresh = _outcomes(_plan(tree, mode, doc), values)
+                assert forwards == backwards == fresh == _outcomes(_plan(tree, mode, doc, memo=False), values)
+                memoized += any(namespace[name] for namespace, name in _memos(plan))
+    assert memoized >= 100  # the memos were used, not just present
+
+
+# Each case: a value to memoize first, then a look-alike that must not take its fragment.
+LOOK_ALIKES = [
+    ("int32", False, 1, True),
+    ("int32", True, 1, True),
+    ("int32", False, 7, "7"),
+    ("int32", True, 7, "7"),
+    ("int32", True, "7", 7),
+    ("int32", False, 1, 1.0),
+    ("int32", True, 1, 1.0),
+    ("uint64", True, 2**64 - 1, 2**64),
+    ("bytes", False, b"a", b""),
+    ("bytes", True, "a", ""),
+    ("bytes", True, "", "a"),
+    ("bytes", False, b"a", "a"),
+    ("bytes", True, "a", b"a"),
+    ("bytes", True, "a", "\ud800"),
+    ("bytes", False, b"a", bytearray(b"a")),
+    ("bytes", True, "61", {"hex": "61"}),
+    ("bytes", True, "a", {"hex": "61"}),
+    ("bytes desc", True, "ab", "ab"),
+    ("lex(0, omega, ([bytes]))", True, ["", "a"], [""]),
+    ("lex(0, omega, ([bytes]))", False, [b"a", b""], [b"", b"a"]),
+    ("bytes(collation=ascii)", False, b"B", b"b"),
+    ("float64", False, 0.0, -0.0),
+    ("float64", True, -0.0, 0.0),
+    ("float32", False, 1.0, 1),
+    ("lex(0, omega, ([int32 desc]))", False, [1, 1], [True, 1]),
+    ("next(2, 3, (int32, bytes))", True, [1, "a"], [True, "a"]),
+]
+
+
+@pytest.mark.parametrize("order, doc, first, then", LOOK_ALIKES)
+def test_a_look_alike_of_a_memoized_value_gets_its_own_key(order, doc, first, then):
+    tree = parse(order)
+    plan = _plan(tree, doc=doc)
+    for _ in range(3):  # a miss that stores, then hits
+        plan(first)
+    reference = _plan(tree, doc=doc, memo=False)
+    assert _outcomes(plan, [then, first]) == _outcomes(reference, [then, first])
+
+
+def _memo_of(plan):
+    """The one memo of a plan's one memoized leaf, by its namespace and name."""
+    [(namespace, name)] = _memos(plan)
+    return namespace, name
+
+
+def test_a_site_fed_distinct_values_turns_its_memo_off():
+    tree = parse("int32")
+    values = list(range(-5, encoder.MEMO_ENTRIES + 5))
+    plan = _plan(tree, doc=True)
+    namespace, name = _memo_of(plan)
+    keys = [plan(value) for value in values[: encoder.MEMO_ENTRIES]]
+    assert len(namespace[name]) == encoder.MEMO_ENTRIES
+    keys += [plan(value) for value in values[encoder.MEMO_ENTRIES :]]
+    assert namespace[name] is None
+    keys += [plan(value) for value in values[:20]]
+    reference = _plan(tree, doc=True, memo=False)
+    assert keys == [reference(value) for value in values + values[:20]]
+
+
+def _zipf(rng, size, count):
+    weights = [1 / rank for rank in range(1, size + 1)]
+    return rng.choices(range(size), weights, k=count)
+
+
+def test_a_site_fed_zipf_values_keeps_its_memo_full_and_no_larger():
+    rng = random.Random(20261019)
+    words = ["".join(rng.choice("abcdefgh") for _ in range(rng.randrange(1, 48))) for _ in range(3000)]
+    words = list(dict.fromkeys(words))
+    tree = parse("lex(0, omega, ([bytes]))")
+    plan = _plan(tree, doc=True)
+    namespace, name = _memo_of(plan)
+    docs = [[words[rank] for rank in _zipf(rng, len(words), 4)] for _ in range(5000)]
+    keys = [plan(doc) for doc in docs]
+    memo = namespace[name]
+    assert memo is not None and len(memo) == encoder.MEMO_ENTRIES
+    assert all(0 < len(fragment) // 3 <= encoder.MEMO_VALUE_BYTES for fragment in memo.values())
+    assert all(len(word.encode()) <= encoder.MEMO_VALUE_BYTES for word in memo)
+    assert any(len(word) > encoder.MEMO_VALUE_BYTES for word in words[:100])
+    reference = _plan(tree, doc=True, memo=False)
+    assert keys == [reference(doc) for doc in docs]
+
+
+def test_four_threads_running_encode_batch_on_one_tree_give_the_keys_of_one_thread():
+    rng = random.Random(7)
+    # A tree no other test prepares, so its plan starts with empty memos: the
+    # bytes site stays on, the int32 and uint64 sites fill and turn off.
+    tree = parse("next(3, 4, (uint64 desc, bytes, int32))")
+    values = [
+        (rng.getrandbits(64), b"w%d" % rank, rng.getrandbits(31))
+        for rank in _zipf(rng, 3000, 4 * encoder.MEMO_ENTRIES)
+    ]
+    results = [None] * 4
+    start = threading.Barrier(len(results))
+
+    def work(index):
+        start.wait()
+        results[index] = encode_batch(tree, values[index:] + values[:index])
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside fills and the off switch
+    try:
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(saved)
+    expected = encode_batch(tree, values)
+    reference = _plan(tree, memo=False)
+    assert expected == [reference(value) for value in values]
+    for index, keys in enumerate(results):
+        assert keys == expected[index:] + expected[:index]
