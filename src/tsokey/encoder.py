@@ -55,7 +55,8 @@ Scalar leaves use order-preserving transforms: unsigned ints big-endian,
 signed ints with the sign bit flipped, floats with the sign bit set for
 non-negatives and all bits flipped for negatives.  Rationals encode their
 continued fraction with every odd-rank term bit-flipped and an infinity
-terminator, negatives flipping the whole payload behind a sign byte.
+terminator, negatives flipping the whole payload behind a sign byte; a
+plan runs the Euclid walk inline, and ``rational_key`` runs that plan.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from .order_model import (
     KIND_TABLE,
     MAX_DEPTH,
     OMEGA,
+    RATIONAL,
     Builtin,
     BuiltinKind,
     Finite,
@@ -229,14 +231,22 @@ def primitive_key(kind: BuiltinKind, value, *, nan_high: bool = False) -> bytes:
         raise cls(str(exc)[3:]) from None
 
 
+def _check_ints(name: str, p, q) -> None:
+    """Raise DomainError unless ``p`` and ``q`` are ints (a bool is not), ZeroDenominator if q is 0."""
+    for arg in (p, q):
+        if not isinstance(arg, int) or isinstance(arg, bool):
+            raise DomainError(f"{name} takes ints, got {type(arg).__name__}")
+    if q == 0:
+        raise ZeroDenominator("denominator is zero")
+
+
 def continued_fraction(p: int, q: int) -> list[int]:
-    """Canonical continued fraction of p/q for p >= 0, q > 0.
+    """Canonical continued fraction of p/q for ints p >= 0, q > 0.
 
     Plain Euclid: only the first term may be zero and the last term is at
     least two unless the whole expansion is a single term.
     """
-    if q == 0:
-        raise ZeroDenominator("denominator is zero")
+    _check_ints("continued_fraction", p, q)
     if q < 0 or p < 0:
         raise ValueError("continued_fraction needs p >= 0 and q > 0")
     terms = []
@@ -281,64 +291,30 @@ def _unit(term: int) -> tuple[bytes, bytes]:
 
 @lru_cache(maxsize=None)
 def _rational_fragments():
-    """The precomputed fragments of the rational walk, in padding triples.
-
-    ``signs[inverted][negative]`` is the sign byte, ``terms[flip][t]`` the
-    unit of a term t below 256, and ``terminators[flip]`` the infinity
-    terminator 01; ``flip`` 1 bit-flips a fragment.  About 30 KB, built on
-    first use so that a process encoding no rational builds none.
-    """
-    signs = tuple(zip(_pair(b"\x01"), _pair(b"\x00")))
-    return signs, tuple(zip(*map(_unit, range(256)))), _pair(b"\x01")
-
-
-def _rational_walk(num: int, den: int, inverted: bool, out: bytearray, fragments) -> None:
-    """Append the key of num/den (den > 0) in padding triples, bit-flipped when ``inverted``, to ``out``.
-
-    One Euclid ``divmod`` per continued-fraction term, two terms per pass so
-    that the pair never swaps.  A term below 256 appends its precomputed
-    unit, of the flip state of its rank; a larger one builds its uncapped
-    count header, so terms of any size encode.  ``rational_key`` and the
-    rational plan steps both run this walk.
-    """
-    signs, terms, terminators = fragments
-    negative = num < 0
-    out += signs[inverted][negative]
-    if negative:
-        num = -num
-    flip = inverted ^ negative
-    even, odd = terms[flip], terms[flip ^ 1]
-    while True:
-        term, num = divmod(num, den)
-        out += even[term] if term < 256 else _unit(term)[flip]
-        if not num:
-            out += terminators[flip ^ 1]
-            return
-        term, den = divmod(den, num)
-        out += odd[term] if term < 256 else _unit(term)[flip ^ 1]
-        if not den:
-            out += terminators[flip]
-            return
+    """The rows of the rational walk in padding triples, as ``[inverted][negative]``: the
+    sign byte, the units of the terms below 256 at even and at odd ranks, the terminator
+    01 after an even- and after an odd-rank last term, and ``flip``, ``inverted ^
+    negative``, which bit-flips the even ranks.  About 30 KB, built on first use."""
+    units, ends, signs = tuple(zip(*map(_unit, range(256)))), _pair(b"\x01"), (_pair(b"\x01"), _pair(b"\x00"))
+    return tuple(tuple((signs[negative][inverted], units[flip], units[flip ^ 1], ends[flip ^ 1], ends[flip], flip)
+                       for negative, flip in ((0, inverted), (1, inverted ^ 1))) for inverted in (0, 1))
 
 
 def rational_key(p: int, q: int) -> bytes:
-    """Raw order-preserving bytes for an exact rational p/q with q > 0.
+    """Raw order-preserving bytes for an exact rational p/q of ints with q > 0.
 
     A sign byte (0x00 negative, 0x01 otherwise) is followed by the
     continued-fraction terms of |p|/q, each a flag byte 0x00 plus an
     uncapped count header, closed by an infinity terminator flag 0x01;
     terms sitting at odd ranks are bit-flipped, and for negative p the
     whole payload behind the sign byte is bit-flipped.  The bytes are the
-    data bytes of the one continued-fraction walk the encode plans run,
-    over a table of the precomputed units of every term below 256.
+    data bytes of the padded plan of a ``rational`` leaf, so this and the
+    encode plans run one walk.
     """
-    if q == 0:
-        raise ZeroDenominator("denominator is zero")
+    _check_ints("rational_key", p, q)
     if q < 0:
         raise ValueError("rational_key needs q > 0")
-    out = bytearray()
-    _rational_walk(p, q, False, out, _rational_fragments())
-    return bytes(out[1::3])
+    return prepare(RATIONAL).plan()((p, q))[1::3]
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +442,8 @@ def _rational(value) -> tuple[int, int]:
 
 
 def _doc_rational(value) -> tuple[int, int]:
-    """(num, den), den > 0, of a rational in a JSON record: {"num", "den"}, "p/q", or an integer."""
-    if type(value) is dict and len(value) == 2:
-        num, den = value.get("num"), value.get("den")
-        if type(num) is int and type(den) is int and den > 0:
-            return num, den
+    """(num, den), den > 0, of a rational in a JSON record that is not already an exact
+    {"num": int, "den": int > 0} dict: {"num", "den"}, "p/q", or an integer."""
     if isinstance(value, str):
         num, slash, den = value.strip().partition("/")
         try:
@@ -525,7 +498,7 @@ def _items(value, doc: bool):
 # What a plan's functions may use besides builtins and their own constants.
 _PLAN_HELPERS = {name: globals()[name] for name in (
     "_Fault ElementMismatch NaNRejected shown _decimal _finite _integer _real _rational "
-    "_doc_rational _bytes _items _rational_walk _count_header_unbounded wrap_finite_leaf "
+    "_doc_rational _bytes _items _unit _count_header_unbounded wrap_finite_leaf "
     "_FLIP _EMPTY _LEAF_TRIPLE _TRIPLES _LAST_TRIPLES"
 ).split()}
 
@@ -558,7 +531,8 @@ def _at(path: str, lines: list[str]) -> list[str]:
 class _Compiler:
     """Writes a plan as Python source and runs it: ``run(value)`` returns the key of ``value``.
 
-    Leaves are written inline into their parent's code.  Every sequence and
+    Leaves are written inline into their parent's code, a rational's
+    Euclid walk too (a ``while`` with an ``if`` in it).  Every sequence and
     sum node gets a function ``step(value, out)``, which checks the value,
     appends its key fragment and returns ``ends``, the ending-value table of
     the last byte it wrote, so no function nests more than a few blocks.
@@ -766,19 +740,38 @@ class _Compiler:
         return lines + _indent(self.fixed(width, data))
 
     def rational(self, node: Builtin, var: str) -> list[str]:
-        """The rational walk over the padded fragments, then the leaf's final E0."""
+        """The Euclid walk of (num, den), inline: an exact (int, int > 0) pair, or {"num": int,
+        "den": int > 0} in doc plans, is read inline and the rest by a helper.  Two terms a
+        pass, so the pair never swaps; a term is one division and its remainder a subtraction,
+        after a multiply unless the term is 1, as most of a long expansion's are."""
         if self.doc:
-            lines = [f"num, den = _doc_rational({var})"]
+            exact, num, den, other = "dict", f'{var}.get("num")', f'{var}.get("den")', "_doc_rational"
         else:
-            pair = f"type({var}[0]) is int and type({var}[1]) is int and {var}[1] > 0"
-            lines = [
-                f"if type({var}) is tuple and len({var}) == 2 and {pair}:",
-                f"    num, den = {var}",
-                "else:",
-                f"    num, den = _rational({var})",
-            ]
-        fragments = self.const(_rational_fragments(), "fragments")
-        return lines + [f"_rational_walk(num, den, {bool(node.inverted)}, out, {fragments})", "out[-1] = 0xE0"]
+            exact, num, den, other = "tuple", f"{var}[0]", f"{var}[1]", "_rational"
+        rows = self.const(_rational_fragments()[node.inverted], "rows")
+        return [
+            f"if not (type({var}) is {exact} and len({var}) == 2 and type(num := {num}) is int"
+            f" and type(den := {den}) is int and den > 0):",
+            f"    num, den = {other}({var})",
+            f"sign, even, odd, end_even, end_odd, flip = {rows}[num < 0]",
+            "out += sign",
+            "if num < 0:",
+            "    num = -num",
+            "while True:",
+            "    term = num // den",
+            "    num -= den if term == 1 else term * den",
+            "    out += even[term] if term < 256 else _unit(term)[flip]",
+            "    if not num:",
+            "        out += end_even",
+            "        break",
+            "    term = den // num",
+            "    den -= num if term == 1 else term * num",
+            "    out += odd[term] if term < 256 else _unit(term)[flip ^ 1]",
+            "    if not den:",
+            "        out += end_odd",
+            "        break",
+            "out[-1] = 0xE0",
+        ]
 
     def byte_string(self, node: Builtin, depth: int, chain, var: str):
         """The key of lex(0, omega, [finite(256)]), contrelex when inverted: a translate

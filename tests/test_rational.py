@@ -4,13 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from tsokey import (
     RATIONAL,
     Builtin,
     BuiltinKind,
+    DomainError,
     ElementMismatch,
     Ordering,
     ZeroDenominator,
@@ -84,6 +85,14 @@ class TestRationalKey:
             rational_key(1, 0)
         with pytest.raises(ValueError):
             rational_key(1, -3)
+
+    @pytest.mark.parametrize("function", [rational_key, continued_fraction])
+    @pytest.mark.parametrize("p, q", [(True, 2), (1, True), (1.5, 2), (1, 2.0), ("1", 2), (1, "2"), (1.0, 0)])
+    def test_only_ints_are_arguments(self, function, p, q):
+        bad = next(arg for arg in (p, q) if type(arg) is not int)
+        with pytest.raises(DomainError) as info:
+            function(p, q)
+        assert str(info.value) == f"{function.__name__} takes ints, got {type(bad).__name__}"
 
     def test_exhaustive_small_range_matches_fraction_order(self):
         values = set()
@@ -223,6 +232,18 @@ class TestRationalWalkMatchesReference:
     def test_rational_key_on_any_pair(self, p, q):
         assert rational_key(p, q) == reference_rational_key(p, q)
 
+    @seed(7)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(2**80) + 1, 2**80 - 1), st.integers(1, 2**72 - 1))
+    def test_leaf_plans_on_any_pair(self, p, q):
+        value = Fraction(p, q)
+        for text, inverted in (("rational", False), ("rational desc", True)):
+            expected = reference_leaf(value, inverted)
+            for doc in (False, True):
+                plan = prepare(parse(text)).plan(doc=doc)
+                for spelling in spellings(value, doc):
+                    assert plan(spelling) == expected, (text, doc, spelling)
+
     @pytest.mark.parametrize("text, inverted", [("rational", False), ("rational desc", True)])
     @pytest.mark.parametrize("doc", [False, True])
     def test_leaf_plans(self, text, inverted, doc):
@@ -268,6 +289,14 @@ class TestBadRationals:
             (True, "3/0", "$: rational denominator must be positive, got 0"),
             (True, {"num": 1, "den": 0}, "$: rational denominator must be positive, got 0"),
             (True, {"num": True, "den": 2}, "$.num: expected an integer, got bool"),
+            (True, {"num": 1, "den": True}, "$.den: expected an integer, got bool"),
+            (True, {"num": 1.0, "den": 2}, "$.num: expected an integer, got float"),
+            (True, {"num": 1, "den": 2, "x": 0}, "$: expected a Fraction, an int, or a (num, den) pair, got dict"),
+            (True, {"num": 1, "den": -2}, "$: rational denominator must be positive, got -2"),
+            (False, (True, 2), "$: expected a Fraction, an int, or a (num, den) pair, got tuple"),
+            (False, (1, 2.0), "$: expected a Fraction, an int, or a (num, den) pair, got tuple"),
+            (False, (1, 2, 3), "$: expected a Fraction, an int, or a (num, den) pair, got tuple"),
+            (False, (1, 0), "$: rational denominator must be positive, got 0"),
             (True, "a/b", "$: 'a/b' is not a p/q rational"),
             (False, (1, -2), "$: rational denominator must be positive, got -2"),
             (True, True, "$: expected a Fraction, an int, or a (num, den) pair, got bool"),
@@ -281,3 +310,67 @@ class TestBadRationals:
             (encode_doc if doc else encode)(RATIONAL, value)
         assert type(info.value) is ElementMismatch
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "value, fraction",
+        [
+            ({"num": "6", "den": "4"}, Fraction(3, 2)),
+            ({"den": 2, "num": 1}, Fraction(1, 2)),
+            ({"num": 2**70, "den": 3}, Fraction(2**70, 3)),
+            ({"num": -(2**70), "den": 2**64}, Fraction(-64)),
+        ],
+    )
+    def test_a_look_alike_of_the_inline_dict_gets_the_key_of_its_value(self, value, fraction):
+        assert encode_doc(RATIONAL, value) == reference_leaf(fraction, False)
+
+
+def _u8(byte: int) -> bytes:
+    return wrap_finite_leaf(bytes((byte,)))
+
+
+class TestTheWalkAtDepth:
+    """A rational leaf where its walk's blocks sit deepest in the parent's function:
+    inside a prelude rank past min_len, a phase of a two-item period, an anti kind's
+    backward loop, and a sum case, each under a sequence that may be empty."""
+
+    @pytest.mark.parametrize("doc", [False, True])
+    def test_a_prelude_past_min_len_and_a_two_item_period(self, doc):
+        plan = prepare(parse("lex(0, omega, (uint8, rational desc [rational, uint8]))")).plan(doc=doc)
+        assert plan([]) == bytes((0x00, 0x00, 0xF0))
+        for length in range(1, 6):
+            for start in range(len(VALUES)):
+                picks = [VALUES[(start + rank) % len(VALUES)] for rank in range(length)]
+                element, key = [], bytearray()
+                for rank, value in enumerate(picks):
+                    place = min(rank, 2 + rank % 2)  # uint8, rational desc, then [rational, uint8]
+                    if place in (0, 3):
+                        element.append(rank + 7)
+                        key += _u8(rank + 7)
+                    else:
+                        element.append(spellings(value, doc)[start % 3])
+                        key += reference_leaf(value, place == 1)
+                key[-1] = 0xD0
+                assert plan(element) == key, element
+
+    @pytest.mark.parametrize("text, inverted", [("antilex(0, 4, ([rational]))", False), ("antilex(0, 4, ([rational desc]))", True)])
+    @pytest.mark.parametrize("doc", [False, True])
+    def test_an_anti_kinds_backward_loop(self, text, inverted, doc):
+        plan = prepare(parse(text)).plan(doc=doc)
+        assert plan([]) == bytes((0x00, 0x00, 0xF0))
+        for start in range(len(VALUES)):
+            picks = VALUES[start : start + 3]
+            key = bytearray(b"".join(reference_leaf(value, inverted) for value in reversed(picks)))
+            key[-1] = 0xD0
+            assert plan([spellings(value, doc)[start % 3] for value in picks]) == key
+
+    @pytest.mark.parametrize("doc", [False, True])
+    def test_a_sum_case_in_a_period(self, doc):
+        plan = prepare(parse("contrelex(0, omega, ([sum(finite(2), (rational, rational desc))]))")).plan(doc=doc)
+        for start in range(len(VALUES)):
+            picks = VALUES[start : start + 3]
+            element = [[rank % 2, spellings(value, doc)[rank % 3]] for rank, value in enumerate(picks)]
+            key = bytearray()
+            for rank, value in enumerate(picks):
+                key += _u8(rank % 2) + reference_leaf(value, rank % 2 == 1)
+            key[-1] = 0xE1
+            assert plan(element) == key, element
