@@ -49,7 +49,9 @@ A memo keeps at most ``MEMO_ENTRIES`` fragments of at most
 ``MEMO_VALUE_BYTES`` data bytes each, only of values that passed their
 checks, and a leaf that fills it with fewer hits than that turns it off
 for the life of the plan.  Keys and faults are those of a plan without
-memos.
+memos.  Rational leaves share two process-wide tables of the fragments
+that finish a walk from small pairs, at most 177 KB each (see
+``_rational_fragments``).
 
 Scalar leaves use order-preserving transforms: unsigned ints big-endian,
 signed ints with the sign bit flipped, floats with the sign bit set for
@@ -130,6 +132,9 @@ _EMPTY = bytearray()
 # data bytes one of them carries.
 MEMO_ENTRIES = 1024
 MEMO_VALUE_BYTES = 32
+# A rational walk whose pair left after the first term has ``den`` below this
+# finishes from a process-wide table of those pairs' tails.
+RATIONAL_TAIL = 64
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +225,19 @@ def hierar_count_header(n: int) -> bytes:
     return _count_header_unbounded(n)
 
 
-def primitive_key(kind: BuiltinKind, value, *, nan_high: bool = False) -> bytes:
-    """Raw order-preserving bytes for a fixed-width scalar leaf: the key of its packed plan."""
+@lru_cache(maxsize=None)
+def _primitive_plan(kind: BuiltinKind, nan_high: bool):
+    """The packed plan of one fixed-width scalar kind, kept for ``primitive_key``."""
     if KIND_TABLE[kind].family is None:
         raise DomainError(f"primitive_key does not handle {kind.value}")
+    return prepare(Builtin(kind)).plan("packed", nan_high=nan_high)
+
+
+def primitive_key(kind: BuiltinKind, value, *, nan_high: bool = False) -> bytes:
+    """Raw order-preserving bytes for a fixed-width scalar leaf: the key of its packed plan."""
+    plan = _primitive_plan(kind, bool(nan_high))
     try:
-        return prepare(Builtin(kind)).plan("packed", nan_high=nan_high)(value)
+        return plan(value)
     except (ElementMismatch, NaNRejected) as exc:  # "$: " and the leaf's own message
         cls = NaNRejected if isinstance(exc, NaNRejected) else DomainError
         raise cls(str(exc)[3:]) from None
@@ -293,11 +305,17 @@ def _unit(term: int) -> tuple[bytes, bytes]:
 def _rational_fragments():
     """The rows of the rational walk in padding triples, as ``[inverted][negative]``: the
     sign byte, the units of the terms below 256 at even and at odd ranks, the terminator
-    01 after an even- and after an odd-rank last term, and ``flip``, ``inverted ^
-    negative``, which bit-flips the even ranks.  About 30 KB, built on first use."""
+    01 after an even- and after an odd-rank last term, ``flip``, ``inverted ^ negative``,
+    which bit-flips the even ranks, and ``tails``, the table of ``flip``.
+
+    ``tails[den * RATIONAL_TAIL + num]`` is the rest of the walk from the pair ``0 < num
+    < den < RATIONAL_TAIL`` the first term leaves, kept by the walk that first meets it:
+    at most 1,953 fragments per table, 177 KB when full.  Built on first use, about
+    30 KB and the tables' 64 KB of slots."""
     units, ends, signs = tuple(zip(*map(_unit, range(256)))), _pair(b"\x01"), (_pair(b"\x01"), _pair(b"\x00"))
-    return tuple(tuple((signs[negative][inverted], units[flip], units[flip ^ 1], ends[flip ^ 1], ends[flip], flip)
-                       for negative, flip in ((0, inverted), (1, inverted ^ 1))) for inverted in (0, 1))
+    tails = [None] * RATIONAL_TAIL**2, [None] * RATIONAL_TAIL**2
+    return tuple(tuple((signs[negative][inverted], units[flip], units[flip ^ 1], ends[flip ^ 1], ends[flip], flip,
+                        tails[flip]) for negative, flip in ((0, inverted), (1, inverted ^ 1))) for inverted in (0, 1))
 
 
 def rational_key(p: int, q: int) -> bytes:
@@ -532,10 +550,11 @@ class _Compiler:
     """Writes a plan as Python source and runs it: ``run(value)`` returns the key of ``value``.
 
     Leaves are written inline into their parent's code, a rational's
-    Euclid walk too (a ``while`` with an ``if`` in it).  Every sequence and
-    sum node gets a function ``step(value, out)``, which checks the value,
-    appends its key fragment and returns ``ends``, the ending-value table of
-    the last byte it wrote, so no function nests more than a few blocks.
+    Euclid walk too (an ``if`` whose last branch holds a ``while`` with an
+    ``if`` in it).  Every sequence and sum node gets a function
+    ``step(value, out)``, which checks the value, appends its key fragment
+    and returns ``ends``, the ending-value table of the last byte it wrote,
+    so no function nests more than a few blocks.
     ``run``'s ``try`` raises a ``_Fault`` as its class with the whole path.
     ``chain`` lists the marking sequence nodes open around a node, outermost
     first ("L" lex family, "C" contrelex family); ``ends[k]`` is the last
@@ -656,9 +675,10 @@ class _Compiler:
         A miss runs ``lines`` and keeps their fragment if ``var`` is still of
         that type after their checks passed, and ``keep`` holds, until the
         memo holds ``MEMO_ENTRIES``.  A leaf that fills it with fewer hits
-        than that turns the memo off for the life of the plan.  Each call
-        reads the memo once into a local, so a thread that turns it off
-        cannot pull it from under another.
+        than that turns the memo off for the life of the plan; the hit count
+        stops there, the most that rule reads.  Each call reads the memo once
+        into a local, so a thread that turns it off cannot pull it from
+        under another.
         """
         memo, hits = self.const({}, "memo"), self.const(0, "hits")
         store = f"memo is not None and type({var}) is {exact}" + (f" and {keep}" if keep else "")
@@ -666,7 +686,8 @@ class _Compiler:
             f"memo = {memo}",
             f"if memo is not None and type({var}) is {exact} and (frag := memo.get({var})) is not None:",
             "    out += frag",
-            f"    {hits} += 1",
+            f"    if {hits} < {MEMO_ENTRIES}:",
+            f"        {hits} += 1",
             *_indent(hit),
             "else:",
             *_indent(lines),
@@ -741,35 +762,55 @@ class _Compiler:
 
     def rational(self, node: Builtin, var: str) -> list[str]:
         """The Euclid walk of (num, den), inline: an exact (int, int > 0) pair, or {"num": int,
-        "den": int > 0} in doc plans, is read inline and the rest by a helper.  Two terms a
-        pass, so the pair never swaps; a term is one division and its remainder a subtraction,
-        after a multiply unless the term is 1, as most of a long expansion's are."""
+        "den": int > 0} or "p/q" of decimal ints with q > 0 in doc plans, is read inline and
+        the rest by a helper.  A term is one division and its remainder a subtraction, after
+        a multiply unless the term is 1, as most of a long expansion's are.  The pair the
+        first term leaves is looked up once in ``tails`` if its ``den`` is small; a miss
+        walks on, two terms a pass so the pair never swaps, and keeps its fragment there."""
         if self.doc:
             exact, num, den, other = "dict", f'{var}.get("num")', f'{var}.get("den")', "_doc_rational"
         else:
             exact, num, den, other = "tuple", f"{var}[0]", f"{var}[1]", "_rational"
-        rows = self.const(_rational_fragments()[node.inverted], "rows")
-        return [
+        read = [
             f"if not (type({var}) is {exact} and len({var}) == 2 and type(num := {num}) is int"
             f" and type(den := {den}) is int and den > 0):",
             f"    num, den = {other}({var})",
-            f"sign, even, odd, end_even, end_odd, flip = {rows}[num < 0]",
+        ]
+        if self.doc:  # a "p/q" the helper would read to the same pair; it words every fault
+            ratio = [f'num, _, den = {var}.partition("/")', "try:", "    num, den = int(num, 10), int(den, 10)",
+                     "except ValueError:", "    den = 0", "if den <= 0:", f"    num, den = _doc_rational({var})"]
+            read = [f"if type({var}) is str:", *_indent(ratio), "el" + read[0], read[1]]
+        rows = self.const(_rational_fragments()[node.inverted], "rows")
+        return read + [
+            f"sign, even, odd, end_even, end_odd, flip, tails = {rows}[num < 0]",
             "out += sign",
             "if num < 0:",
             "    num = -num",
-            "while True:",
-            "    term = num // den",
-            "    num -= den if term == 1 else term * den",
-            "    out += even[term] if term < 256 else _unit(term)[flip]",
-            "    if not num:",
-            "        out += end_even",
-            "        break",
-            "    term = den // num",
-            "    den -= num if term == 1 else term * num",
-            "    out += odd[term] if term < 256 else _unit(term)[flip ^ 1]",
-            "    if not den:",
-            "        out += end_odd",
-            "        break",
+            "term = num // den",
+            "num -= den if term == 1 else term * den",
+            "out += even[term] if term < 256 else _unit(term)[flip]",
+            "if not num:",
+            "    out += end_even",
+            f"elif (slot := den * {RATIONAL_TAIL} + num if den < {RATIONAL_TAIL} else 0)"
+            " and (tail := tails[slot]) is not None:",
+            "    out += tail",
+            "else:",
+            "    start = len(out)",
+            "    while True:",
+            "        term = den // num",
+            "        den -= num if term == 1 else term * num",
+            "        out += odd[term] if term < 256 else _unit(term)[flip ^ 1]",
+            "        if not den:",
+            "            out += end_odd",
+            "            break",
+            "        term = num // den",
+            "        num -= den if term == 1 else term * den",
+            "        out += even[term] if term < 256 else _unit(term)[flip]",
+            "        if not num:",
+            "            out += end_even",
+            "            break",
+            "    if slot:",
+            "        tails[slot] = bytes(out[start:])",
             "out[-1] = 0xE0",
         ]
 

@@ -67,6 +67,7 @@ from tsokey import (
 )
 from tsokey import encoder
 from tsokey.encoder import _count_header_unbounded, _ending_values
+from tsokey.order_model import KIND_TABLE
 from tsokey.randgen import random_element, random_pair, random_tree
 
 from helpers import assert_keys_match_oracle, elements, to_doc
@@ -330,6 +331,25 @@ class TestPrimitiveKeys:
     def test_domain_errors(self, kind, value):
         with pytest.raises(DomainError):
             primitive_key(kind, value)
+
+    @pytest.mark.parametrize("nan_high", [False, True])
+    @pytest.mark.parametrize("kind", list(BuiltinKind), ids=lambda kind: kind.value)
+    def test_every_kind_gives_the_key_or_fault_of_its_packed_leaf(self, kind, nan_high):
+        values = [0, 1, -1, 127, 128, 255, 256, -129, 2**31, -(2**31) - 1, 2**63, 2**64, -(2**64)]
+        values += [True, 1.5, -0.0, 1e300, -math.inf, math.nan, "7", None, b"x"]
+        if KIND_TABLE[kind].family is None:  # bool, bytes, rational
+            with pytest.raises(DomainError, match=f"primitive_key does not handle {kind.value}"):
+                primitive_key(kind, 0, nan_high=nan_high)
+            return
+        for value in values:
+            try:
+                expected = encode(Builtin(kind), value, "packed", nan_high=nan_high)
+            except (ElementMismatch, NaNRejected) as exc:
+                with pytest.raises(NaNRejected if isinstance(exc, NaNRejected) else DomainError) as info:
+                    primitive_key(kind, value, nan_high=nan_high)
+                assert f"$: {info.value}" == str(exc)
+            else:
+                assert primitive_key(kind, value, nan_high=nan_high) == expected, value
 
 
 def _bit_string_count_header(n):

@@ -291,6 +291,8 @@ def test_a_site_fed_zipf_values_keeps_its_memo_full_and_no_larger():
     assert all(0 < len(fragment) // 3 <= encoder.MEMO_VALUE_BYTES for fragment in memo.values())
     assert all(len(word.encode()) <= encoder.MEMO_VALUE_BYTES for word in memo)
     assert any(len(word) > encoder.MEMO_VALUE_BYTES for word in words[:100])
+    [hits] = [value for key, value in namespace.items() if key.startswith("hits_")]
+    assert hits == encoder.MEMO_ENTRIES  # the count stops where the off rule stops reading it
     reference = _plan(tree, doc=True, memo=False)
     assert keys == [reference(doc) for doc in docs]
 

@@ -1,6 +1,9 @@
 """Continued fractions and rational keys."""
 
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -18,12 +21,14 @@ from tsokey import (
     compare_keys,
     continued_fraction,
     encode,
+    encode_batch,
     encode_doc,
     parse,
     rational_key,
     wrap_finite_leaf,
 )
-from tsokey.encoder import _count_header_unbounded, prepare
+from tsokey import encoder
+from tsokey.encoder import RATIONAL_TAIL, _count_header_unbounded, prepare
 
 from helpers import assert_keys_match_oracle
 
@@ -298,6 +303,14 @@ class TestBadRationals:
             (False, (1, 2, 3), "$: expected a Fraction, an int, or a (num, den) pair, got tuple"),
             (False, (1, 0), "$: rational denominator must be positive, got 0"),
             (True, "a/b", "$: 'a/b' is not a p/q rational"),
+            (True, "3/-4", "$: rational denominator must be positive, got -4"),
+            (True, "3/4/5", "$: '3/4/5' is not a p/q rational"),
+            (True, "/4", "$: '/4' is not a p/q rational"),
+            (True, "3/", "$: '3/' is not a p/q rational"),
+            (True, "1_/2", "$: '1_/2' is not a p/q rational"),
+            (True, "+-3/4", "$: '+-3/4' is not a p/q rational"),
+            (True, "3 4/5", "$: '3 4/5' is not a p/q rational"),
+            (True, "", "$: '' is not a p/q rational"),
             (False, (1, -2), "$: rational denominator must be positive, got -2"),
             (True, True, "$: expected a Fraction, an int, or a (num, den) pair, got bool"),
             (False, True, "$: expected a Fraction, an int, or a (num, den) pair, got bool"),
@@ -321,6 +334,23 @@ class TestBadRationals:
         ],
     )
     def test_a_look_alike_of_the_inline_dict_gets_the_key_of_its_value(self, value, fraction):
+        assert encode_doc(RATIONAL, value) == reference_leaf(fraction, False)
+
+    @pytest.mark.parametrize(
+        "value, fraction",
+        [
+            (" 3/4", Fraction(3, 4)),
+            (" 3 / 4 ", Fraction(3, 4)),
+            ("\t-3/4\n", Fraction(-3, 4)),
+            ("+3/4", Fraction(3, 4)),
+            ("3/+4", Fraction(3, 4)),
+            ("3_0/4", Fraction(30, 4)),
+            ("-0/5", Fraction(0)),
+            ("3", Fraction(3)),
+            ("-7", Fraction(-7)),
+        ],
+    )
+    def test_a_string_spelling_int_accepts_gets_the_key_of_its_value(self, value, fraction):
         assert encode_doc(RATIONAL, value) == reference_leaf(fraction, False)
 
 
@@ -374,3 +404,86 @@ class TestTheWalkAtDepth:
                 key += _u8(rank % 2) + reference_leaf(value, rank % 2 == 1)
             key[-1] = 0xE1
             assert plan(element) == key, element
+
+
+# Every pair whose remainder after the first term can sit in a tails table, and more.
+SMALL_PAIRS = [(p, q) for q in range(1, 131) for p in range(-130, 131)]
+
+
+def _tails():
+    """The tails tables, plain and bit-flipped."""
+    rows = encoder._rational_fragments()
+    return rows[0][0][-1], rows[0][1][-1]
+
+
+def _empty_tails():
+    for tails in _tails():
+        tails[:] = [None] * len(tails)
+
+
+def _reference_keys(pairs, inverted=False):
+    return [reference_leaf(Fraction(p, q), inverted) for p, q in pairs]
+
+
+class TestTails:
+    """The fragments a walk keeps for the small pairs its first term leaves."""
+
+    @pytest.mark.parametrize("inverted", [False, True])
+    @pytest.mark.parametrize("doc", [False, True])
+    def test_every_small_pair_at_the_top_and_under_contrelex(self, doc, inverted):
+        text = "rational desc" if inverted else "rational"
+        top = prepare(parse(text)).plan(doc=doc)
+        nested = prepare(parse(f"contrelex(0, omega, ([{text}]))")).plan(doc=doc)
+        for (p, q), leaf in zip(SMALL_PAIRS, _reference_keys(SMALL_PAIRS, inverted)):
+            value = (f"{p}/{q}" if (p + q) % 2 else {"num": p, "den": q}) if doc else (p, q)
+            assert top(value) == leaf, value
+            assert nested([value]) == leaf[:-1] + b"\xe1", value
+
+    def test_fill_order_changes_no_key(self):
+        plan = prepare(parse("rational")).plan()
+        expected = _reference_keys(SMALL_PAIRS)
+        for pairs, keys in ((SMALL_PAIRS, expected), (SMALL_PAIRS[::-1], expected[::-1])):
+            _empty_tails()
+            assert [plan(pair) for pair in pairs] == keys  # the walks fill the tables
+            assert [plan(pair) for pair in reversed(pairs)] == keys[::-1]  # every small pair a hit
+
+    def test_each_table_keeps_one_fragment_per_small_pair_and_no_more(self):
+        plan = prepare(parse("rational")).plan()
+        _empty_tails()
+        for p, q in SMALL_PAIRS:
+            plan((p, q))
+            plan((p * 2**70 + 1, q))
+        for tails in _tails():
+            kept = [slot for slot, tail in enumerate(tails) if tail is not None]
+            assert len(tails) == RATIONAL_TAIL**2
+            assert len(kept) == (RATIONAL_TAIL - 1) * (RATIONAL_TAIL - 2) // 2
+            assert all(0 < slot % RATIONAL_TAIL < slot // RATIONAL_TAIL for slot in kept)
+
+    def test_four_threads_filling_the_tables_give_the_keys_of_one_thread(self):
+        rng = random.Random(11)
+        pairs = [(rng.randint(-300, 300), rng.randint(1, 80)) for _ in range(4000)]
+        # A tree no other test prepares, so its plan is new; the tables are emptied below.
+        tree = parse("next(2, 3, (rational desc, rational))")
+        values = [(pairs[rank], pairs[-rank - 1]) for rank in range(len(pairs))]
+        expected = [a + b for a, b in zip(_reference_keys(pairs, True), _reference_keys(pairs[::-1]))]
+        results = [None] * 4
+        start = threading.Barrier(len(results))
+
+        def work(index):
+            start.wait()
+            results[index] = encode_batch(tree, values[index:] + values[:index])
+
+        _empty_tails()
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, between a miss and its store
+        try:
+            threads = [threading.Thread(target=work, args=(index,)) for index in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(saved)
+        for index, keys in enumerate(results):
+            assert keys == expected[index:] + expected[:index]

@@ -153,3 +153,26 @@ def test_submodule_import_and_unknown_name():
         """
     )
     assert result == [True, "module 'tsokey' has no attribute 'nope'"]
+
+
+def test_commands_on_an_order_without_rationals_never_build_the_rational_tables(tmp_path):
+    order = tmp_path / "order.tsodl"
+    order.write_text("next(3, 4, (int32 desc, lex(0, omega, ([bytes])), float64))\n", encoding="utf-8")
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text('[3,["b"],1.5]\n[5,[],-2]\n[3,["a","c"],"0.25"]\n', encoding="utf-8")
+    result = run_fresh(
+        """
+        import contextlib, io
+        from tsokey import cli, encoder
+        order, rows = sys.argv[1:]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [
+                cli.main(['encode', order, rows, '--hex']),
+                cli.main(['sort', order, rows, '--output', 'indices']),
+            ]
+        print(json.dumps({'codes': codes, 'built': encoder._rational_fragments.cache_info().misses}))
+        """,
+        str(order),
+        str(rows),
+    )
+    assert result == {"codes": [0, 0], "built": 0}
