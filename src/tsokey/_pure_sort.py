@@ -1,6 +1,6 @@
 """The stable sort by key bytes behind ``tsokey sort`` and ``sort_cells``.
 
-The padded and packed key formats are built so that plain bytewise
+The padded, packed and open key formats are built so that plain bytewise
 comparison is the tree order, so a stable sort by the key bytes is all a
 sort has to do.  ``sort_by_key`` picks one of two ways from the keys it is
 given:

@@ -16,7 +16,8 @@ source generated for the order and run once through ``exec``; its
 A key depends on its record alone, so ``sort``, which holds every key
 (and, for ``--output lines``, every line) until it sorts, keeps a memo
 from line text to key: each distinct line is scanned and encoded once,
-and equal lines share one key object.
+and equal lines share one key object.  It sorts on packed keys where the
+tree allows them, else on open keys (``encode --mode open``), else padded.
 ``encode`` streams and encodes every line, so its memory does not grow
 with the input: the plan's leaf memos are bounded (``encoder.MEMO_ENTRIES``
 fragments per leaf).  Input is read ``_CHUNK`` raw lines at a time, and each
@@ -213,11 +214,13 @@ def _encode_records(
 
 def _cmd_validate(args) -> int:
     tree = _read_order(args.order)
-    stats = prepare(tree).stats
+    prepared = prepare(tree)
+    stats = prepared.stats
     variable = "yes" if stats.has_variable_length else "no"
     print(
         f"ok: depth={stats.depth} lex_path={stats.max_lex_path} "
-        f"contrelex_path={stats.max_contrelex_path} variable_length={variable}"
+        f"contrelex_path={stats.max_contrelex_path} variable_length={variable} "
+        f"open={'yes' if prepared.open_ok else 'no'}"
     )
     return 0
 
@@ -238,7 +241,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_sort(args) -> int:
     tree = _read_order(args.order)
-    mode = "packed" if prepare(tree).packed_ok else "padded"
+    # A fixed-length tree is open, and its open plan is its packed plan.
+    mode = "open" if prepare(tree).open_ok else "padded"
     lines: list[str] | None = [] if args.output == "lines" else None
     keys: list[bytes] = []
     # Every key is held until the sort anyway, so the memo adds only its hash
@@ -388,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_encode = commands.add_parser("encode", help="encode a JSON Lines dataset into keys")
     p_encode.add_argument("order", help="order definition file")
     p_encode.add_argument("data", help="JSON Lines dataset ('-' for stdin)")
-    p_encode.add_argument("--mode", choices=("padded", "packed"), default="padded")
+    p_encode.add_argument("--mode", choices=("padded", "packed", "open"), default="padded")
     p_encode.add_argument("--hex", action="store_true", help="hex lines instead of binary")
     p_encode.add_argument("--skip-bad", action="store_true", help="warn and continue on bad lines")
     p_encode.add_argument("--nan-high", action="store_true", help="allow NaN, sorting above +inf")

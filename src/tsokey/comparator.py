@@ -59,10 +59,13 @@ class Ordering(IntEnum):
 
 
 def compare_keys(a: bytes, b: bytes) -> Ordering:
-    """Bytewise unsigned comparison of two encoded keys.
+    """Bytewise unsigned comparison of two padded or packed keys.
 
     Distinct keys of the same order always disagree before either ends; a
     strict prefix therefore means an encoder bug, and debug runs flag it.
+    Open keys are strict prefixes of each other by design (``[900, "ab"]``
+    and ``[900, "abc"]``), so this takes no open keys: compare those as
+    plain ``bytes``.
     """
     if a == b:
         return Ordering.EQUAL

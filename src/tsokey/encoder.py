@@ -25,7 +25,9 @@ key is exactly three times its data-byte count long.
 
 Packed mode drops the padding altogether and is available only for trees
 whose elements all encode to the same positions (every sequence node fixed
-length, no bytes/rational leaves).
+length, no bytes/rational leaves).  Open mode, for open trees only, writes
+a packed key whose variable-length tail goes raw: memcmp's "a prefix sorts
+first" does the end marks' work (docs/key_format.md, "Open keys").
 
 ``encode`` takes elements as Python values; ``encode_doc`` takes the value
 ``json.loads`` gives for one JSON Lines record and reads the dataset's JSON
@@ -42,7 +44,7 @@ as ``plan.source``.  ``encode``, ``encode_doc``, ``check_element`` and
 once per element, and an accepted element builds no path strings.
 
 A plan carries bounded state: each padded integer leaf of 3 or more
-bytes and each byte-string leaf keeps a memo of its own, from a value
+bytes and each padded byte-string leaf keeps a memo of its own, from a value
 of one exact type (``int``; ``str`` in doc plans, ``bytes`` otherwise)
 to the fragment it wrote, so a value it has seen costs one dict lookup.
 A memo keeps at most ``MEMO_ENTRIES`` fragments of at most
@@ -344,16 +346,17 @@ class PreparedOrder(Record):
 
     ``tree`` has all Inv structure pushed into the leaves and is otherwise
     the tree the user wrote; ``stats`` are the validation statistics;
-    ``packed_ok`` says whether packed mode is available.  ``plan`` compiles
-    the tree on first use for each (mode, nan_high, doc) and keeps the
-    result in ``plans``, so a tree is interpreted once, not once per element.
+    ``packed_ok`` and ``open_ok`` say whether packed and open mode are
+    available.  ``plan`` compiles the tree on first use for each (mode,
+    nan_high, doc) and keeps the result in ``plans``, so a tree is
+    interpreted once, not once per element.
     """
 
-    __match_args__ = ("tree", "stats", "packed_ok")
+    __match_args__ = ("tree", "stats", "packed_ok", "open_ok")
     __slots__ = (*__match_args__, "plans")
 
-    def __init__(self, tree: OrderNode, stats: PathStats, packed_ok: bool):
-        self._store(tree, stats, packed_ok)
+    def __init__(self, tree: OrderNode, stats: PathStats, packed_ok: bool, open_ok: bool = False):
+        self._store(tree, stats, packed_ok, open_ok)
         object.__setattr__(self, "plans", {})
 
     def plan(self, mode: str = "padded", *, nan_high: bool = False, doc: bool = False):
@@ -369,19 +372,22 @@ class PreparedOrder(Record):
             return self.plans[key]
         except KeyError:
             pass
-        if mode not in ("padded", "packed"):
+        if mode not in ("padded", "packed", "open"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "packed" and not self.packed_ok:
             raise PackedModeUnavailable("tree has variable-length elements")
-        run = self.plans[key] = _compile(self.tree, mode == "packed", bool(nan_high), bool(doc))
+        if mode == "open" and not self.open_ok:
+            raise PackedModeUnavailable("tree is not open: its variable-length part must be an ascending"
+                                        " bytes leaf or a lex of fixed-width items, last in the key")
+        run = self.plans[key] = _compile(self.tree, mode != "padded", bool(nan_high), bool(doc))
         return run
 
 
 @lru_cache(maxsize=128)
 def prepare(tree: OrderNode) -> PreparedOrder:
     """Validate a tree and lower it once; results are cached by tree value."""
-    pushed, stats = _prepared(tree)
-    return PreparedOrder(pushed, stats, not stats.has_variable_length)
+    pushed, stats, is_open = _prepared(tree)
+    return PreparedOrder(pushed, stats, not stats.has_variable_length, is_open)
 
 
 def _finite_width(cardinality: int) -> int:
@@ -568,10 +574,11 @@ class _Compiler:
     tree, and equal shapes give equal text, which ``_code`` compiles once.
     ``plan.source`` lists the functions, each headed by its number, the
     name profiles and tracebacks show for it (``step_3``), and those it calls.
-    Packed plans neither mark nor return tables.  Padded integer leaves of
-    3 or more bytes and byte-string leaves are written behind ``memo``; its
-    dict and hit count are constants their function rebinds, named in a
-    ``global`` line.
+    Packed plans, open ones too, neither mark nor return tables; an open
+    plan's bytes leaf writes its ranks raw.  Padded integer leaves of 3 or
+    more bytes and padded byte-string leaves are written behind ``memo``;
+    its dict and hit count are constants their function rebinds, named in
+    a ``global`` line.
     """
 
     def __init__(self, packed: bool, nan_high: bool, doc: bool):
@@ -828,6 +835,9 @@ class _Compiler:
             lines = [f"if type({var}) is str:", *_indent(encode), "else:", f"    data = {plain}"]
         else:
             lines = [f"data = {plain}"]
+        if self.packed:  # an open plan's tail: ascending, so no flip, and the ranks raw
+            ranks = "data" if table is None else f"data.translate({self.const(table, 'table')})"
+            return lines + [f"out += {ranks}"], None
         lines.append("if data:")
         if table is not None:
             lines.append(f"    data = data.translate({self.const(table, 'table')})")
@@ -931,9 +941,10 @@ def encode(tree: OrderNode, value, mode: str = "padded", *, nan_high: bool = Fal
     """Encode one element of ``tree`` as an order-preserving byte key.
 
     mode "padded" works for every valid tree; mode "packed" omits the
-    padding and needs a fixed-length tree.  Inv nodes never reach the
-    plan: ``prepare`` rewrites them into inverted leaves and mirrored
-    operators.
+    padding and needs a fixed-length tree; mode "open" writes a packed key
+    with its variable-length tail raw and needs an open tree.  Inv nodes
+    never reach the plan: ``prepare`` rewrites them into inverted leaves
+    and mirrored operators.
     """
     return prepare(tree).plan(mode, nan_high=nan_high)(value)
 

@@ -25,8 +25,9 @@ and ``tsokey.compare`` runs it on both values before it orders them.
 One walk prepares a tree: it checks every node, builds the node with its
 inversions pushed into the leaves (an operator swaps for its contre
 partner, a leaf reverses) and counts depth, lex and contrelex paths and
-variable length on the node it built.  ``validate`` returns the counts,
-``push_inv_to_leaves`` the tree, and ``encoder.prepare`` keeps both.
+variable length on the node it built, and whether it is open.
+``validate`` returns the counts, ``push_inv_to_leaves`` the tree, and
+``encoder.prepare`` keeps all three.
 
 Nodes and ``PathStats`` are frozen slotted records (``errors.Record``), not
 dataclasses: equal when class and fields are, hashable (a node caches its
@@ -444,11 +445,16 @@ def _check_collation(table: tuple[int, ...], size: int, path: str) -> None:
         seen[value] = True
 
 
-def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int, int, bool]:
+# A node's shape, worst first: variable-length, variable-length but open
+# (docs/key_format.md), fixed-length maybe no byte wide, fixed-length.
+_CLOSED, _OPEN, _BLANK, _FIXED = range(4)
+
+
+def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int, int, int]:
     """Check node and build it with its inversions pushed into the leaves.
 
     Returns the built node and its (depth, lex_path, contrelex_path,
-    variable_length).  ``negate`` (an odd number of Inv nodes above) swaps
+    shape).  ``negate`` (an odd number of Inv nodes above) swaps
     an operator for its contre partner, reverses a Finite leaf and flips a
     Builtin leaf's ``inverted``; the path counts are taken on the built
     node, as the encoder writes it.  Byte-string leaves are charged as one
@@ -472,7 +478,7 @@ def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int
             if node.cardinality > 256:
                 raise MalformedNode(path, "collation requires cardinality <= 256")
             _check_collation(node.collation, node.cardinality, path)
-        return _reversed_finite(node) if negate else node, 0, 0, 0, False
+        return _reversed_finite(node) if negate else node, 0, 0, 0, _FIXED
 
     if isinstance(node, Builtin):
         if node.collation is not None:
@@ -482,8 +488,8 @@ def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int
         if negate:
             node = Builtin(node.kind, node.collation, not node.inverted)
         if node.kind is BuiltinKind.BYTES:
-            return (node, 1, 0, 1, True) if node.inverted else (node, 1, 1, 0, True)
-        return node, 0, 0, 0, node.kind is BuiltinKind.RATIONAL
+            return (node, 1, 0, 1, _CLOSED) if node.inverted else (node, 1, 1, 0, _OPEN)
+        return node, 0, 0, 0, _CLOSED if node.kind is BuiltinKind.RATIONAL else _FIXED
 
     if isinstance(node, Inv):
         return _walk(node.child, path + ".child", not negate)
@@ -501,7 +507,7 @@ def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int
         cases = tuple(part[0] for part in parts)
         same = not negate and all(case is old for case, old in zip(cases, node.cases))
         built = node if same else Sum(master, cases)
-        mark, varlen = None, False
+        mark = None
 
     elif isinstance(node, SeqOp):
         if not isinstance(node.min_len, int) or isinstance(node.min_len, bool) or node.min_len < 0:
@@ -538,23 +544,42 @@ def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int
         same = not negate and all(child is old for child, old in zip(children, node.prelude + node.period))
         built = node if same else SeqOp(kind, node.min_len, node.max_len, children[:cut], children[cut:])
         parts = prelude + period
-        mark, varlen = kind.end_mark, node.max_len != node.min_len + 1
+        mark = kind.end_mark
 
     else:
         raise MalformedNode(path, f"not an order node: {type(node).__name__}")
 
     depth = lex_n = contre_n = 0
-    for _, d, l, c, v in parts:
-        depth, lex_n, contre_n, varlen = max(depth, d), max(lex_n, l), max(contre_n, c), varlen or v
-    return built, depth + 1, lex_n + (mark == "L"), contre_n + (mark == "C"), varlen
+    low = _FIXED
+    for _, d, l, c, s in parts:
+        depth, lex_n, contre_n, low = max(depth, d), max(lex_n, l), max(contre_n, c), min(low, s)
+    if isinstance(node, Sum):  # the master is fixed-length, and decides first
+        shape = _FIXED if low >= _BLANK else low
+    elif node.max_len != node.min_len + 1:
+        shape = _OPEN if kind is SeqKind.LEX and low == _FIXED else _CLOSED
+    elif low >= _BLANK:
+        shape = _FIXED if node.min_len and low == _FIXED else _BLANK
+    else:
+        shape = _OPEN if kind is SeqKind.NEXT and _open_tail(node, [part[4] for part in parts]) else _CLOSED
+    return built, depth + 1, lex_n + (mark == "L"), contre_n + (mark == "C"), shape
 
 
-def _prepared(tree: OrderNode) -> tuple[OrderNode, PathStats]:
-    """The one walk behind validate, push_inv_to_leaves and prepare."""
-    built, depth, lex_n, contre_n, varlen = _walk(tree, "$", False)
+def _open_tail(node: SeqOp, shapes: list[int]) -> bool:
+    """Whether a fixed-length node's last item is open and its other item orders (the
+    last one's too, where the period repeats it) fixed-length."""
+    rank, n_prelude, n_period = node.min_len - 1, len(node.prelude), len(node.period)
+    last = rank if rank < n_prelude else n_prelude + (rank - n_prelude) % n_period
+    repeated = last >= n_prelude and rank - n_period >= n_prelude
+    others = (shape for index, shape in enumerate(shapes) if index != last or repeated)
+    return rank >= 0 and shapes[last] >= _OPEN and all(shape >= _BLANK for shape in others)
+
+
+def _prepared(tree: OrderNode) -> tuple[OrderNode, PathStats, bool]:
+    """The one walk behind validate, push_inv_to_leaves and prepare; the flag says the tree is open."""
+    built, depth, lex_n, contre_n, shape = _walk(tree, "$", False)
     if depth > MAX_DEPTH:
         raise OrderTooDeep(f"operator nesting {depth} exceeds the maximum of {MAX_DEPTH}")
-    return built, PathStats(depth, lex_n, contre_n, varlen)
+    return built, PathStats(depth, lex_n, contre_n, shape < _BLANK), shape >= _OPEN
 
 
 def validate(tree: OrderNode) -> PathStats:

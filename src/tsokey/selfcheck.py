@@ -1,6 +1,6 @@
 """Built-in correctness checks behind the selftest command.
 
-Four check families, each reported as named results rather than exceptions
+Five check families, each reported as named results rather than exceptions
 so the CLI can print one line per check and exit nonzero if any failed:
 
 * golden tables: the eight bundled orderings of the short binary strings,
@@ -8,7 +8,8 @@ so the CLI can print one line per check and exit nonzero if any failed:
   encode-then-compare-bytes pipeline;
 * count headers: the 2**400 worked example plus bounded monotonicity;
 * rationals: brute-force agreement with exact fraction order;
-* randomized oracle equivalence on seeded random trees and element pairs.
+* randomized oracle equivalence on seeded random trees and element pairs;
+* open keys: on seeded open trees, open keys sort elements as padded keys do.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from .comparator import Ordering, compare, compare_keys
 from .encoder import _count_header_unbounded, hierar_count_header, prepare, rational_key
-from .randgen import random_pair, random_tree
+from .randgen import random_element, random_pair, random_tree
 from .tsodl import parse
 
 __all__ = [
@@ -173,6 +174,27 @@ def _check_oracle_equivalence(rng: random.Random, trials: int) -> CheckResult:
     return CheckResult("oracle:equivalence", True, f"{trials} trials")
 
 
+def _check_open_equivalence(rng: random.Random, trials: int) -> CheckResult:
+    """On the open trees among ``trials`` seeded ones, open keys give the stable argsort padded keys give."""
+    checked = variable = 0
+    for trial in range(trials):
+        tree = random_tree(rng, rng.randrange(0, 5))
+        prepared = prepare(tree)
+        if not prepared.open_ok:
+            continue
+        values = [random_element(rng, tree, length_cap=4) for _ in range(8)]
+        by_padded, by_open = (
+            sorted(range(len(values)), key=list(map(prepared.plan(mode), values)).__getitem__)
+            for mode in ("padded", "open")
+        )
+        if by_open != by_padded:
+            detail = f"trial {trial}: open keys sort {values!r} as {by_open}, padded keys as {by_padded}"
+            return CheckResult("open:equivalence", False, detail)
+        checked += 1
+        variable += not prepared.packed_ok
+    return CheckResult("open:equivalence", True, f"{checked} open trees, {variable} of them variable-length")
+
+
 def _guard(name: str, fn, *args) -> CheckResult:
     try:
         return fn(*args)
@@ -201,4 +223,5 @@ def run_selftest(
     results.append(_guard("header:monotonic", _check_header_monotonic, rng, 4096, 2000))
     results.append(_guard("rational:order", _check_rationals, 20, 12))
     results.append(_guard("oracle:equivalence", _check_oracle_equivalence, rng, trials))
+    results.append(_guard("open:equivalence", _check_open_equivalence, rng, trials))
     return results

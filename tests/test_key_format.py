@@ -57,6 +57,9 @@ EXPECTED = {
     "rational 355/113": lambda: rational_key(355, 113),
     "rational -7/3": lambda: rational_key(-7, 3),
     "sum(finite(2), (uint8, bool)), (1, true)": lambda: _key("sum(finite(2), (uint8, bool))", (1, True)),
+    'open next(2, 3, (int32 desc, bytes)), [900, "ada"]': lambda: encode(
+        parse("next(2, 3, (int32 desc, bytes))"), [900, b"ada"], "open"
+    ),
 }
 
 
