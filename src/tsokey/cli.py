@@ -20,13 +20,16 @@ and equal lines share one key object.  It sorts on packed keys where the
 tree allows them, else on open keys (``encode --mode open``), else padded.
 ``encode`` streams and encodes every line, so its memory does not grow
 with the input: the plan's leaf memos are bounded (``encoder.MEMO_ENTRIES``
-fragments per leaf).  Input is read ``_CHUNK`` raw lines at a time, and each
-batch is encoded in one loop before any of it is written.  Keys leave
-as hex lines with --hex or length-prefixed binary (4-byte big-endian
-length before each key) by default.  Output goes out in one write per
-batch, or per ``_CHUNK`` lines of a sorted order, so a write holds at
-most ``_CHUNK`` lines or keys: fewer when its batch held blank or
-skipped lines.
+fragments per leaf).  Input is read in batches of at most ``_CHUNK`` lines,
+from reads of about ``_READ_BYTES`` raw bytes (or one longer line).  A batch
+is decoded from UTF-8 in one call and split at its line ends; a batch that
+is not UTF-8 is decoded line by line, so each bad line fails on its own,
+with its number.  Each batch is encoded in one loop, and its text let go,
+before any of it is written.  Keys leave as hex lines with --hex or
+length-prefixed binary (4-byte big-endian length before each key) by
+default.  Output goes out in one write per batch, or per ``_CHUNK`` lines
+of a sorted order, so a write holds at most ``_CHUNK`` lines or keys:
+fewer when its batch held blank or skipped lines.
 
 Exit codes: 0 success, 1 user error (bad file, bad syntax, bad element),
 2 internal invariant failure.
@@ -42,7 +45,6 @@ import json
 import sys
 import time
 from functools import partial
-from itertools import islice
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
@@ -72,6 +74,7 @@ _INTERNAL_ERRORS = (CounterUnderflow, CounterOverflow, DepthOverflow, PrefixAnom
 _DEFAULT_BENCH_SIZES = [2 ** k for k in range(10, 23)]
 
 _CHUNK = 1024  # input lines per batch, and at most this many output lines (or key frames) per write
+_READ_BYTES = 1 << 14  # raw input bytes per read, past which it stops at the next line end
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -133,6 +136,41 @@ def _scan(line: str):
     return _UNSCANNED
 
 
+def _line(raw: bytes):
+    """The text of one raw line, its line end stripped; the UnicodeDecodeError of a line that is not UTF-8."""
+    try:
+        return raw.rstrip(b"\r\n").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc
+
+
+def _lines(raws: list[bytes]) -> list:
+    """The text of each raw line as ``_line`` gives it: the lines decoded in one call and
+    split at their line ends, or one by one when they are not UTF-8, so that each bad line
+    gives its own error."""
+    try:
+        text = b"".join(raws).decode("utf-8")
+    except UnicodeDecodeError:
+        return list(map(_line, raws))
+    lines = text.split("\n")
+    del lines[len(raws) :]  # the piece after the last line end
+    return [line.rstrip("\r") for line in lines] if "\r" in text else lines
+
+
+def _batches(handle):
+    """The lines of ``handle`` in lists of at most ``_CHUNK``, as ``_lines`` gives them.
+
+    Each read takes lines until it holds more than ``_READ_BYTES`` bytes, so
+    a batch holds about that much text or one long line, however long the
+    lines are.  A batch's raw lines are let go before it is yielded.
+    """
+    while raws := handle.readlines(_READ_BYTES):
+        while raws:
+            batch = _lines(raws[:_CHUNK])
+            del raws[:_CHUNK]
+            yield batch
+
+
 def _encode_records(
     tree: OrderNode,
     path: str,
@@ -142,14 +180,14 @@ def _encode_records(
     memo: dict | None = None,
     lines: list[str] | None = None,
 ):
-    """Yield the keys of each batch of ``_CHUNK`` input lines; bad lines raise or warn per skip_bad.
+    """Yield the keys of each batch of input lines (``_batches``); bad lines raise or warn per skip_bad.
 
     A batch holds fewer keys than it read lines when some of its lines are
-    blank or skipped.  Lines are read as bytes so that one that is not
-    UTF-8 fails on its own, with its number.  When a line raises, the keys
-    before it in its batch are yielded first, so they are still written.
-    With a ``lines`` list, the decoded text of each line that gives a key
-    is appended to it, in step with the keys.
+    blank or skipped.  A line that is not UTF-8 fails on its own, with its
+    number.  When a line raises, the keys before it in its batch are
+    yielded first, so they are still written.  A batch's text is let go
+    before its keys are yielded.  With a ``lines`` list, the decoded text
+    of each line that gives a key is appended to it, in step with the keys.
 
     With a ``memo`` dict, each line that encodes is stored as
     ``memo[line] = key`` under its decoded text, and a later line with the
@@ -163,18 +201,17 @@ def _encode_records(
     handle = sys.stdin.buffer if path == "-" else open(path, "rb")
     number = 0  # the number of the last line read
     try:
-        while True:
+        for texts in _batches(handle):
             keys: list[bytes] = []
             first = number
             try:
-                for number, raw in enumerate(islice(handle, _CHUNK), first + 1):
+                for number, line in enumerate(texts, first + 1):
                     try:
-                        try:
-                            line = raw.rstrip(b"\r\n").decode("utf-8")
-                        except UnicodeDecodeError as exc:
-                            raise ElementMismatch(f"not valid UTF-8: {exc}") from None
+                        # An error is never a memo key, so only a miss needs this test.
                         key = memo.get(line) if memo is not None else None
                         if key is None:
+                            if type(line) is not str:
+                                raise ElementMismatch(f"not valid UTF-8: {line}")
                             doc = _scan(line)
                             if doc is _UNSCANNED:
                                 if not line.strip():  # a blank line never scans
@@ -200,8 +237,7 @@ def _encode_records(
             except BaseException:
                 yield keys
                 raise
-            if number == first:  # the input is used up
-                return
+            del texts
             yield keys
     finally:
         if path != "-":

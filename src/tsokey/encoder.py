@@ -25,9 +25,10 @@ key is exactly three times its data-byte count long.
 
 Packed mode drops the padding altogether and is available only for trees
 whose elements all encode to the same positions (every sequence node fixed
-length, no bytes/rational leaves).  Open mode, for open trees only, writes
-a packed key whose variable-length tail goes raw: memcmp's "a prefix sorts
-first" does the end marks' work (docs/key_format.md, "Open keys").
+length, no bytes/rational leaves, where some rank reaches them).  Open
+mode, for open trees only, writes a packed key whose variable-length tail
+goes raw: memcmp's "a prefix sorts first" does the end marks' work
+(docs/key_format.md, "Open keys").
 
 ``encode`` takes elements as Python values; ``encode_doc`` takes the value
 ``json.loads`` gives for one JSON Lines record and reads the dataset's JSON
@@ -552,6 +553,17 @@ def _at(path: str, lines: list[str]) -> list[str]:
     return ["try:", *_indent(lines), *handler]
 
 
+def _fixed_count(node: OrderNode) -> bool:
+    """Whether every element of ``node`` writes one number of fragments: each sequence
+    node that a rank reaches has one length, and the orders of its ranks do too."""
+    if isinstance(node, Sum):
+        return all(map(_fixed_count, node.cases))
+    if isinstance(node, SeqOp):
+        reached = (node.prelude + node.period)[: node.min_len]
+        return node.max_len == node.min_len + 1 and all(map(_fixed_count, reached))
+    return True
+
+
 class _Compiler:
     """Writes a plan as Python source and runs it: ``run(value)`` returns the key of ``value``.
 
@@ -575,7 +587,13 @@ class _Compiler:
     ``plan.source`` lists the functions, each headed by its number, the
     name profiles and tracebacks show for it (``step_3``), and those it calls.
     Packed plans, open ones too, neither mark nor return tables; an open
-    plan's bytes leaf writes its ranks raw.  Padded integer leaves of 3 or
+    plan's bytes leaf writes its ranks raw.  A plan whose elements all
+    write one number of fragments (``_fixed_count``: every packed plan, and
+    an open plan with no variable-count lex tail) starts from ``out = []``,
+    writes each fragment with ``out.append`` (``put``) and returns
+    ``b"".join(out)``.  Every other plan adds to a bytearray: padded plans
+    overwrite end marks and slice-write templates, and a list would hold
+    one object per item of a long lex tail.  Padded integer leaves of 3 or
     more bytes and padded byte-string leaves are written behind ``memo``;
     its dict and hit count are constants their function rebinds, named in
     a ``global`` line.
@@ -583,6 +601,7 @@ class _Compiler:
 
     def __init__(self, packed: bool, nan_high: bool, doc: bool):
         self.packed, self.nan_high, self.doc = packed, nan_high, doc
+        self.fragments = False  # whether ``out`` is a list of fragments; ``plan`` decides
         self.listing = []  # the source of each function made, headed by its number
         self.made = {}  # each function made, to its number in the listing
         self.scope = {}  # the constants of the function being written, by name
@@ -619,9 +638,11 @@ class _Compiler:
         return function
 
     def plan(self, tree: OrderNode):
+        self.fragments = self.packed and _fixed_count(tree)
         lines, _ = self.body(tree, 0, (), "value")
-        lines = ["out = bytearray()", "try:", *_indent(lines), "except _Fault as fault:"]
-        lines += ['    raise fault.cls(f"${fault.path}: {fault.message}") from None', "return bytes(out)"]
+        start, key = ("out = []", 'b"".join(out)') if self.fragments else ("out = bytearray()", "bytes(out)")
+        lines = [start, "try:", *_indent(lines), "except _Fault as fault:"]
+        lines += ['    raise fault.cls(f"${fault.path}: {fault.message}") from None', f"return {key}"]
         run = self.define("run", "value", lines)
         run.source = "\n".join(self.listing)
         return run
@@ -664,10 +685,15 @@ class _Compiler:
             lines = self.integer(node, var)
         return lines, self.ends(0xE0, chain)
 
+    def put(self, fragment: str) -> str:
+        """The line writing the bytes expression ``fragment`` where a packed or open plan
+        writes: one append to a list of fragments, else one add to the bytearray."""
+        return f"out.append({fragment})" if self.fragments else f"out += {fragment}"
+
     def fixed(self, width: int, data: str) -> list[str]:
         """Append ``width`` data bytes, big-endian, of the int expression ``data``."""
         if self.packed:
-            return [f"out += {data}.to_bytes({width}, 'big')"]
+            return [self.put(f"{data}.to_bytes({width}, 'big')")]
         if width == 1:  # a padded triple per data byte from a table beats a template up to two
             return [f"out += _LAST_TRIPLES[{data}]"]
         if width == 2:
@@ -722,7 +748,7 @@ class _Compiler:
         return [
             f"if not isinstance({var}, int) or {var} not in (0, 1):",
             '    raise _Fault(ElementMismatch, "expected a bool")',
-            f"out += {self.const(keys, 'keys')}[int({var})]",
+            self.put(f"{self.const(keys, 'keys')}[int({var})]"),
         ]
 
     def integer(self, node: Builtin, var: str) -> list[str]:
@@ -752,7 +778,7 @@ class _Compiler:
         lines = [f"if type({var}) is not float:", f"    {var} = {coerce}", f"if {var} != {var}:"]
         if self.nan_high:  # one equivalence class above +inf: the canonical quiet NaN
             nan = ((0x7FC00000 if width == 4 else 0x7FF8000000000000) ^ sign ^ flip).to_bytes(width, "big")
-            lines.append(f"    out += {self.const(nan if self.packed else wrap_finite_leaf(nan), 'nan')}")
+            lines.append("    " + self.put(self.const(nan if self.packed else wrap_finite_leaf(nan), "nan")))
         else:
             lines.append('    raise _Fault(NaNRejected, "NaN needs the nan_high policy")')
         raw = f"raw = int.from_bytes({pack}({var}), 'big')"
@@ -837,7 +863,7 @@ class _Compiler:
             lines = [f"data = {plain}"]
         if self.packed:  # an open plan's tail: ascending, so no flip, and the ranks raw
             ranks = "data" if table is None else f"data.translate({self.const(table, 'table')})"
-            return lines + [f"out += {ranks}"], None
+            return lines + [self.put(ranks)], None
         lines.append("if data:")
         if table is not None:
             lines.append(f"    data = data.translate({self.const(table, 'table')})")

@@ -347,7 +347,8 @@ class PathStats(Record):
     as lex nodes, each as the encoder writes it: under an odd number of
     inversions (Inv nodes, a ``desc`` leaf) lex and contrelex swap.
     has_variable_length is True as soon as any node can produce elements of
-    more than one encoded length.
+    more than one encoded length; an item order at a rank that no element
+    of its sequence has produces none.
     """
 
     __slots__ = __match_args__ = ("depth", "max_lex_path", "max_contrelex_path", "has_variable_length")
@@ -549,29 +550,32 @@ def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int
     else:
         raise MalformedNode(path, f"not an order node: {type(node).__name__}")
 
+    # The path counts are validation budgets: every child order is charged.
     depth = lex_n = contre_n = 0
-    low = _FIXED
-    for _, d, l, c, s in parts:
-        depth, lex_n, contre_n, low = max(depth, d), max(lex_n, l), max(contre_n, c), min(low, s)
+    for _, d, l, c, _ in parts:
+        depth, lex_n, contre_n = max(depth, d), max(lex_n, l), max(contre_n, c)
+    shapes = [part[4] for part in parts]
     if isinstance(node, Sum):  # the master is fixed-length, and decides first
+        low = min(shapes)
         shape = _FIXED if low >= _BLANK else low
     elif node.max_len != node.min_len + 1:
-        shape = _OPEN if kind is SeqKind.LEX and low == _FIXED else _CLOSED
-    elif low >= _BLANK:
-        shape = _FIXED if node.min_len and low == _FIXED else _BLANK
+        shape = _OPEN if kind is SeqKind.LEX and min(shapes) == _FIXED else _CLOSED
     else:
-        shape = _OPEN if kind is SeqKind.NEXT and _open_tail(node, [part[4] for part in parts]) else _CLOSED
+        # Ranks 0 .. min_len - 1 use the prelude orders, then the period's, in the
+        # order they are listed: an order no rank uses writes no byte.
+        shapes = shapes[: node.min_len]
+        low = min(shapes, default=_FIXED)
+        if low >= _BLANK:
+            shape = _FIXED if node.min_len and low == _FIXED else _BLANK
+        else:
+            shape = _OPEN if kind is SeqKind.NEXT and _open_tail(node, shapes) else _CLOSED
     return built, depth + 1, lex_n + (mark == "L"), contre_n + (mark == "C"), shape
 
 
 def _open_tail(node: SeqOp, shapes: list[int]) -> bool:
-    """Whether a fixed-length node's last item is open and its other item orders (the
-    last one's too, where the period repeats it) fixed-length."""
-    rank, n_prelude, n_period = node.min_len - 1, len(node.prelude), len(node.period)
-    last = rank if rank < n_prelude else n_prelude + (rank - n_prelude) % n_period
-    repeated = last >= n_prelude and rank - n_period >= n_prelude
-    others = (shape for index, shape in enumerate(shapes) if index != last or repeated)
-    return rank >= 0 and shapes[last] >= _OPEN and all(shape >= _BLANK for shape in others)
+    """Whether the orders of a fixed-length node's ranks, ``shapes``, end in an open one
+    after fixed-length ones; a period that repeats the last rank's order is never open."""
+    return len(shapes) == node.min_len and shapes[-1] >= _OPEN and min(shapes[:-1], default=_FIXED) >= _BLANK
 
 
 def _prepared(tree: OrderNode) -> tuple[OrderNode, PathStats, bool]:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from tsokey import compare, encode, encode_doc, parse, prepare, serialize, tsodl
+from tsokey import cli, compare, encode, encode_doc, parse, prepare, serialize, tsodl
 from tsokey.cli import _UNSCANNED, _bench_keys, _scan, main
 from tsokey.errors import DepthOverflow, TsokeyError
 from tsokey.randgen import random_element, random_tree
@@ -463,6 +463,113 @@ class TestChunkedOutput:
         assert capsysbinary.readouterr() == from_file
         assert from_file.err.count(b"warning: skipped line") == 2
         assert b"line 2050: " in from_file.err
+
+
+def _one_line_at_a_time(handle):
+    """Batches of one line each, every raw line decoded on its own: line-by-line reading."""
+    for raw in handle:
+        try:
+            yield [raw.rstrip(b"\r\n").decode("utf-8")]
+        except UnicodeDecodeError as exc:
+            yield [exc]
+
+
+def _rows(count, start=0):
+    return [str((i * 7919) % 65536).encode() for i in range(start, start + count)]
+
+
+def _bad_at(number, count=1100):
+    """``count`` uint16 rows, line ``number`` not UTF-8."""
+    rows = _rows(count)
+    rows[number - 1] = b"\xff" + rows[number - 1]
+    return b"\n".join(rows) + b"\n"
+
+
+def _long_rows():
+    """Rows of about 300 bytes, so that a read ends well before 1024 lines; CRLF from line 200,
+    a bad byte on line 219 and a JSON fault on line 437, near the ends of the first reads."""
+    rows = [b" " * (280 + i % 17) + row for i, row in enumerate(_rows(700), 1)]
+    rows[218] = b"\xc3" + rows[218]
+    rows[436] = rows[436] + b" x"
+    return b"\n".join(rows[:199]) + b"\n" + b"\r\n".join(rows[199:]) + b"\r\n"
+
+
+_READER_INPUTS = {
+    "crlf": b"\r\n".join(_rows(30)) + b"\r\n",
+    "cr-cr-lf": b"\r\r\n".join(_rows(30)) + b"\r\r\n",
+    "lone-cr": b"\r7\n7\r \n5\n7\r8\n9\r\n",
+    "crlf-in-one-line-only": b"\n".join(_rows(20)) + b"\n7\r\n" + b"\n".join(_rows(20)) + b"\n",
+    "no-final-newline": b"\n".join(_rows(30)),
+    "no-final-newline-cr": b"\n".join(_rows(30)) + b"\n7\r",
+    "blank-last-line": b"\n".join(_rows(30)) + b"\n\n",
+    "space-last-line": b"\n".join(_rows(30)) + b"\n  ",
+    "1024-lines": b"\n".join(_rows(1024)) + b"\n",
+    "1025-lines": b"\n".join(_rows(1025)) + b"\n",
+    "bad-utf8-first-line": _bad_at(1),
+    "bad-utf8-middle-line": _bad_at(512),
+    "bad-utf8-last-line-of-a-chunk": _bad_at(1024),
+    "bad-utf8-line-1025": _bad_at(1025),
+    "bad-utf8-cut-character": b'1\n"\xc3"\n2\r\n',
+    "long-lines": _long_rows(),
+}
+
+
+class TestReader:
+    """Each chunk of input is decoded in one call, or line by line when it is not UTF-8; the
+    output, messages and exit codes are those of reading and decoding one line at a time."""
+
+    COMMANDS = [["encode", "--hex"], ["encode", "--hex", "--skip-bad"], ["sort"], ["sort", "--skip-bad"]]
+
+    @staticmethod
+    def _run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    def _both(self, tmp_path, monkeypatch, raw, options):
+        order = write(tmp_path, "o.tsodl", "uint16")
+        data = tmp_path / "d.jsonl"
+        data.write_bytes(raw)
+        command, *rest = options
+        argv = [command, order, str(data), *rest]
+        chunked = self._run(argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_batches", _one_line_at_a_time)
+            return chunked, self._run(argv)
+
+    @pytest.mark.parametrize("name", sorted(_READER_INPUTS))
+    def test_chunks_read_as_single_lines_do(self, tmp_path, monkeypatch, name):
+        for options in self.COMMANDS:
+            chunked, single = self._both(tmp_path, monkeypatch, _READER_INPUTS[name], options)
+            assert chunked == single, (name, options)
+            assert "Traceback" not in chunked[2]
+
+    @pytest.mark.parametrize("number", [1, 512, 1024, 1025])
+    def test_a_bad_byte_fails_its_own_line(self, tmp_path, monkeypatch, number):
+        raw = _bad_at(number)
+        (code, out, err), _ = self._both(tmp_path, monkeypatch, raw, ["encode", "--hex"])
+        assert code == 1 and err.startswith(f"error: line {number}: not valid UTF-8: ")
+        keys = [encode(parse("uint16"), int(row)).hex().upper() for row in _rows(number - 1)]
+        assert out.splitlines() == keys  # the keys before it are written
+        (code, out, err), _ = self._both(tmp_path, monkeypatch, raw, ["encode", "--hex", "--skip-bad"])
+        assert code == 0 and err.startswith(f"warning: skipped line {number}: not valid UTF-8: ")
+        assert err.count("\n") == 1 and len(out.splitlines()) == 1099
+
+    def test_line_ends_are_stripped_as_before(self, tmp_path, monkeypatch):
+        (code, out, err), _ = self._both(tmp_path, monkeypatch, _READER_INPUTS["cr-cr-lf"], ["sort"])
+        assert (code, err) == (0, "")
+        assert sorted(out.splitlines(), key=int) == [row.decode() for row in sorted(_rows(30), key=int)]
+        (code, out, err), _ = self._both(tmp_path, monkeypatch, _READER_INPUTS["lone-cr"], ["sort", "--skip-bad"])
+        assert code == 0 and out.split("\n") == ["5", "\r7", "7\r ", "9", ""]
+        assert err.startswith("warning: skipped line 4: not valid JSON: Extra data")
+
+    def test_long_lines_fail_at_their_own_numbers(self, tmp_path, monkeypatch):
+        (code, out, err), _ = self._both(tmp_path, monkeypatch, _long_rows(), ["encode", "--hex", "--skip-bad"])
+        assert code == 0 and len(out.splitlines()) == 698
+        first, second = err.splitlines()
+        assert first.startswith("warning: skipped line 219: not valid UTF-8: ")
+        assert second.startswith("warning: skipped line 437: not valid JSON: ")
 
 
 class TestSortCommand:

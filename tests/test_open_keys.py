@@ -10,13 +10,13 @@ from itertools import combinations
 
 import pytest
 
-from tsokey import compare, encode, encode_doc, parse, prepare
+from tsokey import PathStats, compare, encode, encode_doc, parse, prepare
 from tsokey.cli import main
 from tsokey.comparator import compare_keys
 from tsokey.errors import PackedModeUnavailable, PrefixAnomaly
 from tsokey.randgen import random_element, random_pair, random_tree
 
-from helpers import _BAD_DOCS, _BAD_ELEMENTS, _outcome, _splice_bad, elements, to_doc
+from helpers import _BAD_DOCS, _BAD_ELEMENTS, _outcome, _splice_bad, elements, fixed_throughout, to_doc
 
 SCORE_NAME = "next(2, 3, (int32 desc, bytes))"
 
@@ -29,6 +29,8 @@ OPEN = [
     "bytes",
     "next(2, 3, (uint8, uint16))",
     "next(2, 3, (uint8 [bytes]))",  # the period's one use is the last rank
+    "next(1, 2, (uint8 [bytes]))",  # no rank uses the period: fixed-length
+    "next(0, 1, ([bytes]))",
 ]
 
 NOT_OPEN = [
@@ -91,6 +93,60 @@ def test_open_keys_sort_as_padded_keys_and_as_compare():
         if prepared.packed_ok:
             assert opened == list(map(prepared.plan("packed"), values))
     assert variable >= 100
+
+
+# Fixed-length trees whose variable-length orders sit only at ranks no element reaches.
+UNREACHED = {
+    "next(1, 2, (uint8 [bytes]))": PathStats(2, 1, 0, False),
+    "next(0, 1, ([bytes]))": PathStats(2, 1, 0, False),
+    "next(2, 3, (int16, bytes [rational]))": PathStats(2, 1, 0, True),  # open, not packed
+    "antilex(0, 1, ([rational]))": PathStats(1, 1, 0, False),
+    "next(1, 2, (bool, lex(0, omega, ([bytes desc]))))": PathStats(3, 1, 1, False),
+}
+
+
+@pytest.mark.parametrize("text", sorted(UNREACHED))
+def test_an_order_at_no_rank_leaves_the_length_fixed(text):
+    """Its shape is not folded in: the tree is packed where every rank's order is fixed-length,
+    and the depth and path counts, validation budgets, still charge it."""
+    prepared = prepare(parse(text))
+    assert prepared.stats == UNREACHED[text]
+    assert prepared.packed_ok is not UNREACHED[text].has_variable_length
+    assert prepared.open_ok
+
+
+def test_an_order_at_no_rank_keeps_the_padded_key():
+    assert encode(parse("next(0, 1, ([bytes]))"), []).hex() == "0000f0"
+    assert encode(parse("next(1, 2, (uint8 [bytes]))"), [7]).hex() == "f007e0"
+    assert encode(parse("next(1, 2, (uint8 [bytes]))"), [7], "packed").hex() == "07"
+
+
+def _reached_only():
+    """(rng, tree) for each tree of the pinned digest's draws that is packed, but only because
+    an order no rank uses is not folded in."""
+    for index in range(3000):
+        rng = random.Random(index)
+        tree = random_tree(rng, rng.randrange(0, 5), fixed_only=rng.random() < 0.3)
+        if prepare(tree).packed_ok and not fixed_throughout(tree):
+            yield rng, tree
+
+
+def test_packed_keys_of_trees_with_orders_at_no_rank_sort_as_padded_keys():
+    trees = [(random.Random(text), parse(text)) for text in UNREACHED] + list(_reached_only())
+    assert len(trees) >= 50
+    for rng, tree in trees:
+        prepared = prepare(tree)
+        values = [random_element(rng, tree, length_cap=4) for _ in range(12)] + elements(tree)[:40]
+        padded = list(map(prepared.plan(), values))
+        opened = list(map(prepared.plan("open"), values))
+        assert sorted(range(len(values)), key=opened.__getitem__) == sorted(range(len(values)), key=padded.__getitem__)
+        if prepared.packed_ok:
+            assert opened == list(map(prepared.plan("packed"), values))
+        for value in values:
+            bad = _splice_bad(rng, value, _BAD_ELEMENTS)
+            want, got = (_outcome(lambda: encode(tree, bad, mode)) for mode in ("padded", "open"))
+            if ":" in want or ":" in got:  # a hex key has no colon, a fault has one
+                assert got == want, (tree, bad)
 
 
 # Small trees built from leaves of every shape the open rule tells apart.
@@ -207,3 +263,18 @@ class TestCommandLine:
         order, _ = self._files(tmp_path, text, [])
         assert main(["validate", order]) == 0
         assert capsys.readouterr().out.rstrip().endswith(f" open={shown}")
+
+    @pytest.mark.parametrize("text", ["next(1, 2, (uint8 [bytes]))", "next(0, 1, ([bytes]))"])
+    def test_validate_calls_an_order_at_no_rank_fixed_length(self, tmp_path, capsys, text):
+        order, _ = self._files(tmp_path, text, [])
+        assert main(["validate", order]) == 0
+        assert capsys.readouterr().out == "ok: depth=2 lex_path=1 contrelex_path=0 variable_length=no open=yes\n"
+
+    def test_sort_uses_packed_keys_where_no_rank_reaches_the_bytes(self, tmp_path, capsys):
+        text = "next(1, 2, (int8 desc [bytes]))"
+        docs = [[value] for value in (3, -1, 3, 0, 127, -128)]
+        order, data = self._files(tmp_path, text, docs)
+        assert main(["sort", order, data, "--output", "indices"]) == 0
+        assert list(map(int, capsys.readouterr().out.split())) == [4, 0, 2, 3, 1, 5]
+        assert ("open", False, True) in prepare(parse(text)).plans
+        assert ("padded", False, True) not in prepare(parse(text)).plans

@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from tsokey import (
+    BuiltinKind,
     ElementMismatch,
     compare,
     compare_keys,
@@ -18,10 +19,11 @@ from tsokey import (
     encode_doc,
     parse,
     prepare,
+    primitive_key,
     tsodl,
 )
 from tsokey import encoder
-from tsokey.order_model import push_inv_to_leaves
+from tsokey.order_model import KIND_TABLE, push_inv_to_leaves
 from tsokey.randgen import random_element, random_tree
 
 from helpers import _BAD_DOCS, _BAD_ELEMENTS, _outcome, _splice_bad, plan_digest, to_doc
@@ -329,3 +331,59 @@ def test_four_threads_running_encode_batch_on_one_tree_give_the_keys_of_one_thre
     assert expected == [reference(value) for value in values]
     for index, keys in enumerate(results):
         assert keys == expected[index:] + expected[:index]
+
+
+def _fragments(plan) -> bool:
+    """Whether a plan joins a list of fragments, by the first statement of its ``run``."""
+    run = plan.source[plan.source.rindex("def run(value):") :].splitlines()
+    first = next(line.strip() for line in run[1:] if not line.strip().startswith("global "))
+    assert first in ("out = []", "out = bytearray()"), first
+    return first == "out = []"
+
+
+@pytest.mark.parametrize(
+    "text, mode, joined",
+    [
+        ("next(2, 3, (int32 desc, bytes))", "open", True),
+        ("next(2, 3, (int32 desc, bytes))", "padded", False),
+        ("lex(0, omega, ([uint16]))", "open", False),
+        ("lex(0, omega, ([uint16]))", "padded", False),
+        ("next(2, 3, (uint8, lex(0, omega, ([uint16]))))", "open", False),
+        ("sum(finite(2), (finite(1), bytes))", "open", True),
+        ("next(3, 4, (uint64 desc, float32, bool))", "packed", True),
+        ("next(3, 4, (uint64 desc, float32, bool))", "padded", False),
+        ("next(1, 2, (uint8 [lex(0, omega, ([uint8]))]))", "packed", True),  # the lex is at no rank
+    ],
+)
+def test_the_buffer_of_a_plan(text, mode, joined):
+    for doc in (False, True):
+        assert _fragments(prepare(parse(text)).plan(mode, doc=doc)) is joined
+
+
+def test_every_plan_returns_bytes_and_packed_plans_join_fragments():
+    """Over criterion 2's generator: each plan, doc and not, returns exactly ``bytes``; every
+    packed plan joins a list of fragments and every padded plan writes a bytearray."""
+    seen = set()
+    for index in range(1500):
+        rng = random.Random(f"buffer:{index}")
+        tree = random_tree(rng, rng.randrange(0, 6), fixed_only=rng.random() < 0.3)
+        prepared = prepare(tree)
+        modes = ["padded"] + ["packed"] * prepared.packed_ok + ["open"] * prepared.open_ok
+        values = [random_element(rng, tree, length_cap=4) for _ in range(3)]
+        for mode in modes:
+            for doc in (False, True):
+                plan = prepared.plan(mode, doc=doc, nan_high=True)
+                joined = _fragments(plan)
+                seen.add((mode, joined))
+                if mode != "open":
+                    assert joined is (mode == "packed"), (tree, mode)
+                given = [to_doc(rng, tree, value) for value in values] if doc else values
+                assert all(type(key) is bytes for key in map(plan, given)), (tree, mode, doc)
+            assert all(type(key) is bytes for key in encode_batch(tree, values, mode, nan_high=True))
+    assert seen == {("padded", False), ("packed", True), ("open", True), ("open", False)}
+
+
+@pytest.mark.parametrize("kind", [kind for kind in BuiltinKind if KIND_TABLE[kind].family is not None])
+def test_primitive_key_returns_bytes(kind):
+    value = 1.5 if KIND_TABLE[kind].family == "float" else 1
+    assert type(primitive_key(kind, value)) is bytes
