@@ -24,11 +24,11 @@ two padded keys then reproduces the tree order exactly, and every padded
 key is exactly three times its data-byte count long.
 
 Packed mode drops the padding altogether and is available only for trees
-whose elements all encode to the same positions (every sequence node fixed
-length, no bytes/rational leaves, where some rank reaches them).  Open
-mode, for open trees only, writes a packed key whose variable-length tail
-goes raw: memcmp's "a prefix sorts first" does the end marks' work
-(docs/key_format.md, "Open keys").
+whose elements all encode to the same positions: every sequence node fixed
+length and no bytes/rational leaf, among the item orders some element
+reaches, the only ones a plan compiles in any mode.  Open mode, for open
+trees only, writes a packed key whose variable-length tail goes raw: memcmp's
+"a prefix sorts first" does the end marks' work (docs/key_format.md, "Open keys").
 
 ``encode`` takes elements as Python values; ``encode_doc`` takes the value
 ``json.loads`` gives for one JSON Lines record and reads the dataset's JSON
@@ -100,6 +100,7 @@ from .order_model import (
     Sum,
     _int_bounds,
     _prepared,
+    _reached,
     rational_parts,
 )
 
@@ -559,8 +560,7 @@ def _fixed_count(node: OrderNode) -> bool:
     if isinstance(node, Sum):
         return all(map(_fixed_count, node.cases))
     if isinstance(node, SeqOp):
-        reached = (node.prelude + node.period)[: node.min_len]
-        return node.max_len == node.min_len + 1 and all(map(_fixed_count, reached))
+        return node.max_len == node.min_len + 1 and all(map(_fixed_count, _reached(node)))
     return True
 
 
@@ -572,7 +572,8 @@ class _Compiler:
     ``if`` in it).  Every sequence and sum node gets a function
     ``step(value, out)``, which checks the value, appends its key fragment
     and returns ``ends``, the ending-value table of the last byte it wrote,
-    so no function nests more than a few blocks.
+    so no function nests more than a few blocks.  A sequence node compiles
+    the steps of the item orders some element reaches (``_reached``), no other.
     ``run``'s ``try`` raises a ``_Fault`` as its class with the whole path.
     ``chain`` lists the marking sequence nodes open around a node, outermost
     first ("L" lex family, "C" contrelex family); ``ends[k]`` is the last
@@ -885,7 +886,7 @@ class _Compiler:
         kind, min_len, max_len = node.kind, node.min_len, node.max_len
         mark = None if self.packed else kind.end_mark
         inner = chain + (mark,) if mark else chain
-        steps = [self.step(child, depth + 1, inner, "item") for child in node.prelude + node.period]
+        steps = [self.step(child, depth + 1, inner, "item") for child in _reached(node)]
         plain = f"type({var}) is list" + ("" if self.doc else f" or type({var}) is tuple")
         lines = [f"items = {var} if {plain} else _items({var}, {self.doc})", "length = len(items)"]
         bounds = [f"length < {self.const(min_len, 'min_len')}"] if min_len else []
@@ -916,25 +917,24 @@ class _Compiler:
         return lines + ["if not length:", *_indent(empty), "else:", *_indent(items)], "last"
 
     def items(self, node: SeqOp, steps: list[list[str]]) -> list[str]:
-        """Each item through its step, in one ``try`` that puts the rank in a fault's path:
-        a block per prelude rank, then a loop over the period, backwards for the anti kinds."""
-        n_prelude, n_period = len(node.prelude), len(node.period)
-        top = None if node.max_len is OMEGA else node.max_len - 1  # the most items an element has
-        if node.kind.is_anti:
-            blocks, loop = 0, "range(length - 1, -1, -1)"
-        else:
-            blocks = n_prelude if top is None else min(n_prelude, top)
-            loop = None if blocks == top else f"range({blocks}, length)" if blocks else "range(length)"
+        """Each item through the step of its reached order, in one ``try`` that puts the rank
+        in a fault's path: a block per prelude rank, then a loop over the period's steps,
+        backwards for the anti kinds; a period cut short is never wrapped."""
+        blocks = min(len(node.prelude), len(steps))
+        period = steps[blocks:]
         lines = []
         for rank in range(blocks):
             block = [f"rank = {rank}", f"item = items[{rank}]", *steps[rank]]
             lines += block if rank < node.min_len else [f"if length > {rank}:", *_indent(block)]
-        if loop is not None:
-            if n_period == 1:
-                body = steps[n_prelude]
+        if period:
+            loop = f"range({blocks}, length)" if blocks else "range(length)"
+            if node.kind.is_anti:
+                loop = "range(length - 1, -1, -1)"
+            if len(period) == 1:
+                body = period[0]
             else:
-                body = [f"phase = (rank - {n_prelude}) % {n_period}"]
-                for phase, code in enumerate(steps[n_prelude:]):
+                body = [f"phase = (rank - {blocks}) % {len(period)}"]
+                for phase, code in enumerate(period):
                     body += [f"{'el' * bool(phase)}if phase == {phase}:", *_indent(code)]
             lines += [f"for rank in {loop}:", *_indent(["item = items[rank]", *body])]
         return _at('f"[{rank}]"', lines) if lines else []

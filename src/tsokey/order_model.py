@@ -347,8 +347,8 @@ class PathStats(Record):
     as lex nodes, each as the encoder writes it: under an odd number of
     inversions (Inv nodes, a ``desc`` leaf) lex and contrelex swap.
     has_variable_length is True as soon as any node can produce elements of
-    more than one encoded length; an item order at a rank that no element
-    of its sequence has produces none.
+    more than one encoded length; an item order counts, here and in every
+    plan, only at a rank some element of its sequence has (``_reached``).
     """
 
     __slots__ = __match_args__ = ("depth", "max_lex_path", "max_contrelex_path", "has_variable_length")
@@ -508,7 +508,7 @@ def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int
         cases = tuple(part[0] for part in parts)
         same = not negate and all(case is old for case, old in zip(cases, node.cases))
         built = node if same else Sum(master, cases)
-        mark = None
+        mark, shapes = None, [part[4] for part in parts]
 
     elif isinstance(node, SeqOp):
         if not isinstance(node.min_len, int) or isinstance(node.min_len, bool) or node.min_len < 0:
@@ -545,7 +545,8 @@ def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int
         same = not negate and all(child is old for child, old in zip(children, node.prelude + node.period))
         built = node if same else SeqOp(kind, node.min_len, node.max_len, children[:cut], children[cut:])
         parts = prelude + period
-        mark = kind.end_mark
+        # An order no element reaches writes no byte; the reached ones are a prefix zip stops at.
+        mark, shapes = kind.end_mark, [part[4] for part, _ in zip(parts, _reached(node))]
 
     else:
         raise MalformedNode(path, f"not an order node: {type(node).__name__}")
@@ -554,22 +555,25 @@ def _walk(node: OrderNode, path: str, negate: bool) -> tuple[OrderNode, int, int
     depth = lex_n = contre_n = 0
     for _, d, l, c, _ in parts:
         depth, lex_n, contre_n = max(depth, d), max(lex_n, l), max(contre_n, c)
-    shapes = [part[4] for part in parts]
     if isinstance(node, Sum):  # the master is fixed-length, and decides first
         low = min(shapes)
         shape = _FIXED if low >= _BLANK else low
     elif node.max_len != node.min_len + 1:
         shape = _OPEN if kind is SeqKind.LEX and min(shapes) == _FIXED else _CLOSED
     else:
-        # Ranks 0 .. min_len - 1 use the prelude orders, then the period's, in the
-        # order they are listed: an order no rank uses writes no byte.
-        shapes = shapes[: node.min_len]
         low = min(shapes, default=_FIXED)
         if low >= _BLANK:
             shape = _FIXED if node.min_len and low == _FIXED else _BLANK
         else:
             shape = _OPEN if kind is SeqKind.NEXT and _open_tail(node, shapes) else _CLOSED
     return built, depth + 1, lex_n + (mark == "L"), contre_n + (mark == "C"), shape
+
+
+def _reached(node: SeqOp) -> tuple[OrderNode, ...]:
+    """The item orders that some element of ``node`` uses: ranks 0 .. max_len - 2 take the
+    prelude's orders, then the period's, in the order they are listed."""
+    orders = node.prelude + node.period
+    return orders if node.max_len is OMEGA else orders[: node.max_len - 1]
 
 
 def _open_tail(node: SeqOp, shapes: list[int]) -> bool:

@@ -46,6 +46,10 @@ NOT_OPEN = [
     "lex(0, omega, ([next(1, 2, (next(0, 1, ())))]))",
     "next(3, 4, (uint8 [bytes]))",  # the period repeats the open item before the last rank
     "sum(finite(2), (bytes, bytes desc))",
+    # An order that an element does reach has variable length, or the kind is not lex.
+    "contrelex(0, 2, (uint8 [bytes]))",
+    "hierar(0, 2, (uint8 [bytes]))",
+    "lex(0, 3, (uint8 [bytes]))",
 ]
 
 
@@ -113,6 +117,29 @@ def test_an_order_at_no_rank_leaves_the_length_fixed(text):
     assert prepared.stats == UNREACHED[text]
     assert prepared.packed_ok is not UNREACHED[text].has_variable_length
     assert prepared.open_ok
+
+
+# Variable-length lex nodes whose orders of variable length sit only at ranks no element
+# reaches, each with its ``tsokey validate`` line.
+LEX_UNREACHED = {
+    "lex(0, 2, (uint8 [bytes]))": "depth=2 lex_path=2 contrelex_path=0",
+    "lex(0, 2, (uint8, rational))": "depth=1 lex_path=1 contrelex_path=0",
+    "lex(1, 3, (int8 desc, uint16 [bytes desc]))": "depth=2 lex_path=1 contrelex_path=1",
+}
+
+
+@pytest.mark.parametrize("text", sorted(LEX_UNREACHED))
+def test_a_lex_of_fixed_width_reached_orders_is_open(text):
+    """The open and padded keys of every element (up to length 2 past ``min_len``) give
+    one stable argsort, and each pair's open-key sign is ``compare``'s."""
+    tree = parse(text)
+    prepared = prepare(tree)
+    assert prepared.open_ok and not prepared.packed_ok
+    values = elements(tree)
+    padded, opened = (list(map(prepared.plan(mode), values)) for mode in ("padded", "open"))
+    assert sorted(range(len(values)), key=opened.__getitem__) == sorted(range(len(values)), key=padded.__getitem__)
+    for i, j in combinations(range(len(values)), 2):
+        assert _sign(opened[i], opened[j]) == compare(tree, values[i], values[j]), (values[i], values[j])
 
 
 def test_an_order_at_no_rank_keeps_the_padded_key():
@@ -269,6 +296,25 @@ class TestCommandLine:
         order, _ = self._files(tmp_path, text, [])
         assert main(["validate", order]) == 0
         assert capsys.readouterr().out == "ok: depth=2 lex_path=1 contrelex_path=0 variable_length=no open=yes\n"
+
+    @pytest.mark.parametrize("text", sorted(LEX_UNREACHED))
+    def test_validate_calls_a_lex_of_fixed_width_reached_orders_open(self, tmp_path, capsys, text):
+        order, _ = self._files(tmp_path, text, [])
+        assert main(["validate", order]) == 0
+        assert capsys.readouterr().out == f"ok: {LEX_UNREACHED[text]} variable_length=yes open=yes\n"
+
+    @pytest.mark.parametrize("text", sorted(LEX_UNREACHED))
+    def test_sort_compiles_only_the_open_plan_of_a_lex_of_fixed_width_reached_orders(self, tmp_path, capsys, text):
+        tree = parse(text)
+        rng = random.Random(text)
+        values = [rng.choice(elements(tree)) for _ in range(40)]
+        docs = [to_doc(rng, tree, value) for value in values]
+        order, data = self._files(tmp_path, text, docs)
+        assert main(["sort", order, data, "--output", "indices"]) == 0
+        got = list(map(int, capsys.readouterr().out.split()))
+        keys = [encode(tree, value) for value in values]
+        assert got == sorted(range(len(values)), key=keys.__getitem__)
+        assert [key for key in prepare(tree).plans if key[2]] == [("open", False, True)]
 
     def test_sort_uses_packed_keys_where_no_rank_reaches_the_bytes(self, tmp_path, capsys):
         text = "next(1, 2, (int8 desc [bytes]))"

@@ -4,6 +4,7 @@ import cProfile
 import pickle
 import pstats
 import random
+import re
 import sys
 import threading
 
@@ -381,6 +382,55 @@ def test_every_plan_returns_bytes_and_packed_plans_join_fragments():
                 assert all(type(key) is bytes for key in map(plan, given)), (tree, mode, doc)
             assert all(type(key) is bytes for key in encode_batch(tree, values, mode, nan_high=True))
     assert seen == {("padded", False), ("packed", True), ("open", True), ("open", False)}
+
+
+# Trees that list item orders at ranks no element reaches.
+UNREACHED = [
+    "lex(0, 2, (uint8 [lex(0, omega, ([bytes]))]))",
+    "antilex(0, 1, ([rational]))",
+    "lex(0, 2, (uint8 [rational]))",
+    "next(1, 2, (uint8 [sum(finite(2), (bytes, uint8))]))",
+    "lex(0, 3, ([uint8, next(1, 2, ([bool])), hierar(0, omega, ([int8]))]))",
+]
+
+
+def _dead_steps(plan) -> list[str]:
+    """Each step or cases constant that a ``# function`` header of a plan's source names
+    and that the function's body never reads, with its header."""
+    dead = []
+    for chunk in plan.source.split("# function ")[1:]:
+        header, body = chunk.split("\n", 1)
+        names = [call.split(" = ")[0] for call in header.split("; ")[1:]]
+        dead += [f"{header}: {name}" for name in names if not re.search(rf"\b{name}\b", body)]
+    return dead
+
+
+def test_no_plan_compiles_a_step_that_no_element_reaches():
+    """Over criterion 2's generator and the trees above, in every mode, doc and not."""
+    trees = [parse(text) for text in UNREACHED]
+    for index in range(2000):
+        rng = random.Random(f"dead:{index}")
+        trees.append(random_tree(rng, rng.randrange(0, 6), fixed_only=rng.random() < 0.3))
+    seen = set()
+    for tree in trees:
+        prepared = prepare(tree)
+        for mode in ["padded"] + ["packed"] * prepared.packed_ok + ["open"] * prepared.open_ok:
+            for doc in (False, True):
+                plan = prepared.plan(mode, doc=doc)
+                assert not _dead_steps(plan), (tree, mode, doc, _dead_steps(plan))
+                seen.add((mode, doc))
+    assert len(seen) == 6
+
+
+@pytest.mark.parametrize("text", ["antilex(0, 1, ([rational]))", "lex(0, 2, (uint8 [rational]))"])
+def test_a_rational_at_no_rank_builds_no_rational_tables(text):
+    tree = push_inv_to_leaves(parse(text))
+    assert prepare(tree).open_ok  # so its open plan, compiled as a packed one, exists too
+    before = encoder._rational_fragments.cache_info()
+    for packed in (False, True):
+        for doc in (False, True):
+            assert "tails" not in encoder._compile(tree, packed, False, doc).source
+    assert encoder._rational_fragments.cache_info() == before
 
 
 @pytest.mark.parametrize("kind", [kind for kind in BuiltinKind if KIND_TABLE[kind].family is not None])
