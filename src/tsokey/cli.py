@@ -20,15 +20,16 @@ and equal lines share one key object.  It sorts on packed keys where the
 tree allows them, else on open keys (``encode --mode open``), else padded.
 ``encode`` streams and encodes every line, so its memory does not grow
 with the input: the plan's leaf memos are bounded (``encoder.MEMO_ENTRIES``
-fragments per leaf).  Input is read in batches of at most ``_CHUNK`` lines,
-from reads of about ``_READ_BYTES`` raw bytes (or one longer line).  A batch
-is decoded from UTF-8 in one call and split at its line ends; a batch that
-is not UTF-8 is decoded line by line, so each bad line fails on its own,
-with its number.  Each batch is encoded in one loop, and its text let go,
-before any of it is written.  Keys leave as hex lines with --hex or
-length-prefixed binary (4-byte big-endian length before each key) by
-default.  Output goes out in one write per batch, or per ``_CHUNK`` lines
-of a sorted order, so a write holds at most ``_CHUNK`` lines or keys:
+fragments per leaf).  Input is read ``_READ_BYTES`` raw bytes at a time,
+each read finished at the end of its last line, so a read holds about that
+much or one longer line.  A read is decoded from UTF-8 in one call and split
+at its line feeds into batches of at most ``_CHUNK`` lines; a read that is
+not UTF-8 is decoded line by line, so each bad line fails on its own, with
+its number.  Each batch is encoded in one loop before any of it is written.
+Keys leave as hex lines with --hex or length-prefixed binary (4-byte
+big-endian length before each key) by default.  Output goes out in one write
+per batch, or per ``_CHUNK`` lines of a sorted order (indices formatted in
+one ``%`` per write), so a write holds at most ``_CHUNK`` lines or keys:
 fewer when its batch held blank or skipped lines.
 
 Exit codes: 0 success, 1 user error (bad file, bad syntax, bad element),
@@ -144,31 +145,35 @@ def _line(raw: bytes):
         return exc
 
 
-def _lines(raws: list[bytes]) -> list:
-    """The text of each raw line as ``_line`` gives it: the lines decoded in one call and
-    split at their line ends, or one by one when they are not UTF-8, so that each bad line
-    gives its own error."""
-    try:
-        text = b"".join(raws).decode("utf-8")
-    except UnicodeDecodeError:
-        return list(map(_line, raws))
-    lines = text.split("\n")
-    del lines[len(raws) :]  # the piece after the last line end
-    return [line.rstrip("\r") for line in lines] if "\r" in text else lines
-
-
 def _batches(handle):
-    """The lines of ``handle`` in lists of at most ``_CHUNK``, as ``_lines`` gives them.
+    """The lines of ``handle``, line ends stripped, in lists of at most ``_CHUNK``.
 
-    Each read takes lines until it holds more than ``_READ_BYTES`` bytes, so
-    a batch holds about that much text or one long line, however long the
-    lines are.  A batch's raw lines are let go before it is yielded.
+    Each read takes ``_READ_BYTES`` raw bytes and finishes its last line with
+    one ``readline``, so it holds about that much text or one long line,
+    however long the lines are.  A read is decoded from UTF-8 in one call and
+    split at each line feed only, carriage returns before it stripped as
+    ``_line`` strips them; a read that is not UTF-8 is decoded line by line by
+    ``_line``, so each bad line is a UnicodeDecodeError of its own, in its
+    place.  A read's raw bytes are let go before its first batch is yielded.
     """
-    while raws := handle.readlines(_READ_BYTES):
-        while raws:
-            batch = _lines(raws[:_CHUNK])
-            del raws[:_CHUNK]
+    while raw := handle.read(_READ_BYTES):
+        if raw[-1] != 10:  # the read stopped inside a line: take the rest of it
+            raw += handle.readline()
+        try:
+            lines = raw.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            lines = list(map(_line, raw.split(b"\n")))
+        else:
+            if b"\r" in raw:
+                lines = [line.rstrip("\r") for line in lines]
+        if raw[-1] == 10:
+            del lines[-1]  # the empty piece after the last line end
+        del raw
+        while len(lines) > _CHUNK:
+            batch = lines[:_CHUNK]
+            del lines[:_CHUNK]
             yield batch
+        yield lines
 
 
 def _encode_records(
@@ -289,9 +294,12 @@ def _cmd_sort(args) -> int:
         keys += batch_keys
     # Looked up on the module at call time, so a wrapper installed there sees the sort.
     order = _pure_sort.msd_sort_indices(keys)
-    shown = str if lines is None else lines.__getitem__
     for start in range(0, len(order), _CHUNK):
-        sys.stdout.write("\n".join(map(shown, order[start : start + _CHUNK])) + "\n")
+        chunk = order[start : start + _CHUNK]
+        if lines is None:
+            sys.stdout.write("%d\n" * len(chunk) % tuple(chunk))
+        else:
+            sys.stdout.write("\n".join(map(lines.__getitem__, chunk)) + "\n")
     return 0
 
 

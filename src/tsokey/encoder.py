@@ -505,7 +505,7 @@ def _bytes(value, doc: bool):
         except ValueError:
             raise _Fault(ElementMismatch, "bad hex string") from None
     if isinstance(value, (bytes, bytearray)):
-        return value
+        return bytes(value)  # exactly bytes, as the key a straight-line plan returns must be
     raise _Fault(ElementMismatch, f"expected bytes, got {type(value).__name__}")
 
 
@@ -564,6 +564,17 @@ def _fixed_count(node: OrderNode) -> bool:
     return True
 
 
+def _straight(node: OrderNode) -> bool:
+    """Whether a packed or open plan's root function writes every fragment of ``node``
+    itself: a leaf, or a sequence node of one length whose reached orders are leaves, each
+    at a rank of its prelude, so there is no sum, no nested function and no period loop."""
+    if isinstance(node, SeqOp):
+        reached = _reached(node)
+        return (node.max_len == node.min_len + 1 and len(reached) <= len(node.prelude)
+                and not any(isinstance(child, (SeqOp, Sum)) for child in reached))
+    return not isinstance(node, Sum)
+
+
 class _Compiler:
     """Writes a plan as Python source and runs it: ``run(value)`` returns the key of ``value``.
 
@@ -588,7 +599,13 @@ class _Compiler:
     ``plan.source`` lists the functions, each headed by its number, the
     name profiles and tracebacks show for it (``step_3``), and those it calls.
     Packed plans, open ones too, neither mark nor return tables; an open
-    plan's bytes leaf writes its ranks raw.  A plan whose elements all
+    plan's bytes leaf writes its ranks raw.  A straight-line plan
+    (``_straight``: a leaf, or a one-length sequence of leaves at prelude
+    ranks, so ``run`` writes every fragment itself, with no sum, nested
+    function or period loop) names each leaf's fragment (``put`` assigns
+    ``frag_0``, ``frag_1``, ... in key order, in both branches of a float's
+    NaN test) and returns the one fragment, ``frag_0 + frag_1``, or
+    ``b"".join`` of a tuple of them.  Any other plan whose elements all
     write one number of fragments (``_fixed_count``: every packed plan, and
     an open plan with no variable-count lex tail) starts from ``out = []``,
     writes each fragment with ``out.append`` (``put``) and returns
@@ -603,6 +620,7 @@ class _Compiler:
     def __init__(self, packed: bool, nan_high: bool, doc: bool):
         self.packed, self.nan_high, self.doc = packed, nan_high, doc
         self.fragments = False  # whether ``out`` is a list of fragments; ``plan`` decides
+        self.named = None  # a straight-line plan's fragment names, in key order; else None
         self.listing = []  # the source of each function made, headed by its number
         self.made = {}  # each function made, to its number in the listing
         self.scope = {}  # the constants of the function being written, by name
@@ -639,10 +657,18 @@ class _Compiler:
         return function
 
     def plan(self, tree: OrderNode):
+        if self.packed and _straight(tree):
+            self.named = []
         self.fragments = self.packed and _fixed_count(tree)
         lines, _ = self.body(tree, 0, (), "value")
-        start, key = ("out = []", 'b"".join(out)') if self.fragments else ("out = bytearray()", "bytes(out)")
-        lines = [start, "try:", *_indent(lines), "except _Fault as fault:"]
+        names = self.named
+        if names is not None:
+            start, key = [], (" + ".join(names) or 'b""') if len(names) < 3 else f'b"".join(({", ".join(names)}))'
+        elif self.fragments:
+            start, key = ["out = []"], 'b"".join(out)'
+        else:
+            start, key = ["out = bytearray()"], "bytes(out)"
+        lines = [*start, "try:", *_indent(lines), "except _Fault as fault:"]
         lines += ['    raise fault.cls(f"${fault.path}: {fault.message}") from None', f"return {key}"]
         run = self.define("run", "value", lines)
         run.source = "\n".join(self.listing)
@@ -670,6 +696,8 @@ class _Compiler:
             return self.sequence(node, depth, chain, var)
         if isinstance(node, Sum):
             return self.union(node, depth, chain, var)
+        if self.named is not None:  # named before its code, which ``put`` writes to it
+            self.named.append(f"frag_{len(self.named)}")
         if isinstance(node, Finite):
             return self.finite(node, var), self.ends(0xE0, chain)
         # A Builtin: prepare admits no other node.
@@ -688,7 +716,10 @@ class _Compiler:
 
     def put(self, fragment: str) -> str:
         """The line writing the bytes expression ``fragment`` where a packed or open plan
-        writes: one append to a list of fragments, else one add to the bytearray."""
+        writes: the current leaf's name in a straight-line plan, one append to a list of
+        fragments, else one add to the bytearray."""
+        if self.named is not None:
+            return f"{self.named[-1]} = {fragment}"
         return f"out.append({fragment})" if self.fragments else f"out += {fragment}"
 
     def fixed(self, width: int, data: str) -> list[str]:

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -494,6 +495,19 @@ def _long_rows():
     return b"\n".join(rows[:199]) + b"\n" + b"\r\n".join(rows[199:]) + b"\r\n"
 
 
+def _across_the_first_read(piece):
+    """Rows with a string line whose ``piece`` starts at the last byte of the first read."""
+    head = b"\n".join(_rows(1500)) + b"\n"
+    line = b" " * (cli._READ_BYTES - 2 - len(head)) + b'"' + piece + b'"'
+    assert (head + line).index(piece) == cli._READ_BYTES - 1
+    return head + line + b"\n" + b"\n".join(_rows(30)) + b"\n"
+
+
+def _rows_of(width, count):
+    """``count`` rows, each ``width`` bytes with its line end."""
+    return b"".join(row.rjust(width - 1) + b"\n" for row in _rows(count))
+
+
 _READER_INPUTS = {
     "crlf": b"\r\n".join(_rows(30)) + b"\r\n",
     "cr-cr-lf": b"\r\r\n".join(_rows(30)) + b"\r\r\n",
@@ -511,6 +525,11 @@ _READER_INPUTS = {
     "bad-utf8-line-1025": _bad_at(1025),
     "bad-utf8-cut-character": b'1\n"\xc3"\n2\r\n',
     "long-lines": _long_rows(),
+    "line-longer-than-a-read": b"\n".join(_rows(20) + [b" " * 40_000 + b"7"] + _rows(20)) + b"\n",
+    "read-ends-at-a-line-end": _rows_of(32, 600),
+    "more-than-a-chunk-in-one-read": b"".join(b"%d\n" % (i % 10) for i in range(3000)),
+    "character-across-a-read": _across_the_first_read("\u20ac".encode()),
+    "bad-byte-at-a-read-end": _across_the_first_read(b"\xff"),
 }
 
 
@@ -573,6 +592,39 @@ class TestReader:
 
 
 class TestSortCommand:
+    def test_a_real_pipe_gives_the_output_of_the_file(self, tmp_path):
+        """``-`` on a pipe, read by a new interpreter, as ``subprocess.run(input=...)`` feeds it."""
+        order = write(tmp_path, "o.tsodl", "next(2, 3, (int32 desc, bytes))")
+        rng = random.Random(7)
+        rows = [[rng.randrange(-99, 99), "".join(rng.choices("ab", k=rng.randrange(40)))] for _ in range(3400)]
+        raw = "".join(json.dumps(row) + "\n" for row in rows)
+        assert 90_000 < len(raw) < 110_000
+        data = write(tmp_path, "d.jsonl", raw)
+        command = [sys.executable, "-B", "-m", "tsokey.cli", "sort", order]
+        env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        piped = subprocess.run([*command, "-", "--output", "indices"], input=raw.encode(), capture_output=True,
+                               env=env, timeout=60)
+        from_file = subprocess.run([*command, data, "--output", "indices"], capture_output=True, env=env, timeout=60)
+        assert (piped.returncode, piped.stderr, from_file.returncode) == (0, b"", 0)
+        assert piped.stdout == from_file.stdout and len(piped.stdout.splitlines()) == 3400
+
+    @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("bad", [False, True], ids=["good", "skip-bad"])
+    def test_indices_output_is_one_decimal_line_per_record(self, tmp_path, monkeypatch, count, bad):
+        values = [(i * 7919) % 65536 for i in range(count)]
+        rows = [str(value) for value in values]
+        if bad:  # skipped lines give no index: indices count the records kept
+            for number in sorted({0, count // 2, count}):
+                rows.insert(number, "-1")
+        order = write(tmp_path, "o.tsodl", "uint16")
+        data = write(tmp_path, "d.jsonl", "".join(row + "\n" for row in rows))
+        out = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["sort", order, data, "--output", "indices"] + ["--skip-bad"] * bad) == 0
+        expected = sorted(range(count), key=values.__getitem__)
+        assert "".join(out.writes) == "".join(f"{i}\n" for i in expected)
+        assert len(out.writes) == -(-count // 1024)
+
     def test_lines_output_keeps_original_text(self, tmp_path, capsys):
         order = write(tmp_path, "o.tsodl", "uint8")
         data = write(tmp_path, "d.jsonl", "20\n  3\n255\n10\n")

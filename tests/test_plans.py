@@ -334,36 +334,52 @@ def test_four_threads_running_encode_batch_on_one_tree_give_the_keys_of_one_thre
         assert keys == expected[index:] + expected[:index]
 
 
-def _fragments(plan) -> bool:
-    """Whether a plan joins a list of fragments, by the first statement of its ``run``."""
+def _shape(plan) -> str:
+    """How a plan builds its key, read from its ``run``: "straight" when it names each
+    fragment and returns them joined, "list" when it appends them to ``out = []``,
+    "bytearray" when it adds them to ``out = bytearray()``."""
     run = plan.source[plan.source.rindex("def run(value):") :].splitlines()
     first = next(line.strip() for line in run[1:] if not line.strip().startswith("global "))
+    if first == "try:":
+        returned = run[-1].strip()
+        assert "out" not in plan.source and re.fullmatch(
+            r'return (b""|frag_0|frag_0 \+ frag_1|b"".join\(\(frag_0(, frag_\d+){2,}\)\))', returned), returned
+        return "straight"
     assert first in ("out = []", "out = bytearray()"), first
-    return first == "out = []"
+    return "list" if first == "out = []" else "bytearray"
 
 
 @pytest.mark.parametrize(
-    "text, mode, joined",
+    "text, mode, shape",
     [
-        ("next(2, 3, (int32 desc, bytes))", "open", True),
-        ("next(2, 3, (int32 desc, bytes))", "padded", False),
-        ("lex(0, omega, ([uint16]))", "open", False),
-        ("lex(0, omega, ([uint16]))", "padded", False),
-        ("next(2, 3, (uint8, lex(0, omega, ([uint16]))))", "open", False),
-        ("sum(finite(2), (finite(1), bytes))", "open", True),
-        ("next(3, 4, (uint64 desc, float32, bool))", "packed", True),
-        ("next(3, 4, (uint64 desc, float32, bool))", "padded", False),
-        ("next(1, 2, (uint8 [lex(0, omega, ([uint8]))]))", "packed", True),  # the lex is at no rank
+        ("uint64", "packed", "straight"),
+        ("next(2, 3, (int32 desc, bytes))", "open", "straight"),
+        ("next(2, 3, (int32 desc, bytes))", "padded", "bytearray"),
+        ("lex(0, omega, ([uint16]))", "open", "bytearray"),
+        ("lex(0, omega, ([uint16]))", "padded", "bytearray"),
+        ("next(2, 3, (uint8, lex(0, omega, ([uint16]))))", "open", "bytearray"),
+        ("sum(finite(2), (finite(1), bytes))", "open", "list"),
+        ("sum(finite(2), (uint32, next(2, 3, (uint8, uint8))))", "packed", "list"),
+        ("lex(8, 9, ([uint16]))", "packed", "list"),  # a period loop
+        ("next(2, 3, (uint8, next(1, 2, (uint8))))", "packed", "list"),  # a nested function
+        ("next(3, 4, (uint64 desc, float32, bool))", "packed", "straight"),
+        ("next(3, 4, (uint64 desc, float32, bool))", "padded", "bytearray"),
+        ("next(1, 2, (uint8 [lex(0, omega, ([uint8]))]))", "packed", "straight"),  # the lex is at no rank
+        ("next(0, 1, ([bytes]))", "packed", "straight"),  # no fragment at all
     ],
 )
-def test_the_buffer_of_a_plan(text, mode, joined):
+def test_the_buffer_of_a_plan(text, mode, shape):
     for doc in (False, True):
-        assert _fragments(prepare(parse(text)).plan(mode, doc=doc)) is joined
+        for nan_high in (False, True):  # with it, a float writes its fragment in both branches of a NaN test
+            plan = prepare(parse(text)).plan(mode, doc=doc, nan_high=nan_high)
+            assert _shape(plan) == shape, (doc, nan_high)
 
 
 def test_every_plan_returns_bytes_and_packed_plans_join_fragments():
-    """Over criterion 2's generator: each plan, doc and not, returns exactly ``bytes``; every
-    packed plan joins a list of fragments and every padded plan writes a bytearray."""
+    """Over criterion 2's generator: each plan, doc and not, returns exactly ``bytes``.  Every
+    padded plan writes a bytearray.  A packed or open plan is straight-line exactly when its
+    ``run`` is its only function and writes each item unconditionally, with no loop; every
+    other packed plan joins a list."""
     seen = set()
     for index in range(1500):
         rng = random.Random(f"buffer:{index}")
@@ -374,14 +390,19 @@ def test_every_plan_returns_bytes_and_packed_plans_join_fragments():
         for mode in modes:
             for doc in (False, True):
                 plan = prepared.plan(mode, doc=doc, nan_high=True)
-                joined = _fragments(plan)
-                seen.add((mode, joined))
-                if mode != "open":
-                    assert joined is (mode == "packed"), (tree, mode)
+                shape = _shape(plan)
+                seen.add((mode, shape))
+                if mode == "padded":
+                    assert shape == "bytearray", tree
+                else:
+                    alone = not re.search(r"# function 1 |for rank in|if length > ", plan.source)
+                    assert (shape == "straight") is alone, (tree, mode, shape)
+                    assert mode == "open" or shape != "bytearray", tree
                 given = [to_doc(rng, tree, value) for value in values] if doc else values
                 assert all(type(key) is bytes for key in map(plan, given)), (tree, mode, doc)
             assert all(type(key) is bytes for key in encode_batch(tree, values, mode, nan_high=True))
-    assert seen == {("padded", False), ("packed", True), ("open", True), ("open", False)}
+    assert seen == {("padded", "bytearray"), ("packed", "straight"), ("packed", "list"),
+                    ("open", "straight"), ("open", "list"), ("open", "bytearray")}
 
 
 # Trees that list item orders at ranks no element reaches.
