@@ -2,17 +2,21 @@
 
 Order files are UTF-8 text in the definition language of ``tsodl``.
 Dataset files are JSON Lines, one value per line, shaped like the order
-tree.  Each line is read by ``_scan``: the C scanner ``json.loads``
-runs, called directly, whose result stands only when the line is short
-and the scan read all of it from index 0; every other line goes through
-``json.loads``, so values and errors are those of ``json.loads``.  The
-value goes straight to the order's encode plan, compiled once per run
-(``PreparedOrder.plan`` with ``doc=True``, the plan ``encoder.encode_doc``
-runs), which reads the dataset's JSON forms (decimal strings, {"hex":
-"..."}, {"num": p, "den": q}, "p/q", arrays for sequence and sum nodes)
-as it encodes; README "Dataset format" lists them.  The plan is Python
-source generated for the order and run once through ``exec``; its
-``source`` attribute shows the code each record goes through.
+tree.  Each batch of lines goes through the order's record loop
+(``PreparedOrder.record_loop``), compiled once per run with its own encode
+plan ``run`` (a doc plan like the one ``encoder.encode_doc`` runs, which reads the
+dataset's JSON forms: decimal strings, {"hex": "..."}, {"num": p, "den":
+q}, "p/q", arrays for sequence and sum nodes; README "Dataset format"
+lists them).  The loop is generated Python source too: for each line it
+runs the C scanner ``json.loads`` runs, called directly, and keeps its
+result only when the line is short and the scan read all of it from
+index 0, as ``_scan`` does, then the plan's root body, written into the
+loop.  At the first line it cannot take (blank, padded, long, not UTF-8,
+bad JSON, or a fault) it returns, and that line alone is read the
+careful way: ``_scan``, else ``json.loads``, then ``run``, so values,
+errors and messages are those of ``json.loads`` and ``encode_doc``; the
+loop then resumes.  Their ``source`` attributes show the code each record
+goes through.
 A key depends on its record alone, so ``sort``, which holds every key
 (and, for ``--output lines``, every line) until it sorts, keeps a memo
 from line text to key: each distinct line is scanned and encoded once,
@@ -121,7 +125,8 @@ def _scan(line: str):
     """The value ``json.loads(line)`` returns, read by its C scanner directly; else ``_UNSCANNED``.
 
     The scanner's result stands only when the line is shorter than
-    ``_SCAN_MAX_LEN`` and the scan read all of it from index 0.  Every
+    ``_SCAN_MAX_LEN`` and the scan read all of it from index 0, the
+    conditions the record loop checks inline on every line.  Every
     other line (leading or trailing whitespace, a BOM, trailing data, no
     value at all, a scanner error, a long line) gives ``_UNSCANNED``, and
     the caller passes it to ``json.loads``, so values, exception classes
@@ -187,61 +192,78 @@ def _encode_records(
 ):
     """Yield the keys of each batch of input lines (``_batches``); bad lines raise or warn per skip_bad.
 
-    A batch holds fewer keys than it read lines when some of its lines are
-    blank or skipped.  A line that is not UTF-8 fails on its own, with its
-    number.  When a line raises, the keys before it in its batch are
-    yielded first, so they are still written.  A batch's text is let go
-    before its keys are yielded.  With a ``lines`` list, the decoded text
-    of each line that gives a key is appended to it, in step with the keys.
+    Each batch goes through the order's record loop (``PreparedOrder.record_loop``,
+    compiled on first use with its doc plan ``run``): one generated loop that
+    scans each line as ``_scan`` does and runs the plan's root body inline.  It
+    returns at the first line it cannot take, which this function reads the
+    careful way, line by line: ``_scan``, else blank or ``json.loads``, then
+    ``run``, so that line gives the message, line number or key it always
+    did; then the loop resumes after it.  A batch holds fewer keys than it
+    read lines when some of its lines are blank or skipped.  A line that is
+    not UTF-8 fails on its own, with its number.  When a line raises, the
+    keys before it in its batch are yielded first, so they are still written.
+    A batch's text is let go before its keys are yielded.  With a ``lines``
+    list, the decoded text of each line that gives a key is appended to it,
+    in step with the keys.
 
     With a ``memo`` dict, each line that encodes is stored as
     ``memo[line] = key`` under its decoded text, and a later line with the
-    same text takes the stored key object and skips ``_scan``,
-    ``json.loads`` and the plan: a key depends on its record alone, so
-    equal lines share one key.  A line that fails is never stored, so each
-    copy of it fails again under its own number; blank lines never encode,
-    so they are never stored either.
+    same text takes the stored key object and skips the scan and the plan: a
+    key depends on its record alone, so equal lines share one key.  A line
+    that fails is never stored, so each copy of it fails again under its own
+    number; blank lines never encode, so they are never stored either.
     """
-    encode_record = prepare(tree).plan(mode, nan_high=nan_high, doc=True)
+    run, records = prepare(tree).record_loop(mode, _scan_once, _SCAN_MAX_LEN, nan_high=nan_high,
+                                             memo=memo is not None)
+    known = () if memo is None else (memo,)
     handle = sys.stdin.buffer if path == "-" else open(path, "rb")
-    number = 0  # the number of the last line read
+    number = 0  # the lines of the batches before this one
     try:
         for texts in _batches(handle):
             keys: list[bytes] = []
-            first = number
+            done = 0  # the lines of this batch read so far
             try:
-                for number, line in enumerate(texts, first + 1):
+                while True:
+                    held = len(keys)
+                    records(texts, done, keys, *known)
+                    taken = len(keys) - held
+                    if lines is not None:
+                        lines += texts[done : done + taken]
+                    done += taken
+                    if done == len(texts):
+                        break
+                    # The loop returns only at a line the memo does not hold.
+                    line = texts[done]
+                    done += 1
                     try:
-                        # An error is never a memo key, so only a miss needs this test.
-                        key = memo.get(line) if memo is not None else None
-                        if key is None:
-                            if type(line) is not str:
-                                raise ElementMismatch(f"not valid UTF-8: {line}")
-                            doc = _scan(line)
-                            if doc is _UNSCANNED:
-                                if not line.strip():  # a blank line never scans
-                                    continue
-                                try:
-                                    doc = json.loads(line)
-                                except (ValueError, RecursionError) as exc:
-                                    # ValueError covers JSONDecodeError and integers past the
-                                    # interpreter's digit limit; RecursionError, deep nesting.
-                                    raise ElementMismatch(f"not valid JSON: {exc}") from None
-                            key = encode_record(doc)
-                            if memo is not None:
-                                memo[line] = key
+                        if type(line) is not str:
+                            raise ElementMismatch(f"not valid UTF-8: {line}")
+                        doc = _scan(line)
+                        if doc is _UNSCANNED:
+                            if not line.strip():  # a blank line never scans
+                                continue
+                            try:
+                                doc = json.loads(line)
+                            except (ValueError, RecursionError) as exc:
+                                # ValueError covers JSONDecodeError and integers past the
+                                # interpreter's digit limit; RecursionError, deep nesting.
+                                raise ElementMismatch(f"not valid JSON: {exc}") from None
+                        key = run(doc)
                     except ElementError as exc:
-                        message = f"line {number}: {exc}"
+                        message = f"line {number + done}: {exc}"
                         if not skip_bad:
                             raise ElementMismatch(message) from None
                         print(f"warning: skipped {message}", file=sys.stderr)
                         continue
+                    if memo is not None:
+                        memo[line] = key
                     if lines is not None:
                         lines.append(line)
                     keys.append(key)
             except BaseException:
                 yield keys
                 raise
+            number += len(texts)
             del texts
             yield keys
     finally:

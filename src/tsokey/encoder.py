@@ -53,7 +53,7 @@ A memo keeps at most ``MEMO_ENTRIES`` fragments of at most
 checks, and a leaf that fills it with fewer hits than that turns it off
 for the life of the plan.  Keys and faults are those of a plan without
 memos.  Rational leaves share two process-wide tables of the fragments
-that finish a walk from small pairs, at most 177 KB each (see
+that finish a walk from small pairs, at most 129 KB each (see
 ``_rational_fragments``).
 
 Scalar leaves use order-preserving transforms: unsigned ints big-endian,
@@ -69,6 +69,8 @@ from __future__ import annotations
 import struct
 import sys
 from functools import lru_cache
+from itertools import islice
+from math import gcd
 from typing import Iterable
 
 from .errors import (
@@ -305,6 +307,25 @@ def _unit(term: int) -> tuple[bytes, bytes]:
     return _pair(b"\x00" + _count_header_unbounded(term))
 
 
+class _Tails(list):
+    """A tails table (``_rational_fragments``) that keeps one ``bytes`` per reduced pair: a
+    fragment stored at a pair's slot goes to the slot of its reduced form first, unless one
+    is there already, and the slot takes that one, so 1/2, 2/4 and 3/6 share one object.
+    Reads are those of a list."""
+
+    __slots__ = ()
+
+    def __setitem__(self, slot, tail):
+        if type(slot) is int:  # den * RATIONAL_TAIL + num: dividing both by their gcd divides the slot
+            reduced = slot // gcd(slot // RATIONAL_TAIL, slot % RATIONAL_TAIL)
+            kept = self[reduced]
+            if kept is None:
+                list.__setitem__(self, reduced, tail)
+            else:
+                tail = kept
+        list.__setitem__(self, slot, tail)
+
+
 @lru_cache(maxsize=None)
 def _rational_fragments():
     """The rows of the rational walk in padding triples, as ``[inverted][negative]``: the
@@ -313,11 +334,12 @@ def _rational_fragments():
     which bit-flips the even ranks, and ``tails``, the table of ``flip``.
 
     ``tails[den * RATIONAL_TAIL + num]`` is the rest of the walk from the pair ``0 < num
-    < den < RATIONAL_TAIL`` the first term leaves, kept by the walk that first meets it:
-    at most 1,953 fragments per table, 177 KB when full.  Built on first use, about
-    30 KB and the tables' 64 KB of slots."""
+    < den < RATIONAL_TAIL`` the first term leaves, kept by the walk that first meets it,
+    one ``bytes`` per reduced pair (``_Tails``): when full, 1,953 slots per table share
+    1,227 fragments, 129 KB with the slots.  Built on first use, about 30 KB and the
+    tables' 64 KB of slots."""
     units, ends, signs = tuple(zip(*map(_unit, range(256)))), _pair(b"\x01"), (_pair(b"\x01"), _pair(b"\x00"))
-    tails = [None] * RATIONAL_TAIL**2, [None] * RATIONAL_TAIL**2
+    tails = _Tails([None] * RATIONAL_TAIL**2), _Tails([None] * RATIONAL_TAIL**2)
     return tuple(tuple((signs[negative][inverted], units[flip], units[flip ^ 1], ends[flip ^ 1], ends[flip], flip,
                         tails[flip]) for negative, flip in ((0, inverted), (1, inverted ^ 1))) for inverted in (0, 1))
 
@@ -351,15 +373,17 @@ class PreparedOrder(Record):
     ``packed_ok`` and ``open_ok`` say whether packed and open mode are
     available.  ``plan`` compiles the tree on first use for each (mode,
     nan_high, doc) and keeps the result in ``plans``, so a tree is
-    interpreted once, not once per element.
+    interpreted once, not once per element; ``record_loop`` keeps the CLI's
+    record loops in ``loops``.
     """
 
     __match_args__ = ("tree", "stats", "packed_ok", "open_ok")
-    __slots__ = (*__match_args__, "plans")
+    __slots__ = (*__match_args__, "plans", "loops")
 
     def __init__(self, tree: OrderNode, stats: PathStats, packed_ok: bool, open_ok: bool = False):
         self._store(tree, stats, packed_ok, open_ok)
         object.__setattr__(self, "plans", {})
+        object.__setattr__(self, "loops", {})
 
     def plan(self, mode: str = "padded", *, nan_high: bool = False, doc: bool = False):
         """The function taking one element to its key; ``plan().source`` is its code.
@@ -367,13 +391,48 @@ class PreparedOrder(Record):
         With ``doc`` it takes a ``json.loads`` record instead, as
         ``encode_doc`` does.  It raises what ``encode`` raises.  The plan
         keeps its leaf memos (see the module docstring) for as long as it
-        lives here, at most ``MEMO_ENTRIES`` fragments per leaf.
+        lives here, at most ``MEMO_ENTRIES`` fragments per leaf.  The CLI's
+        record loop (``record_loop``) compiles a plan of its own, kept with
+        it in ``loops``, so calls of this compile nothing for that loop.
         """
         key = (mode, nan_high, doc)
         try:
             return self.plans[key]
         except KeyError:
             pass
+        self._check_mode(mode)
+        run = self.plans[key] = _compile(self.tree, mode != "padded", bool(nan_high), bool(doc))
+        return run
+
+    def record_loop(self, mode: str, scan, max_len: int, *, nan_high: bool = False, memo: bool = False):
+        """A doc plan ``run`` of its own and the record loop ``records`` compiled with it, as a pair.
+
+        ``records(texts, first, keys)``, or ``records(texts, first, keys,
+        known)`` with ``memo``, goes through the JSON Lines texts of
+        ``texts[first:]`` and appends to ``keys`` the key ``run`` gives each
+        line's record, until it meets a line it cannot take; it returns
+        there, with nothing appended for that line, or at the end.  A line
+        is taken when it is a ``str`` shorter than ``max_len``, ``scan(line,
+        0)`` (the scanner of ``json.loads``) reads all of it, and the root's
+        body, the body of ``run`` written into the loop, takes the record.
+        With ``memo``, a line found in the dict ``known`` takes the key
+        stored there, and each line taken is stored under its text.  The
+        two share their leaf memos.  The pair is compiled on first use for
+        each set of arguments and kept in ``loops``, apart from ``plans``:
+        ``plan`` and the pair never compile for each other.
+        """
+        key = (mode, nan_high, memo, scan, max_len)
+        try:
+            return self.loops[key]
+        except KeyError:
+            pass
+        self._check_mode(mode)
+        compiler = _Compiler(mode != "padded", bool(nan_high), True)
+        run = compiler.plan(self.tree)
+        pair = self.loops[key] = run, compiler.records(run, scan, max_len, memo)
+        return pair
+
+    def _check_mode(self, mode: str) -> None:
         if mode not in ("padded", "packed", "open"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "packed" and not self.packed_ok:
@@ -381,8 +440,6 @@ class PreparedOrder(Record):
         if mode == "open" and not self.open_ok:
             raise PackedModeUnavailable("tree is not open: its variable-length part must be an ascending"
                                         " bytes leaf or a lex of fixed-width items, last in the key")
-        run = self.plans[key] = _compile(self.tree, mode != "padded", bool(nan_high), bool(doc))
-        return run
 
 
 @lru_cache(maxsize=128)
@@ -625,6 +682,7 @@ class _Compiler:
         self.made = {}  # each function made, to its number in the listing
         self.scope = {}  # the constants of the function being written, by name
         self.tables = {}  # the names of its ending-value tables, by (base, chain)
+        self.root = None  # the root's code, as ``plan`` wraps it in ``run``: (start, body, key)
 
     def const(self, value, stem: str) -> str:
         name = f"{stem}_{len(self.scope)}"
@@ -637,13 +695,15 @@ class _Compiler:
             self.tables[base, chain] = self.const(_ending_values(base, chain[::-1])[::-1], "ends")
         return self.tables.get((base, chain))
 
-    def define(self, name: str, signature: str, lines: list[str]):
-        """Run the source of one function in a namespace of its constants; return the function."""
+    def define(self, name: str, signature: str, lines: list[str], namespace: dict | None = None):
+        """Run the source of one function in a namespace of its constants, or in ``namespace``;
+        return the function."""
         rebound = [key for key in self.scope if key.startswith(("memo_", "hits_"))]
         if rebound:
             lines = [f"global {', '.join(rebound)}", *lines]
         source = "\n".join([f"def {name}({signature}):", *_indent(lines)]) + "\n"
-        namespace = {**_PLAN_HELPERS, **self.scope}
+        if namespace is None:
+            namespace = {**_PLAN_HELPERS, **self.scope}
         exec(_code(source), namespace)
         function, number = namespace[name], len(self.listing)
         # Renamed on a copy of its code, so the code ``_code`` caches per shape keeps ``step``.
@@ -668,11 +728,36 @@ class _Compiler:
             start, key = ["out = []"], 'b"".join(out)'
         else:
             start, key = ["out = bytearray()"], "bytes(out)"
+        self.root = start, lines, key
         lines = [*start, "try:", *_indent(lines), "except _Fault as fault:"]
         lines += ['    raise fault.cls(f"${fault.path}: {fault.message}") from None', f"return {key}"]
         run = self.define("run", "value", lines)
         run.source = "\n".join(self.listing)
         return run
+
+    def records(self, run, scan, max_len: int, memo: bool):
+        """The record loop of ``PreparedOrder.record_loop``, defined in ``run``'s namespace, so
+        the root's body that both carry reads and turns off the same leaf memos.  A line that
+        is no ``str`` fails ``len``, one the scanner cannot read fails it, and one the body
+        cannot take raises its ``_Fault``: the loop returns at each, and the caller reads
+        that line again the careful way, which gives its message or its key."""
+        start, lines, key = self.root
+        scan_and_run = [f"if len(line) >= {max_len}:", "    return", "value, end = scan(line, 0)",
+                        "if end != len(line):", "    return", *start, *lines]
+        take = ["try:", *_indent(scan_and_run),
+                "except (_Fault, StopIteration, ValueError, RecursionError, TypeError):", "    return"]
+        if memo:
+            head, signature = "append, get = keys.append, known.get", "texts, first, keys, known"
+            loop = ["key = get(line)", "if key is None:", *_indent([*take, f"key = known[line] = {key}"]),
+                    "append(key)"]
+        else:
+            head, signature, loop = "append = keys.append", "texts, first, keys", [*take, f"append({key})"]
+        namespace = run.__globals__
+        namespace.update(islice=islice, scan=scan)
+        records = self.define("records", signature, [head, "for line in islice(texts, first, None):",
+                                                     *_indent(loop)], namespace)
+        records.source = "\n".join(self.listing)
+        return records
 
     def function(self, node: OrderNode, depth: int, chain):
         """A new function ``step(value, out)`` running ``node``'s step."""

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from tsokey import cli, compare, encode, encode_doc, parse, prepare, serialize, tsodl
 from tsokey.cli import _UNSCANNED, _bench_keys, _scan, main
-from tsokey.errors import DepthOverflow, TsokeyError
+from tsokey.errors import DepthOverflow, ElementError, TsokeyError
 from tsokey.randgen import random_element, random_tree
 
-from helpers import to_doc
+from helpers import _BAD_DOCS, _splice_bad, to_doc
 
 
 def write(tmp_path, name, text):
@@ -736,30 +736,19 @@ class TestRepeatedLines:
         rows[1023] = rows[1024] = rows[2047] = rows[0]  # copies on both sides of each batch boundary
         return rows
 
-    def _counting_plans(self, monkeypatch):
-        """Patch ``cli.prepare`` so that every call of the plans it returns is recorded."""
-        import tsokey.cli as cli
+    def _counting_scans(self, monkeypatch):
+        """Patch the scanner the CLI's record loop runs, so that every line it scans is recorded.
 
-        real_prepare = cli.prepare
+        A line the memo holds is not scanned, and the loop runs the plan's
+        root body on every line it scans."""
         calls = []
+        scan_once = cli._scan_once
 
-        class Counting:
-            def __init__(self, prepared):
-                self._prepared = prepared
+        def counted(line, index):
+            calls.append(line)
+            return scan_once(line, index)
 
-            def __getattr__(self, name):
-                return getattr(self._prepared, name)
-
-            def plan(self, *args, **kwargs):
-                plan = self._prepared.plan(*args, **kwargs)
-
-                def counted(doc):
-                    calls.append(doc)
-                    return plan(doc)
-
-                return counted
-
-        monkeypatch.setattr(cli, "prepare", lambda tree: Counting(real_prepare(tree)))
+        monkeypatch.setattr(cli, "_scan_once", counted)
         return calls
 
     @pytest.mark.parametrize("count", [2500, 9000])
@@ -784,11 +773,11 @@ class TestRepeatedLines:
         rows = self._rows()
         order = write(tmp_path, "o.tsodl", self.ORDER)
         data = write(tmp_path, "d.jsonl", "\n".join(rows) + "\n")
-        calls = self._counting_plans(monkeypatch)
+        calls = self._counting_scans(monkeypatch)
         assert main(["sort", order, data, "--output", "indices"]) == 0
         assert len(calls) == len(set(rows)) == 60
         assert len(capsys.readouterr().out.splitlines()) == 2500
-        # encode streams: every line goes through the plan.
+        # encode streams: every line is scanned and goes through the plan.
         calls.clear()
         assert main(["encode", order, data, "--hex"]) == 0
         assert len(calls) == 2500
@@ -861,6 +850,144 @@ class TestRepeatedLines:
         assert [w.split(": ")[1] for w in warnings] == ["skipped line 9", "skipped line 11"]
         assert main(["sort", order, data]) == 1
         assert capsys.readouterr().err.startswith("error: line 9: ")
+
+
+# The lines where a batch's record loop meets a line it cannot take: the first line, the
+# last of the first batch and the first of the next, the one after it, and the line that
+# ends the second batch.
+_EXITS = (1, 1023, 1024, 1025, 2048)
+_WAYS_OUT = ("blank", "padded", "bom", "long", "not-utf8", "bad-json", "fault", "bad-copy")
+
+
+def _way_out(kind, rng, tree, pool, earlier):
+    """One raw line that leaves the record loop for the careful path the way ``kind`` names;
+    ``earlier`` is a good line already read, and so in ``sort``'s memo."""
+    text = rng.choice(pool)
+    if kind == "blank":
+        return rng.choice(["", " ", "\t "]).encode()
+    if kind == "padded":
+        return f" {text}\t".encode()
+    if kind == "bom":
+        return ("\ufeff" + text).encode()
+    if kind == "long":  # scanned whole from index 0 where it is an array, yet too long to scan
+        return ("[" + " " * 600 + text[1:] if text.startswith("[") else text + " " * 600).encode()
+    if kind == "not-utf8":
+        return text.encode() + b"\xff"
+    if kind == "bad-json":
+        return (text + ",").encode()
+    if kind == "fault":
+        for _ in range(20):
+            bad = _splice_bad(rng, json.loads(text), _BAD_DOCS)
+            try:
+                encode_doc(tree, bad)
+            except TsokeyError:
+                return json.dumps(bad).encode()
+        return b'{"1": 2}'
+    return (earlier + rng.choice(["]", " x", ","])).encode()  # bad-copy
+
+
+def _loop_file(seed, tree, kinds):
+    """2,100 raw lines from 300 distinct records of ``tree``, with ``kinds[i % len(kinds)]`` at
+    the i-th line of ``_EXITS``."""
+    rng = random.Random(seed)
+    pool = [json.dumps(to_doc(rng, tree, random_element(rng, tree, length_cap=4))) for _ in range(300)]
+    rows, earlier = [], pool[0]
+    for number in range(1, 2101):
+        if number in _EXITS:
+            rows.append(_way_out(kinds[_EXITS.index(number) % len(kinds)], rng, tree, pool, earlier))
+        else:
+            earlier = rng.choice(pool)
+            rows.append(earlier.encode())
+    return rows
+
+
+def _per_line(tree, rows, mode):
+    """Each row read on its own, as the careful path reads it: (number, text, key) for a key,
+    (number, None, message) for a fault, nothing for a blank line."""
+    read = []
+    for number, raw in enumerate(rows, 1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            read.append((number, None, f"not valid UTF-8: {exc}"))
+            continue
+        if not text.strip():
+            continue
+        try:
+            read.append((number, text, encode_doc(tree, json.loads(text), mode)))
+        except (ValueError, RecursionError) as exc:
+            read.append((number, None, f"not valid JSON: {exc}"))
+        except ElementError as exc:
+            read.append((number, None, str(exc)))
+    return read
+
+
+def _reference(read, command, skip_bad):
+    """The exit code, stdout bytes and stderr a CLI that handles one line at a time gives."""
+    err, kept, code = [], [], 0
+    for number, text, result in read:
+        if text is not None:
+            kept.append((text, result))
+        elif skip_bad:
+            err.append(f"warning: skipped line {number}: {result}\n")
+        else:
+            err.append(f"error: line {number}: {result}\n")
+            code = 1
+            break
+    keys = [key for _, key in kept]
+    if command == "encode --hex":
+        out = "".join(key.hex().upper() + "\n" for key in keys).encode()
+    elif command == "encode":
+        out = b"".join(len(key).to_bytes(4, "big") + key for key in keys)
+    elif code:
+        out = b""
+    else:
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        shown = (lambda i: f"{i}\n") if command == "sort --output indices" else (lambda i: kept[i][0] + "\n")
+        out = "".join(map(shown, order)).encode()
+    return code, out, "".join(err)
+
+
+class TestRecordLoop:
+    """Every way out of the record loop, at the edges of a batch, gives the output, messages and
+    exit code of reading one line at a time with ``encode_doc``."""
+
+    COMMANDS = ("encode --hex", "encode", "sort --output indices", "sort --output lines")
+
+    @staticmethod
+    def _trees():
+        trees = [parse("next(2, 3, (int32 desc, bytes))")]
+        for index in range(3):
+            rng = random.Random(f"loop:{index}")
+            trees.append(random_tree(rng, rng.randrange(0, 5), fixed_only=rng.random() < 0.3))
+        return trees
+
+    @staticmethod
+    def _run(argv):
+        raw, err = io.BytesIO(), io.StringIO()
+        out = io.TextIOWrapper(raw, encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out.flush()
+        return code, raw.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize(
+        "kinds", [(kind,) for kind in _WAYS_OUT] + [_WAYS_OUT[:5], _WAYS_OUT[3:]], ids=[*_WAYS_OUT, "mixed", "mixed-late"]
+    )
+    def test_the_cli_gives_the_outcome_of_a_per_line_reference(self, tmp_path, kinds):
+        for index, tree in enumerate(self._trees()):
+            rows = _loop_file(f"{kinds}:{index}", tree, kinds)
+            order = write(tmp_path, "o.tsodl", serialize(tree))
+            data = tmp_path / "d.jsonl"
+            data.write_bytes(b"".join(row + b"\n" for row in rows))
+            sort_mode = "open" if prepare(tree).open_ok else "padded"
+            read = {mode: _per_line(tree, rows, mode) for mode in {"padded", sort_mode}}
+            for command in self.COMMANDS:
+                name, *options = command.split()
+                for skip_bad in (False, True):
+                    argv = [name, order, str(data), *options] + ["--skip-bad"] * skip_bad
+                    expected = _reference(read["padded" if name == "encode" else sort_mode], command, skip_bad)
+                    assert self._run(argv) == expected, (kinds, serialize(tree), command, skip_bad)
 
 
 class TestBenchCommand:

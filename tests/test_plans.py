@@ -1,6 +1,7 @@
 """The generated encode plans: pinned keys and faults, deep trees, the kept source."""
 
 import cProfile
+import json
 import pickle
 import pstats
 import random
@@ -24,6 +25,8 @@ from tsokey import (
     tsodl,
 )
 from tsokey import encoder
+from tsokey.cli import _SCAN_MAX_LEN, _scan_once, main
+from tsokey.errors import TsokeyError
 from tsokey.order_model import KIND_TABLE, push_inv_to_leaves
 from tsokey.randgen import random_element, random_tree
 
@@ -80,6 +83,20 @@ class TestDeepTree:
             with pytest.raises(ElementMismatch) as info:
                 run(tree, _deep_value(300))
             assert str(info.value) == "$" + "[0]" * LEX_LEVELS + ": 300 outside uint8 range"
+
+    def test_the_cli_encodes_it_as_encode_doc(self, tmp_path, capsys):
+        # The record loop writes the root's body inside three more blocks than ``run`` does.
+        tree = parse(self.text)
+        order, data = tmp_path / "o.tsodl", tmp_path / "d.jsonl"
+        order.write_text(self.text, encoding="utf-8")
+        docs = [_deep_value(5), _deep_value(6), [], _deep_value(5)]
+        data.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+        for argv in (["encode", "--hex"], ["sort", "--output", "indices"]):
+            assert main([argv[0], str(order), str(data), *argv[1:]]) == 0
+            keys = [encode_doc(tree, doc) for doc in docs]
+            expected = [key.hex().upper() for key in keys] if argv[0] == "encode" else [
+                str(index) for index in sorted(range(len(keys)), key=keys.__getitem__)]
+            assert capsys.readouterr().out.splitlines() == expected
 
     def test_same_tree_gives_the_same_source(self):
         trees = [push_inv_to_leaves(parse(self.text)) for _ in range(2)]
@@ -440,6 +457,64 @@ def test_no_plan_compiles_a_step_that_no_element_reaches():
                 plan = prepared.plan(mode, doc=doc)
                 assert not _dead_steps(plan), (tree, mode, doc, _dead_steps(plan))
                 seen.add((mode, doc))
+    assert len(seen) == 6
+
+
+def _function(source: str, name: str) -> list[str]:
+    """The lines of the function ``name`` in a plan's source."""
+    return source[source.rindex(f"def {name}(") :].split("\n\n# function ")[0].rstrip("\n").splitlines()
+
+
+def _unwrapped(run: list[str], records: list[str]):
+    """The code ``run`` and ``records`` each wrap, as (global line, start and body, key
+    expression): ``run``'s between its ``try`` and the handler that words a fault, ``records``'
+    between the scan's checks and the handler that hands the line back."""
+    head = [run[1]] if run[1].startswith("    global ") else []
+    begin = run.index("    try:")
+    end = len(run) - 1 - run[::-1].index("    except _Fault as fault:")
+    body = [line[4:] for line in run[1 + len(head) : begin]] + [line[8:] for line in run[begin + 1 : end]]
+    plain = head, body, run[-1].removeprefix("    return ")
+    check = next(index for index, line in enumerate(records) if line.strip() == "if end != len(line):")
+    indent = len(records[check]) - len(records[check].lstrip())
+    handler = next(index for index in range(check, len(records))
+                   if records[index].startswith(" " * (indent - 4) + "except (_Fault,"))
+    key = records[handler + 2].strip()
+    key = key.removeprefix("key = known[line] = ") if key.startswith("key = ") else key[len("append(") : -1]
+    head = [records[1]] if records[1].startswith("    global ") else []
+    return plain, (head, [line[indent:] for line in records[check + 2 : handler]], key)
+
+
+def test_the_record_loop_carries_the_body_of_run():
+    """Over criterion 2's generator, padded, packed and open, with and without the line memo:
+    ``records`` wraps ``run``'s body line for line, and takes each line ``run`` takes, with
+    its key, up to the first that is too long to scan or that ``run`` faults on."""
+    seen = set()
+    for index in range(2000):
+        rng = random.Random(f"loop:{index}")
+        tree = random_tree(rng, rng.randrange(0, 6), fixed_only=rng.random() < 0.3)
+        prepared = prepare(tree)
+        texts = []
+        for _ in range(4):
+            doc = to_doc(rng, tree, random_element(rng, tree, length_cap=4))
+            texts.append(json.dumps(_splice_bad(rng, doc, _BAD_DOCS) if rng.random() < 0.2 else doc))
+        for mode in ["padded"] + ["packed"] * prepared.packed_ok + ["open"] * prepared.open_ok:
+            memo = index % 2 == 0
+            run, records = prepared.record_loop(mode, _scan_once, _SCAN_MAX_LEN, memo=memo)
+            assert run.source == prepared.plan(mode, doc=True).source, (tree, mode)
+            plain, looped = _unwrapped(_function(run.source, "run"), _function(records.source, "records"))
+            assert plain == looped, (tree, mode, memo)
+            expected = []
+            for text in texts:
+                if len(text) >= _SCAN_MAX_LEN:
+                    break
+                try:
+                    expected.append(run(json.loads(text)))
+                except TsokeyError:
+                    break
+            keys = []
+            records(texts, 0, keys, *[{}] * memo)
+            assert keys == expected, (tree, mode, texts)
+            seen.add((mode, memo))
     assert len(seen) == 6
 
 

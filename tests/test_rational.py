@@ -459,6 +459,22 @@ class TestTails:
             assert len(kept) == (RATIONAL_TAIL - 1) * (RATIONAL_TAIL - 2) // 2
             assert all(0 < slot % RATIONAL_TAIL < slot // RATIONAL_TAIL for slot in kept)
 
+    @pytest.mark.parametrize("doc", [False, True])
+    def test_pairs_with_a_common_factor_share_one_fragment(self, doc):
+        plan = prepare(parse("rational")).plan(doc=doc)
+        for fill in (SMALL_PAIRS, SMALL_PAIRS[::-1]):  # the reduced pair met first, then last
+            _empty_tails()
+            keys = [plan(f"{p}/{q}" if doc else (p, q)) for p, q in fill]
+            assert keys == _reference_keys(fill)
+            for tails in _tails():
+                for den in range(2, RATIONAL_TAIL):
+                    for num in range(1, den):
+                        factor = math.gcd(num, den)
+                        reduced = tails[den // factor * RATIONAL_TAIL + num // factor]
+                        assert tails[den * RATIONAL_TAIL + num] is reduced is not None, (num, den)
+                kept = {id(tail) for tail in tails if tail is not None}
+                assert len(kept) == sum(math.gcd(num, den) == 1 for den in range(2, RATIONAL_TAIL) for num in range(1, den))
+
     def test_four_threads_filling_the_tables_give_the_keys_of_one_thread(self):
         rng = random.Random(11)
         pairs = [(rng.randint(-300, 300), rng.randint(1, 80)) for _ in range(4000)]
