@@ -2,21 +2,22 @@
 
 Order files are UTF-8 text in the definition language of ``tsodl``.
 Dataset files are JSON Lines, one value per line, shaped like the order
-tree.  Each batch of lines goes through the order's record loop
-(``PreparedOrder.record_loop``), compiled once per run with its own encode
-plan ``run`` (a doc plan like the one ``encoder.encode_doc`` runs, which reads the
-dataset's JSON forms: decimal strings, {"hex": "..."}, {"num": p, "den":
-q}, "p/q", arrays for sequence and sum nodes; README "Dataset format"
-lists them).  The loop is generated Python source too: for each line it
-runs the C scanner ``json.loads`` runs, called directly, and keeps its
-result only when the line is short and the scan read all of it from
-index 0, as ``_scan`` does, then the plan's root body, written into the
-loop.  At the first line it cannot take (blank, padded, long, not UTF-8,
-bad JSON, or a fault) it returns, and that line alone is read the
-careful way: ``_scan``, else ``json.loads``, then ``run``, so values,
-errors and messages are those of ``json.loads`` and ``encode_doc``; the
-loop then resumes.  Their ``source`` attributes show the code each record
-goes through.
+tree.  Records go through the order's doc plan (``PreparedOrder.plan``
+with ``doc=True``, the plan ``encoder.encode_doc`` runs), compiled once
+per run, which reads the dataset's JSON forms (decimal strings, {"hex":
+"..."}, {"num": p, "den": q}, "p/q", arrays for sequence and sum nodes)
+as it encodes; README "Dataset format" lists them.  Each batch of lines
+goes through the plan's record loop (``PreparedOrder.record_loop``): for
+each line it runs the C scanner ``json.loads`` runs, called directly,
+keeps its result only when the line is short and the scan read all of it
+from index 0, and runs the plan's root body written into the loop.  At
+a line it cannot take (blank, padded, long, not UTF-8, bad JSON, or a
+fault) it returns, and that line alone is read the careful way, with
+``json.loads`` and the plan, so values, errors and messages are those of
+``json.loads`` and ``encode_doc``; the loop then resumes.  Plan and loop
+are Python source generated for the order and run once through
+``exec``; their ``source`` attributes show the code each record goes
+through.
 A key depends on its record alone, so ``sort``, which holds every key
 (and, for ``--output lines``, every line) until it sorts, keeps a memo
 from line text to key: each distinct line is scanned and encoded once,
@@ -50,7 +51,7 @@ import json
 import sys
 import time
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, length_hint
 from typing import TYPE_CHECKING
 
 from . import _pure_sort
@@ -113,35 +114,6 @@ def _read_order(path: str) -> OrderNode:
     return parse_order(text)
 
 
-_scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs
-# A document in a line shorter than this nests fewer than 256 levels deep,
-# far inside the recursion limit, so the scanner called here and inside
-# json.loads, some frames deeper, cannot disagree on it.
-_SCAN_MAX_LEN = 512
-_UNSCANNED = object()
-
-
-def _scan(line: str):
-    """The value ``json.loads(line)`` returns, read by its C scanner directly; else ``_UNSCANNED``.
-
-    The scanner's result stands only when the line is shorter than
-    ``_SCAN_MAX_LEN`` and the scan read all of it from index 0, the
-    conditions the record loop checks inline on every line.  Every
-    other line (leading or trailing whitespace, a BOM, trailing data, no
-    value at all, a scanner error, a long line) gives ``_UNSCANNED``, and
-    the caller passes it to ``json.loads``, so values, exception classes
-    and messages are those of ``json.loads``.
-    """
-    if len(line) < _SCAN_MAX_LEN:
-        try:
-            doc, end = _scan_once(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            return _UNSCANNED
-        if end == len(line):
-            return doc
-    return _UNSCANNED
-
-
 def _line(raw: bytes):
     """The text of one raw line, its line end stripped; the UnicodeDecodeError of a line that is not UTF-8."""
     try:
@@ -192,19 +164,17 @@ def _encode_records(
 ):
     """Yield the keys of each batch of input lines (``_batches``); bad lines raise or warn per skip_bad.
 
-    Each batch goes through the order's record loop (``PreparedOrder.record_loop``,
-    compiled on first use with its doc plan ``run``): one generated loop that
-    scans each line as ``_scan`` does and runs the plan's root body inline.  It
-    returns at the first line it cannot take, which this function reads the
-    careful way, line by line: ``_scan``, else blank or ``json.loads``, then
-    ``run``, so that line gives the message, line number or key it always
-    did; then the loop resumes after it.  A batch holds fewer keys than it
-    read lines when some of its lines are blank or skipped.  A line that is
-    not UTF-8 fails on its own, with its number.  When a line raises, the
-    keys before it in its batch are yielded first, so they are still written.
-    A batch's text is let go before its keys are yielded.  With a ``lines``
-    list, the decoded text of each line that gives a key is appended to it,
-    in step with the keys.
+    Each batch goes through the order's record loop (``PreparedOrder.record_loop``),
+    which scans each line and runs the doc plan's root body inline.  It
+    returns at a line it cannot take, which this function reads the careful
+    way: blank, else ``json.loads``, then the plan, so that line gives the
+    message, line number or key it always did; then the loop resumes after
+    it.  A batch holds fewer keys than it read lines when some of its lines
+    are blank or skipped.  A line that is not UTF-8 fails on its own, with
+    its number.  When a line raises, the keys before it in its batch are
+    yielded first, so they are still written.  A batch's text is let go
+    before its keys are yielded.  With a ``lines`` list, the decoded text
+    of each line that gives a key is appended to it, in step with the keys.
 
     With a ``memo`` dict, each line that encodes is stored as
     ``memo[line] = key`` under its decoded text, and a later line with the
@@ -213,44 +183,40 @@ def _encode_records(
     that fails is never stored, so each copy of it fails again under its own
     number; blank lines never encode, so they are never stored either.
     """
-    run, records = prepare(tree).record_loop(mode, _scan_once, _SCAN_MAX_LEN, nan_high=nan_high,
-                                             memo=memo is not None)
-    known = () if memo is None else (memo,)
+    prepared = prepare(tree)
+    encode_record = prepared.plan(mode, nan_high=nan_high, doc=True)
+    records = prepared.record_loop(mode, nan_high=nan_high, memo=memo is not None)
+    known = () if memo is None else (memo.get, memo)
     handle = sys.stdin.buffer if path == "-" else open(path, "rb")
     number = 0  # the lines of the batches before this one
     try:
         for texts in _batches(handle):
             keys: list[bytes] = []
-            done = 0  # the lines of this batch read so far
+            rest = iter(texts)
+            take = partial(records, rest, keys.append, *known)  # the loop, resumed after the line it returned
+            kept = 0  # with ``lines``, the lines of this batch up to the last one the loop returned
             try:
-                while True:
-                    held = len(keys)
-                    records(texts, done, keys, *known)
-                    taken = len(keys) - held
+                # The loop returns only a line the memo does not hold; None at the end of the batch.
+                while (line := take()) is not None:
                     if lines is not None:
-                        lines += texts[done : done + taken]
-                    done += taken
-                    if done == len(texts):
-                        break
-                    # The loop returns only at a line the memo does not hold.
-                    line = texts[done]
-                    done += 1
+                        at = len(texts) - length_hint(rest)  # the line's number in its batch
+                        lines += texts[kept : at - 1]
+                        kept = at
                     try:
                         if type(line) is not str:
                             raise ElementMismatch(f"not valid UTF-8: {line}")
-                        doc = _scan(line)
-                        if doc is _UNSCANNED:
-                            if not line.strip():  # a blank line never scans
-                                continue
-                            try:
-                                doc = json.loads(line)
-                            except (ValueError, RecursionError) as exc:
-                                # ValueError covers JSONDecodeError and integers past the
-                                # interpreter's digit limit; RecursionError, deep nesting.
-                                raise ElementMismatch(f"not valid JSON: {exc}") from None
-                        key = run(doc)
+                        if not line.strip():  # a blank line holds no record
+                            continue
+                        try:
+                            doc = json.loads(line)
+                        except (ValueError, RecursionError) as exc:
+                            # ValueError covers JSONDecodeError and integers past the
+                            # interpreter's digit limit; RecursionError, deep nesting.
+                            raise ElementMismatch(f"not valid JSON: {exc}") from None
+                        key = encode_record(doc)
                     except ElementError as exc:
-                        message = f"line {number + done}: {exc}"
+                        # A list iterator's length hint is exact: the items it has left.
+                        message = f"line {number + len(texts) - length_hint(rest)}: {exc}"
                         if not skip_bad:
                             raise ElementMismatch(message) from None
                         print(f"warning: skipped {message}", file=sys.stderr)
@@ -260,6 +226,8 @@ def _encode_records(
                     if lines is not None:
                         lines.append(line)
                     keys.append(key)
+                if lines is not None:
+                    lines += texts[kept:]
             except BaseException:
                 yield keys
                 raise

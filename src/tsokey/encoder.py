@@ -69,7 +69,6 @@ from __future__ import annotations
 import struct
 import sys
 from functools import lru_cache
-from itertools import islice
 from math import gcd
 from typing import Iterable
 
@@ -373,17 +372,15 @@ class PreparedOrder(Record):
     ``packed_ok`` and ``open_ok`` say whether packed and open mode are
     available.  ``plan`` compiles the tree on first use for each (mode,
     nan_high, doc) and keeps the result in ``plans``, so a tree is
-    interpreted once, not once per element; ``record_loop`` keeps the CLI's
-    record loops in ``loops``.
+    interpreted once, not once per element.
     """
 
     __match_args__ = ("tree", "stats", "packed_ok", "open_ok")
-    __slots__ = (*__match_args__, "plans", "loops")
+    __slots__ = (*__match_args__, "plans")
 
     def __init__(self, tree: OrderNode, stats: PathStats, packed_ok: bool, open_ok: bool = False):
         self._store(tree, stats, packed_ok, open_ok)
         object.__setattr__(self, "plans", {})
-        object.__setattr__(self, "loops", {})
 
     def plan(self, mode: str = "padded", *, nan_high: bool = False, doc: bool = False):
         """The function taking one element to its key; ``plan().source`` is its code.
@@ -391,48 +388,14 @@ class PreparedOrder(Record):
         With ``doc`` it takes a ``json.loads`` record instead, as
         ``encode_doc`` does.  It raises what ``encode`` raises.  The plan
         keeps its leaf memos (see the module docstring) for as long as it
-        lives here, at most ``MEMO_ENTRIES`` fragments per leaf.  The CLI's
-        record loop (``record_loop``) compiles a plan of its own, kept with
-        it in ``loops``, so calls of this compile nothing for that loop.
+        lives here, at most ``MEMO_ENTRIES`` fragments per leaf.  A doc plan
+        also keeps the CLI's record loops (``record_loop``) compiled from it.
         """
         key = (mode, nan_high, doc)
         try:
             return self.plans[key]
         except KeyError:
             pass
-        self._check_mode(mode)
-        run = self.plans[key] = _compile(self.tree, mode != "padded", bool(nan_high), bool(doc))
-        return run
-
-    def record_loop(self, mode: str, scan, max_len: int, *, nan_high: bool = False, memo: bool = False):
-        """A doc plan ``run`` of its own and the record loop ``records`` compiled with it, as a pair.
-
-        ``records(texts, first, keys)``, or ``records(texts, first, keys,
-        known)`` with ``memo``, goes through the JSON Lines texts of
-        ``texts[first:]`` and appends to ``keys`` the key ``run`` gives each
-        line's record, until it meets a line it cannot take; it returns
-        there, with nothing appended for that line, or at the end.  A line
-        is taken when it is a ``str`` shorter than ``max_len``, ``scan(line,
-        0)`` (the scanner of ``json.loads``) reads all of it, and the root's
-        body, the body of ``run`` written into the loop, takes the record.
-        With ``memo``, a line found in the dict ``known`` takes the key
-        stored there, and each line taken is stored under its text.  The
-        two share their leaf memos.  The pair is compiled on first use for
-        each set of arguments and kept in ``loops``, apart from ``plans``:
-        ``plan`` and the pair never compile for each other.
-        """
-        key = (mode, nan_high, memo, scan, max_len)
-        try:
-            return self.loops[key]
-        except KeyError:
-            pass
-        self._check_mode(mode)
-        compiler = _Compiler(mode != "padded", bool(nan_high), True)
-        run = compiler.plan(self.tree)
-        pair = self.loops[key] = run, compiler.records(run, scan, max_len, memo)
-        return pair
-
-    def _check_mode(self, mode: str) -> None:
         if mode not in ("padded", "packed", "open"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "packed" and not self.packed_ok:
@@ -440,6 +403,33 @@ class PreparedOrder(Record):
         if mode == "open" and not self.open_ok:
             raise PackedModeUnavailable("tree is not open: its variable-length part must be an ascending"
                                         " bytes leaf or a lex of fixed-width items, last in the key")
+        run = self.plans[key] = _compile(self.tree, mode != "padded", bool(nan_high), bool(doc))
+        return run
+
+    def record_loop(self, mode: str = "padded", *, nan_high: bool = False, memo: bool = False):
+        """The CLI's loop over JSON Lines texts for the doc plan ``plan(mode, nan_high=nan_high, doc=True)``.
+
+        ``records(rest, append)``, or ``records(rest, append, known.get,
+        known)`` with ``memo``, takes lines from the iterator ``rest`` and
+        calls ``append`` with the key the plan gives each line's record,
+        until it meets a line it cannot take: it returns that line, with
+        nothing appended for it, or None once ``rest`` runs out.  Bound
+        methods come in ready made, as a call per line handed back costs.  A line is taken when it is a
+        ``str`` shorter than ``SCAN_MAX_LEN`` that the scanner ``json.loads``
+        runs (``_scanner``) reads whole from index 0, so ``json.loads`` gives
+        the same value, and the plan's root body, written into the loop,
+        takes the record.  With ``memo``, a line found in the dict ``known``
+        takes the key stored there, and each line taken is stored under its
+        text.  Compiled on first use and kept with the plan, whose leaf memos
+        it shares; ``plan`` compiles nothing for it.
+        """
+        run = self.plan(mode, nan_high=nan_high, doc=True)
+        memo = bool(memo)
+        try:
+            return run.loops[memo]
+        except KeyError:
+            records = run.loops[memo] = _record_loop(run, memo)
+            return records
 
 
 @lru_cache(maxsize=128)
@@ -451,6 +441,21 @@ def prepare(tree: OrderNode) -> PreparedOrder:
 
 def _finite_width(cardinality: int) -> int:
     return max(1, ((cardinality - 1).bit_length() + 7) // 8)
+
+
+# A document in a line shorter than this nests fewer than 256 levels deep,
+# far inside the recursion limit, so the scanner called in a record loop and
+# inside json.loads, some frames deeper, cannot disagree on it.
+SCAN_MAX_LEN = 512
+
+
+def _scanner():
+    """A new C scanner of the kind ``json.loads`` runs, to call directly: ``scan(text, 0)``
+    returns the value and where it ends.  Only record loops need it, so ``json`` is imported
+    here, not with the module."""
+    import json
+
+    return json.JSONDecoder().scan_once
 
 
 class _Fault(Exception):
@@ -601,6 +606,33 @@ def _compile(tree: OrderNode, packed: bool, nan_high: bool, doc: bool):
     return _Compiler(packed, nan_high, doc).plan(tree)
 
 
+def _record_loop(run, memo: bool):
+    """The record loop of ``PreparedOrder.record_loop`` for the doc plan ``run``: the root's
+    code kept as ``run.root`` written a second time, in a loop over lines, and run in
+    ``run``'s namespace, so the two share their leaf memos.  A line that is no ``str`` fails
+    ``len`` or the scanner, one the scanner cannot read fails it, and one the body cannot
+    take raises its ``_Fault``: the loop returns each such line, and the caller reads it
+    the careful way."""
+    rebinds, start, body, key = run.root
+    scan_and_run = [f"if len(line) >= {SCAN_MAX_LEN}:", "    return line", "value, end = _scan_once(line, 0)",
+                    "if end != len(line):", "    return line", *start, *body]
+    take = ["try:", *_indent(scan_and_run),
+            "except (_Fault, StopIteration, ValueError, RecursionError, TypeError):", "    return line"]
+    if memo:
+        signature = "rest, append, get, known"
+        loop = ["key = get(line)", "if key is None:", *_indent([*take, f"key = known[line] = {key}"]), "append(key)"]
+    else:
+        signature, loop = "rest, append", [*take, f"append({key})"]
+    lines = [*rebinds, "for line in rest:", *_indent(loop)]
+    source = "\n".join([f"def records({signature}):", *_indent(lines)]) + "\n"
+    namespace = run.__globals__
+    namespace["_scan_once"] = _scanner()
+    exec(_code(source), namespace)
+    records = namespace.pop("records")
+    records.source = source
+    return records
+
+
 def _indent(lines: list[str]) -> list[str]:
     return ["    " + line for line in lines]
 
@@ -682,7 +714,6 @@ class _Compiler:
         self.made = {}  # each function made, to its number in the listing
         self.scope = {}  # the constants of the function being written, by name
         self.tables = {}  # the names of its ending-value tables, by (base, chain)
-        self.root = None  # the root's code, as ``plan`` wraps it in ``run``: (start, body, key)
 
     def const(self, value, stem: str) -> str:
         name = f"{stem}_{len(self.scope)}"
@@ -695,15 +726,16 @@ class _Compiler:
             self.tables[base, chain] = self.const(_ending_values(base, chain[::-1])[::-1], "ends")
         return self.tables.get((base, chain))
 
-    def define(self, name: str, signature: str, lines: list[str], namespace: dict | None = None):
-        """Run the source of one function in a namespace of its constants, or in ``namespace``;
-        return the function."""
+    def rebinds(self) -> list[str]:
+        """The ``global`` line naming the memo dicts and hit counts of the function being
+        written, which it rebinds; none when it has no memo."""
         rebound = [key for key in self.scope if key.startswith(("memo_", "hits_"))]
-        if rebound:
-            lines = [f"global {', '.join(rebound)}", *lines]
-        source = "\n".join([f"def {name}({signature}):", *_indent(lines)]) + "\n"
-        if namespace is None:
-            namespace = {**_PLAN_HELPERS, **self.scope}
+        return [f"global {', '.join(rebound)}"] if rebound else []
+
+    def define(self, name: str, signature: str, lines: list[str]):
+        """Run the source of one function in a namespace of its constants; return the function."""
+        source = "\n".join([f"def {name}({signature}):", *_indent([*self.rebinds(), *lines])]) + "\n"
+        namespace = {**_PLAN_HELPERS, **self.scope}
         exec(_code(source), namespace)
         function, number = namespace[name], len(self.listing)
         # Renamed on a copy of its code, so the code ``_code`` caches per shape keeps ``step``.
@@ -728,36 +760,14 @@ class _Compiler:
             start, key = ["out = []"], 'b"".join(out)'
         else:
             start, key = ["out = bytearray()"], "bytes(out)"
-        self.root = start, lines, key
+        root = self.rebinds(), start, lines, key
         lines = [*start, "try:", *_indent(lines), "except _Fault as fault:"]
         lines += ['    raise fault.cls(f"${fault.path}: {fault.message}") from None', f"return {key}"]
         run = self.define("run", "value", lines)
         run.source = "\n".join(self.listing)
+        if self.doc:  # what the CLI's record loops (``_record_loop``) write again, and those made
+            run.root, run.loops = root, {}
         return run
-
-    def records(self, run, scan, max_len: int, memo: bool):
-        """The record loop of ``PreparedOrder.record_loop``, defined in ``run``'s namespace, so
-        the root's body that both carry reads and turns off the same leaf memos.  A line that
-        is no ``str`` fails ``len``, one the scanner cannot read fails it, and one the body
-        cannot take raises its ``_Fault``: the loop returns at each, and the caller reads
-        that line again the careful way, which gives its message or its key."""
-        start, lines, key = self.root
-        scan_and_run = [f"if len(line) >= {max_len}:", "    return", "value, end = scan(line, 0)",
-                        "if end != len(line):", "    return", *start, *lines]
-        take = ["try:", *_indent(scan_and_run),
-                "except (_Fault, StopIteration, ValueError, RecursionError, TypeError):", "    return"]
-        if memo:
-            head, signature = "append, get = keys.append, known.get", "texts, first, keys, known"
-            loop = ["key = get(line)", "if key is None:", *_indent([*take, f"key = known[line] = {key}"]),
-                    "append(key)"]
-        else:
-            head, signature, loop = "append = keys.append", "texts, first, keys", [*take, f"append({key})"]
-        namespace = run.__globals__
-        namespace.update(islice=islice, scan=scan)
-        records = self.define("records", signature, [head, "for line in islice(texts, first, None):",
-                                                     *_indent(loop)], namespace)
-        records.source = "\n".join(self.listing)
-        return records
 
     def function(self, node: OrderNode, depth: int, chain):
         """A new function ``step(value, out)`` running ``node``'s step."""

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from tsokey import cli, compare, encode, encode_doc, parse, prepare, serialize, tsodl
-from tsokey.cli import _UNSCANNED, _bench_keys, _scan, main
+from tsokey import cli, compare, encode, encode_doc, encoder, parse, prepare, serialize, tsodl
+from tsokey.cli import _bench_keys, main
 from tsokey.errors import DepthOverflow, ElementError, TsokeyError
 from tsokey.randgen import random_element, random_tree
 
@@ -279,17 +279,25 @@ class TestEncodeCommand:
         assert main(["encode", order, data, "--hex", "--nan-high"]) == 0
 
 
-def _assert_scan_agrees_with_json_loads(line):
-    """Where the CLI keeps the scanner's value, ``json.loads`` returns that value.
+# Orders whose record loops read float arrays (NaN and infinities allowed), integers and strings.
+_SCANNED_ORDERS = ("lex(0, omega, ([float64]))", "int64", "bytes")
 
-    Where ``_scan`` gives ``_UNSCANNED`` the CLI calls ``json.loads`` on
+
+def _assert_scan_agrees_with_json_loads(line):
+    """Where the CLI's record loop keeps the scanner's value, it gives the key of the value
+    ``json.loads`` returns.
+
+    Where the loop hands the line back, the CLI calls ``json.loads`` on
     the line itself, so the value, or the exception and its message, is
     that of ``json.loads`` by construction.
     """
-    doc = _scan(line)
-    if doc is not _UNSCANNED:
-        # json.dumps tells 1 from 1.0 and True, and shows NaN as NaN.
-        assert json.dumps(doc) == json.dumps(json.loads(line))
+    for text in _SCANNED_ORDERS:
+        prepared = prepare(parse(text))
+        keys = []
+        if prepared.record_loop("padded", nan_high=True)(iter([line]), keys.append) is None:
+            assert keys == [prepared.plan("padded", nan_high=True, doc=True)(json.loads(line))], text
+        else:
+            assert keys == [], text
 
 
 # Lines the C scanner alone would read differently from json.loads, or not at all.
@@ -323,8 +331,13 @@ class TestJsonFastPath:
 
     def test_only_lines_shorter_than_512_characters_are_scanned(self):
         # A document nested near the recursion limit needs a longer line.
-        assert _scan("[" * 255 + "]" * 255) == json.loads("[" * 255 + "]" * 255)
-        assert _scan("[" * 256 + "]" * 256) is _UNSCANNED
+        assert encoder.SCAN_MAX_LEN == 512
+        prepared = prepare(parse(_SCANNED_ORDERS[0]))
+        records, run = prepared.record_loop(), prepared.plan(doc=True)
+        for width in (511, 512):
+            line, keys = "[0.5" + " " * (width - 5) + "]", []
+            returned = records(iter([line]), keys.append)
+            assert (returned, keys) == ((None, [run([0.5])]) if width < 512 else (line, []))
 
     @pytest.mark.parametrize("line", list(_EDGE_LINES.values()), ids=list(_EDGE_LINES))
     def test_cli_outcome_is_that_of_json_loads(self, tmp_path, capsys, line):
@@ -740,15 +753,18 @@ class TestRepeatedLines:
         """Patch the scanner the CLI's record loop runs, so that every line it scans is recorded.
 
         A line the memo holds is not scanned, and the loop runs the plan's
-        root body on every line it scans."""
+        root body on every line it scans.  The CLI prepares its order afresh,
+        so its plan and loop are compiled with the patched scanner and leave
+        the ``prepare`` cache as it was."""
         calls = []
-        scan_once = cli._scan_once
+        scan_once = encoder._scanner()
 
         def counted(line, index):
             calls.append(line)
             return scan_once(line, index)
 
-        monkeypatch.setattr(cli, "_scan_once", counted)
+        monkeypatch.setattr(encoder, "_scanner", lambda: counted)
+        monkeypatch.setattr(cli, "prepare", prepare.__wrapped__)
         return calls
 
     @pytest.mark.parametrize("count", [2500, 9000])

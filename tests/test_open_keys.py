@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from tsokey import PathStats, PreparedOrder, compare, encode, encode_doc, parse, prepare
+from tsokey import PathStats, compare, encode, encode_doc, parse, prepare
 from tsokey.cli import main
 from tsokey.comparator import compare_keys
 from tsokey.errors import PackedModeUnavailable, PrefixAnomaly
@@ -256,19 +256,6 @@ def test_compare_keys_still_flags_open_keys_that_are_prefixes():
 
 
 class TestCommandLine:
-    @staticmethod
-    def _loop_modes(monkeypatch):
-        """The mode of each record loop the CLI compiles from here on."""
-        modes = []
-        record_loop = PreparedOrder.record_loop
-
-        def recorded(self, mode, *args, **kwargs):
-            modes.append(mode)
-            return record_loop(self, mode, *args, **kwargs)
-
-        monkeypatch.setattr(PreparedOrder, "record_loop", recorded)
-        return modes
-
     def _files(self, tmp_path, order, docs):
         order_path = tmp_path / "o.tsodl"
         order_path.write_text(order, encoding="utf-8")
@@ -287,17 +274,16 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error: tree is not open") and "Traceback" not in err
 
-    def test_sort_uses_open_keys(self, tmp_path, capsys, monkeypatch):
+    def test_sort_uses_open_keys(self, tmp_path, capsys):
         names = ["", "a", "ab", "abc", "b", "ba", "ab"]
         docs = [[score, name] for score in (7, -3, 7) for name in names]
         order, data = self._files(tmp_path, SCORE_NAME, docs)
-        modes = self._loop_modes(monkeypatch)
         assert main(["sort", order, data, "--output", "indices"]) == 0
         got = list(map(int, capsys.readouterr().out.split()))
         tree = parse(SCORE_NAME)
         keys = [encode_doc(tree, doc) for doc in docs]
         assert got == sorted(range(len(docs)), key=keys.__getitem__)
-        assert modes == ["open"]
+        assert ("open", False, True) in prepare(tree).plans
 
     @pytest.mark.parametrize("text, shown", [(SCORE_NAME, "yes"), ("uint8", "yes"), ("bytes desc", "no")])
     def test_validate_says_whether_an_order_is_open(self, tmp_path, capsys, text, shown):
@@ -318,28 +304,23 @@ class TestCommandLine:
         assert capsys.readouterr().out == f"ok: {LEX_UNREACHED[text]} variable_length=yes open=yes\n"
 
     @pytest.mark.parametrize("text", sorted(LEX_UNREACHED))
-    def test_sort_compiles_only_the_open_plan_of_a_lex_of_fixed_width_reached_orders(
-        self, tmp_path, capsys, monkeypatch, text
-    ):
+    def test_sort_compiles_only_the_open_plan_of_a_lex_of_fixed_width_reached_orders(self, tmp_path, capsys, text):
         tree = parse(text)
         rng = random.Random(text)
         values = [rng.choice(elements(tree)) for _ in range(40)]
         docs = [to_doc(rng, tree, value) for value in values]
         order, data = self._files(tmp_path, text, docs)
-        doc_plans = [key for key in prepare(tree).plans if key[2]]
-        modes = self._loop_modes(monkeypatch)
         assert main(["sort", order, data, "--output", "indices"]) == 0
         got = list(map(int, capsys.readouterr().out.split()))
         keys = [encode(tree, value) for value in values]
         assert got == sorted(range(len(values)), key=keys.__getitem__)
-        assert modes == ["open"]
-        assert [key for key in prepare(tree).plans if key[2]] == doc_plans  # the loop compiles its own
+        assert [key for key in prepare(tree).plans if key[2]] == [("open", False, True)]
 
-    def test_sort_uses_packed_keys_where_no_rank_reaches_the_bytes(self, tmp_path, capsys, monkeypatch):
+    def test_sort_uses_packed_keys_where_no_rank_reaches_the_bytes(self, tmp_path, capsys):
         text = "next(1, 2, (int8 desc [bytes]))"
         docs = [[value] for value in (3, -1, 3, 0, 127, -128)]
         order, data = self._files(tmp_path, text, docs)
-        modes = self._loop_modes(monkeypatch)
         assert main(["sort", order, data, "--output", "indices"]) == 0
         assert list(map(int, capsys.readouterr().out.split())) == [4, 0, 2, 3, 1, 5]
-        assert modes == ["open"]
+        assert ("open", False, True) in prepare(parse(text)).plans
+        assert ("padded", False, True) not in prepare(parse(text)).plans

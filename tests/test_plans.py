@@ -25,7 +25,7 @@ from tsokey import (
     tsodl,
 )
 from tsokey import encoder
-from tsokey.cli import _SCAN_MAX_LEN, _scan_once, main
+from tsokey.cli import main
 from tsokey.errors import TsokeyError
 from tsokey.order_model import KIND_TABLE, push_inv_to_leaves
 from tsokey.randgen import random_element, random_tree
@@ -499,20 +499,20 @@ def test_the_record_loop_carries_the_body_of_run():
             texts.append(json.dumps(_splice_bad(rng, doc, _BAD_DOCS) if rng.random() < 0.2 else doc))
         for mode in ["padded"] + ["packed"] * prepared.packed_ok + ["open"] * prepared.open_ok:
             memo = index % 2 == 0
-            run, records = prepared.record_loop(mode, _scan_once, _SCAN_MAX_LEN, memo=memo)
-            assert run.source == prepared.plan(mode, doc=True).source, (tree, mode)
+            run, records = prepared.plan(mode, doc=True), prepared.record_loop(mode, memo=memo)
             plain, looped = _unwrapped(_function(run.source, "run"), _function(records.source, "records"))
             assert plain == looped, (tree, mode, memo)
             expected = []
             for text in texts:
-                if len(text) >= _SCAN_MAX_LEN:
+                if len(text) >= encoder.SCAN_MAX_LEN:
                     break
                 try:
                     expected.append(run(json.loads(text)))
                 except TsokeyError:
                     break
             keys = []
-            records(texts, 0, keys, *[{}] * memo)
+            known = {}
+            records(iter(texts), keys.append, *[known.get, known] * memo)
             assert keys == expected, (tree, mode, texts)
             seen.add((mode, memo))
     assert len(seen) == 6
