@@ -10,14 +10,19 @@ as it encodes; README "Dataset format" lists them.  Each batch of lines
 goes through the plan's record loop (``PreparedOrder.record_loop``): for
 each line it runs the C scanner ``json.loads`` runs, called directly,
 keeps its result only when the line is short and the scan read all of it
-from index 0, and runs the plan's root body written into the loop.  At
-a line it cannot take (blank, padded, long, not UTF-8, bad JSON, or a
-fault) it returns, and that line alone is read the careful way, with
-``json.loads`` and the plan, so values, errors and messages are those of
-``json.loads`` and ``encode_doc``; the loop then resumes.  Plan and loop
-are Python source generated for the order and run once through
-``exec``; their ``source`` attributes show the code each record goes
-through.
+from index 0, and runs the plan's root body written into the loop.  A run
+compiles the loop in one of three forms: binary ``encode`` the framed
+one, which writes each key behind its length straight into its batch's
+``bytearray``, ``encode --hex`` the one that appends keys to a list, and
+``sort`` that one with its memo.  At a line it cannot take (blank,
+padded, long, not UTF-8, bad JSON) it returns the line, and that line
+alone is read the careful way, with ``json.loads`` and the plan, so
+values, errors and messages are those of ``json.loads`` and
+``encode_doc``; at a record the root body faults on it returns the
+fault, worded here as the plan words it, so no line is read twice.  The
+loop then resumes.  Plan and loop are Python source generated for the
+order and run once through ``exec``; their ``source`` attributes show
+the code each record goes through.
 A key depends on its record alone, so ``sort``, which holds every key
 (and, for ``--output lines``, every line) until it sorts, keeps a memo
 from line text to key: each distinct line is scanned and encoded once,
@@ -32,7 +37,8 @@ at its line feeds into batches of at most ``_CHUNK`` lines; a read that is
 not UTF-8 is decoded line by line, so each bad line fails on its own, with
 its number.  Each batch is encoded in one loop before any of it is written.
 Keys leave as hex lines with --hex or length-prefixed binary (4-byte
-big-endian length before each key) by default.  Output goes out in one write
+big-endian length before each key) by default; binary output is the framed
+loop's buffer as it stands.  Output goes out in one write
 per batch, or per ``_CHUNK`` lines of a sorted order (indices formatted in
 one ``%`` per write), so a write holds at most ``_CHUNK`` lines or keys:
 fewer when its batch held blank or skipped lines.
@@ -55,7 +61,7 @@ from operator import attrgetter, length_hint
 from typing import TYPE_CHECKING
 
 from . import _pure_sort
-from .encoder import prepare
+from .encoder import _FRAME, _Fault, prepare
 from .errors import (
     CounterOverflow,
     CounterUnderflow,
@@ -161,6 +167,7 @@ def _encode_records(
     skip_bad: bool,
     memo: dict | None = None,
     lines: list[str] | None = None,
+    framed: bool = False,
 ):
     """Yield the keys of each batch of input lines (``_batches``); bad lines raise or warn per skip_bad.
 
@@ -168,13 +175,19 @@ def _encode_records(
     which scans each line and runs the doc plan's root body inline.  It
     returns at a line it cannot take, which this function reads the careful
     way: blank, else ``json.loads``, then the plan, so that line gives the
-    message, line number or key it always did; then the loop resumes after
-    it.  A batch holds fewer keys than it read lines when some of its lines
-    are blank or skipped.  A line that is not UTF-8 fails on its own, with
-    its number.  When a line raises, the keys before it in its batch are
-    yielded first, so they are still written.  A batch's text is let go
-    before its keys are yielded.  With a ``lines`` list, the decoded text
-    of each line that gives a key is appended to it, in step with the keys.
+    message, line number or key it always did.  At a record the body faults
+    on it returns the ``_Fault``, which is worded here as the plan words it,
+    with no second read of the line.  Then the loop resumes after it.  With
+    ``framed``, a batch's keys come as one ``bytearray`` of frames, each key
+    behind its 4-byte big-endian length, as binary ``encode`` writes them;
+    the loop writes them there itself, and the careful path adds its keys
+    the same way.  A batch holds fewer keys than it read lines when some of
+    its lines are blank or skipped.  A line that is not UTF-8 fails on its
+    own, with its number.  When a line raises, the keys before it in its
+    batch are yielded first, so they are still written.  A batch's text is
+    let go before its keys are yielded.  With a ``lines`` list, the decoded
+    text of each line that gives a key is appended to it, in step with the
+    keys.
 
     With a ``memo`` dict, each line that encodes is stored as
     ``memo[line] = key`` under its decoded text, and a later line with the
@@ -185,18 +198,20 @@ def _encode_records(
     """
     prepared = prepare(tree)
     encode_record = prepared.plan(mode, nan_high=nan_high, doc=True)
-    records = prepared.record_loop(mode, nan_high=nan_high, memo=memo is not None)
+    form = "framed" if framed else "keys" if memo is None else "memo"
+    records = prepared.record_loop(mode, nan_high=nan_high, form=form)
     known = () if memo is None else (memo.get, memo)
     handle = sys.stdin.buffer if path == "-" else open(path, "rb")
     number = 0  # the lines of the batches before this one
     try:
         for texts in _batches(handle):
-            keys: list[bytes] = []
+            keys = bytearray() if framed else []
             rest = iter(texts)
-            take = partial(records, rest, keys.append, *known)  # the loop, resumed after the line it returned
+            # The loop, resumed after the line it returned.
+            take = partial(records, rest, keys if framed else keys.append, *known)
             kept = 0  # with ``lines``, the lines of this batch up to the last one the loop returned
             try:
-                # The loop returns only a line the memo does not hold; None at the end of the batch.
+                # The loop returns only a line the memo does not hold, or its fault; None at the end of the batch.
                 while (line := take()) is not None:
                     if lines is not None:
                         at = len(texts) - length_hint(rest)  # the line's number in its batch
@@ -204,6 +219,8 @@ def _encode_records(
                         kept = at
                     try:
                         if type(line) is not str:
+                            if type(line) is _Fault:  # the root's body faulted on the record the loop scanned
+                                raise line.cls(f"${line.path}: {line.message}")
                             raise ElementMismatch(f"not valid UTF-8: {line}")
                         if not line.strip():  # a blank line holds no record
                             continue
@@ -225,7 +242,11 @@ def _encode_records(
                         memo[line] = key
                     if lines is not None:
                         lines.append(line)
-                    keys.append(key)
+                    if framed:
+                        keys += _FRAME.pack(len(key))
+                        keys += key
+                    else:
+                        keys.append(key)
                 if lines is not None:
                     lines += texts[kept:]
             except BaseException:
@@ -259,13 +280,14 @@ def _cmd_validate(args) -> int:
 def _cmd_encode(args) -> int:
     tree = _read_order(args.order)
     out = sys.stdout
-    for keys in _encode_records(tree, args.data, args.mode, args.nan_high, args.skip_bad):
+    # Binary output takes each batch as the record loop framed it, in one bytearray.
+    for keys in _encode_records(tree, args.data, args.mode, args.nan_high, args.skip_bad, framed=not args.hex):
         if not keys:
             continue
         if args.hex:
             out.write("\n".join(map(bytes.hex, keys)).upper() + "\n")
         else:
-            out.buffer.write(b"".join([len(key).to_bytes(4, "big") + key for key in keys]))
+            out.buffer.write(keys)
     out.flush()
     return 0
 

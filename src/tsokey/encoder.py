@@ -406,29 +406,42 @@ class PreparedOrder(Record):
         run = self.plans[key] = _compile(self.tree, mode != "padded", bool(nan_high), bool(doc))
         return run
 
-    def record_loop(self, mode: str = "padded", *, nan_high: bool = False, memo: bool = False):
+    def record_loop(self, mode: str = "padded", *, nan_high: bool = False, form: str = "keys"):
         """The CLI's loop over JSON Lines texts for the doc plan ``plan(mode, nan_high=nan_high, doc=True)``.
 
-        ``records(rest, append)``, or ``records(rest, append, known.get,
-        known)`` with ``memo``, takes lines from the iterator ``rest`` and
-        calls ``append`` with the key the plan gives each line's record,
-        until it meets a line it cannot take: it returns that line, with
-        nothing appended for it, or None once ``rest`` runs out.  Bound
-        methods come in ready made, as a call per line handed back costs.  A line is taken when it is a
-        ``str`` shorter than ``SCAN_MAX_LEN`` that the scanner ``json.loads``
-        runs (``_scanner``) reads whole from index 0, so ``json.loads`` gives
-        the same value, and the plan's root body, written into the loop,
-        takes the record.  With ``memo``, a line found in the dict ``known``
-        takes the key stored there, and each line taken is stored under its
-        text.  Compiled on first use and kept with the plan, whose leaf memos
-        it shares; ``plan`` compiles nothing for it.
+        It takes lines from the iterator ``rest`` and puts out the key the
+        plan gives each line's record, in one of three forms:
+
+        - ``"keys"``: ``records(rest, append)`` calls ``append`` with each key;
+        - ``"memo"``: ``records(rest, append, known.get, known)`` does too,
+          but a line found in the dict ``known`` takes the key stored there,
+          and each line taken is stored under its text;
+        - ``"framed"``: ``records(rest, frames)`` adds each key to the
+          bytearray ``frames`` behind its length, 4 bytes big-endian
+          (``_FRAME``), as ``tsokey encode`` writes it.  The body of a plan
+          that adds to a bytearray (every padded plan) writes its key
+          straight into ``frames``, after a placeholder that one
+          ``pack_into`` fills; other plans add the frame and their key.
+
+        It goes on until it meets a line it cannot take: it returns that
+        line, or the ``_Fault`` the plan's root body raised on the record it
+        scanned, with nothing put out for it (a framed loop cuts off what
+        the body wrote), or None once ``rest`` runs out.  Bound methods come
+        in ready made, as a call per line handed back costs.  A line is
+        taken when it is a ``str`` shorter than ``SCAN_MAX_LEN`` that the
+        scanner ``json.loads`` runs (``_scanner``) reads whole from index 0,
+        so ``json.loads`` gives the same value, and the plan's root body,
+        written into the loop, takes the record.  Each form is compiled on
+        first use and kept with the plan, whose leaf memos it shares;
+        ``plan`` compiles nothing for it.
         """
+        if form not in ("keys", "memo", "framed"):
+            raise ValueError(f"unknown record loop form {form!r}")
         run = self.plan(mode, nan_high=nan_high, doc=True)
-        memo = bool(memo)
         try:
-            return run.loops[memo]
+            return run.loops[form]
         except KeyError:
-            records = run.loops[memo] = _record_loop(run, memo)
+            records = run.loops[form] = _record_loop(run, form)
             return records
 
 
@@ -447,6 +460,9 @@ def _finite_width(cardinality: int) -> int:
 # far inside the recursion limit, so the scanner called in a record loop and
 # inside json.loads, some frames deeper, cannot disagree on it.
 SCAN_MAX_LEN = 512
+
+# The length before each key of ``tsokey encode``'s binary output: 4 bytes, big-endian.
+_FRAME = struct.Struct(">I")
 
 
 def _scanner():
@@ -606,27 +622,43 @@ def _compile(tree: OrderNode, packed: bool, nan_high: bool, doc: bool):
     return _Compiler(packed, nan_high, doc).plan(tree)
 
 
-def _record_loop(run, memo: bool):
-    """The record loop of ``PreparedOrder.record_loop`` for the doc plan ``run``: the root's
-    code kept as ``run.root`` written a second time, in a loop over lines, and run in
-    ``run``'s namespace, so the two share their leaf memos.  A line that is no ``str`` fails
-    ``len`` or the scanner, one the scanner cannot read fails it, and one the body cannot
-    take raises its ``_Fault``: the loop returns each such line, and the caller reads it
-    the careful way."""
+def _record_loop(run, form: str):
+    """The record loop of ``PreparedOrder.record_loop`` in ``form`` for the doc plan ``run``:
+    the root's code kept as ``run.root`` written a second time, in a loop over lines, and run
+    in ``run``'s namespace, so the two share their leaf memos.  A line that is no ``str``
+    fails ``len`` or the scanner, and one the scanner cannot read fails it: the loop returns
+    each such line, and the caller reads it the careful way.  A record the body cannot take
+    raises its ``_Fault``, which the loop returns, so the caller words it as ``run`` does and
+    reads nothing twice.  The framed loop of a plan that adds to a bytearray (every padded
+    plan) takes ``frames`` as the body's own ``out``: it writes each frame from ``at`` on
+    and cuts back to ``at`` on any way out, an exception it lets through too, so ``frames``
+    only ever holds whole frames.  Other framed loops add the frame and the key the body
+    leaves."""
     rebinds, start, body, key = run.root
-    scan_and_run = [f"if len(line) >= {SCAN_MAX_LEN}:", "    return line", "value, end = _scan_once(line, 0)",
-                    "if end != len(line):", "    return line", *start, *body]
-    take = ["try:", *_indent(scan_and_run),
-            "except (_Fault, StopIteration, ValueError, RecursionError, TypeError):", "    return line"]
-    if memo:
+    scan = [f"if len(line) >= {SCAN_MAX_LEN}:", "    return line", "value, end = _scan_once(line, 0)",
+            "if end != len(line):", "    return line"]
+    inline = form == "framed" and start == ["out = bytearray()"]
+    cut = ["    del out[at:]"] if inline else []
+    handlers = ["except _Fault as fault:", *cut, "    return fault",
+                "except (StopIteration, ValueError, RecursionError, TypeError):", *cut, "    return line"]
+    if inline:
+        start = ['out += b"\\0\\0\\0\\0"']  # the frame, filled in once the body is done
+        handlers += ["except BaseException:", *cut, "    raise"]
+    take = ["try:", *_indent([*scan, *start, *body]), *handlers]
+    if form == "memo":
         signature = "rest, append, get, known"
         loop = ["key = get(line)", "if key is None:", *_indent([*take, f"key = known[line] = {key}"]), "append(key)"]
+    elif inline:
+        signature, loop = "rest, out", ["at = len(out)", *take, "_frame_into(out, at, len(out) - at - 4)"]
+    elif form == "framed":
+        signature, loop = "rest, frames", [*take, f"key = {key}", "frames += _frame(len(key))", "frames += key"]
     else:
         signature, loop = "rest, append", [*take, f"append({key})"]
     lines = [*rebinds, "for line in rest:", *_indent(loop)]
     source = "\n".join([f"def records({signature}):", *_indent(lines)]) + "\n"
     namespace = run.__globals__
     namespace["_scan_once"] = _scanner()
+    namespace["_frame"], namespace["_frame_into"] = _FRAME.pack, _FRAME.pack_into
     exec(_code(source), namespace)
     records = namespace.pop("records")
     records.source = source
@@ -737,7 +769,8 @@ class _Compiler:
         source = "\n".join([f"def {name}({signature}):", *_indent([*self.rebinds(), *lines])]) + "\n"
         namespace = {**_PLAN_HELPERS, **self.scope}
         exec(_code(source), namespace)
-        function, number = namespace[name], len(self.listing)
+        # Popped, so the function and the namespace it runs in hold no cycle between them.
+        function, number = namespace.pop(name), len(self.listing)
         # Renamed on a copy of its code, so the code ``_code`` caches per shape keeps ``step``.
         label = f"{name}_{number}"
         function.__code__ = function.__code__.replace(**dict.fromkeys(_CODE_NAMES, label))

@@ -799,6 +799,30 @@ class TestRepeatedLines:
         assert len(calls) == 2500
         assert len(capsys.readouterr().out.splitlines()) == 2500
 
+    def test_a_line_the_loop_scanned_is_read_once(self, tmp_path, monkeypatch, capsys):
+        """A record the root's body faults on comes back from the loop as its fault, which the
+        careful path words as the plan does: neither ``json.loads`` nor the body runs on that
+        line again.  A line the scanner did not take still goes through ``json.loads``."""
+        rows = ['[1, "a"]', "[1,]", '["x", "b"]']
+        order = write(tmp_path, "o.tsodl", self.ORDER)
+        data = write(tmp_path, "d.jsonl", "\n".join(rows) + "\n")
+        expected = _reference(_per_line(parse(self.ORDER), [row.encode() for row in rows], "padded"),
+                              "encode --hex", True)
+        scans, loads, integers = self._counting_scans(monkeypatch), [], []
+        json_loads, integer = json.loads, encoder._PLAN_HELPERS["_integer"]
+        monkeypatch.setattr(json, "loads", lambda text: loads.append(text) or json_loads(text))
+
+        def counted(item, *rest):  # what an int32 leaf calls on an item that is not an int in range
+            integers.append(item)
+            return integer(item, *rest)
+
+        monkeypatch.setitem(encoder._PLAN_HELPERS, "_integer", counted)
+        code = main(["encode", order, data, "--hex", "--skip-bad"])
+        captured = capsys.readouterr()
+        assert (code, captured.out.encode(), captured.err) == expected
+        assert "warning: skipped line 3: $[0]: " in captured.err
+        assert (len(scans), loads, integers) == (3, ["[1,]"], ["x"])
+
     @pytest.mark.parametrize("bad", ['[3,]', '[3, 5]'], ids=["json", "plan"])
     def test_repeated_bad_line_fails_per_copy(self, tmp_path, capsys, bad):
         rows = self._rows()
@@ -868,10 +892,10 @@ class TestRepeatedLines:
         assert capsys.readouterr().err.startswith("error: line 9: ")
 
 
-# The lines where a batch's record loop meets a line it cannot take: the first line, the
-# last of the first batch and the first of the next, the one after it, and the line that
-# ends the second batch.
-_EXITS = (1, 1023, 1024, 1025, 2048)
+# The lines where a batch's record loop meets a line it cannot take: the first line, one in
+# the middle of the first batch, the last of the first batch and the one before it, the first
+# of the next and the one after it, one in its middle, and the line that ends it.
+_EXITS = (1, 512, 1023, 1024, 1025, 1026, 1536, 2048)
 _WAYS_OUT = ("blank", "padded", "bom", "long", "not-utf8", "bad-json", "fault", "bad-copy")
 
 
@@ -965,14 +989,17 @@ def _reference(read, command, skip_bad):
 
 
 class TestRecordLoop:
-    """Every way out of the record loop, at the edges of a batch, gives the output, messages and
-    exit code of reading one line at a time with ``encode_doc``."""
+    """Every way out of the record loop, at the edges and in the middle of a batch, gives the
+    output, messages and exit code of reading one line at a time with ``encode_doc``: binary
+    ``encode`` in every mode the tree has, whose loop writes framed keys into one buffer per
+    batch, ``encode --hex`` and ``sort``."""
 
-    COMMANDS = ("encode --hex", "encode", "sort --output indices", "sort --output lines")
+    COMMANDS = ("encode --hex", "encode", "encode --mode packed", "encode --mode open",
+                "sort --output indices", "sort --output lines")
 
     @staticmethod
     def _trees():
-        trees = [parse("next(2, 3, (int32 desc, bytes))")]
+        trees = [parse("next(2, 3, (int32 desc, bytes))"), parse("next(3, 4, (uint8, int32 desc, float64))")]
         for index in range(3):
             rng = random.Random(f"loop:{index}")
             trees.append(random_tree(rng, rng.randrange(0, 5), fixed_only=rng.random() < 0.3))
@@ -996,13 +1023,18 @@ class TestRecordLoop:
             order = write(tmp_path, "o.tsodl", serialize(tree))
             data = tmp_path / "d.jsonl"
             data.write_bytes(b"".join(row + b"\n" for row in rows))
-            sort_mode = "open" if prepare(tree).open_ok else "padded"
-            read = {mode: _per_line(tree, rows, mode) for mode in {"padded", sort_mode}}
+            prepared = prepare(tree)
+            sort_mode = "open" if prepared.open_ok else "padded"
+            modes = ["padded"] + ["packed"] * prepared.packed_ok + ["open"] * prepared.open_ok
+            read = {mode: _per_line(tree, rows, mode) for mode in modes}
             for command in self.COMMANDS:
                 name, *options = command.split()
+                mode = options[-1] if "--mode" in options else "padded" if name == "encode" else sort_mode
+                if mode not in read:
+                    continue
                 for skip_bad in (False, True):
                     argv = [name, order, str(data), *options] + ["--skip-bad"] * skip_bad
-                    expected = _reference(read["padded" if name == "encode" else sort_mode], command, skip_bad)
+                    expected = _reference(read[mode], command.split(" --mode")[0], skip_bad)
                     assert self._run(argv) == expected, (kinds, serialize(tree), command, skip_bad)
 
 
@@ -1157,6 +1189,21 @@ class TestExitCodes:
         order = write(tmp_path, "o.tsodl", "uint8")
         assert main(["validate", order]) == 2
         assert "internal error:" in capsys.readouterr().err
+
+    def test_an_internal_error_mid_record_leaves_only_whole_frames(self, tmp_path, capsysbinary, monkeypatch):
+        # The padded loop has written the frame's placeholder when the int32 leaf raises.
+        def explode(item, *rest):
+            raise DepthOverflow("invariant violated")
+
+        monkeypatch.setattr(cli, "prepare", prepare.__wrapped__)  # compiled afresh, with the helper below
+        monkeypatch.setitem(encoder._PLAN_HELPERS, "_integer", explode)
+        order = write(tmp_path, "o.tsodl", "next(2, 3, (int32 desc, bytes))")
+        data = write(tmp_path, "d.jsonl", '[1, "a"]\n[2, "b"]\n["x", "c"]\n[3, "d"]\n')
+        assert main(["encode", order, data]) == 2
+        captured = capsysbinary.readouterr()
+        tree = parse("next(2, 3, (int32 desc, bytes))")
+        assert read_frames(captured.out) == [encode(tree, [1, b"a"]), encode(tree, [2, b"b"])]
+        assert captured.err == b"internal error: invariant violated\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The generated encode plans: pinned keys and faults, deep trees, the kept source."""
 
 import cProfile
+import functools
+import gc
 import json
 import pickle
 import pstats
@@ -8,6 +10,7 @@ import random
 import re
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -465,10 +468,16 @@ def _function(source: str, name: str) -> list[str]:
     return source[source.rindex(f"def {name}(") :].split("\n\n# function ")[0].rstrip("\n").splitlines()
 
 
+# The placeholder a framed loop that writes into the batch's buffer puts where ``run`` starts its bytearray.
+_PLACEHOLDER = 'out += b"\\0\\0\\0\\0"'
+
+
 def _unwrapped(run: list[str], records: list[str]):
     """The code ``run`` and ``records`` each wrap, as (global line, start and body, key
     expression): ``run``'s between its ``try`` and the handler that words a fault, ``records``'
-    between the scan's checks and the handler that hands the line back."""
+    between the scan's checks and the handler that returns a fault.  A framed loop that writes
+    into the batch's buffer has the placeholder for ``run``'s start and no key expression; it
+    is read as ``run``'s start and ``bytes(out)``, once its last line is the one filling the frame."""
     head = [run[1]] if run[1].startswith("    global ") else []
     begin = run.index("    try:")
     end = len(run) - 1 - run[::-1].index("    except _Fault as fault:")
@@ -476,18 +485,37 @@ def _unwrapped(run: list[str], records: list[str]):
     plain = head, body, run[-1].removeprefix("    return ")
     check = next(index for index, line in enumerate(records) if line.strip() == "if end != len(line):")
     indent = len(records[check]) - len(records[check].lstrip())
-    handler = next(index for index in range(check, len(records))
-                   if records[index].startswith(" " * (indent - 4) + "except (_Fault,"))
-    key = records[handler + 2].strip()
-    key = key.removeprefix("key = known[line] = ") if key.startswith("key = ") else key[len("append(") : -1]
+    outer = " " * (indent - 4)
+    handler = records.index(outer + "except _Fault as fault:", check)
+    looped = [line[indent:] for line in records[check + 2 : handler]]
     head = [records[1]] if records[1].startswith("    global ") else []
-    return plain, (head, [line[indent:] for line in records[check + 2 : handler]], key)
+    if looped[:1] == [_PLACEHOLDER]:
+        assert records[-1] == outer + "_frame_into(out, at, len(out) - at - 4)"
+        return plain, (head, ["out = bytearray()", *looped[1:]], "bytes(out)")
+    key = next(line for line in records[handler:] if line.startswith(outer) and line[len(outer)] not in " e")
+    key = key.strip().removeprefix("key = known[line] = ").removeprefix("key = ")
+    return plain, (head, looped, key.removeprefix("append(").removesuffix(")") if key[:7] == "append(" else key)
+
+
+def _drive(records, texts, sink, *known):
+    """``records`` over ``texts`` as the CLI drives it, resumed after each line it returns:
+    the list of what it returned, and, after each return, the bytes in ``sink`` (a framed
+    loop's buffer) or the number of keys appended to it."""
+    rest, returned, after = iter(texts), [], []
+    take = functools.partial(records, rest, sink if type(sink) is bytearray else sink.append, *known)
+    while (line := take()) is not None:
+        returned.append(line)
+        after.append(bytes(sink) if type(sink) is bytearray else len(sink))
+    return returned, after
 
 
 def test_the_record_loop_carries_the_body_of_run():
-    """Over criterion 2's generator, padded, packed and open, with and without the line memo:
-    ``records`` wraps ``run``'s body line for line, and takes each line ``run`` takes, with
-    its key, up to the first that is too long to scan or that ``run`` faults on."""
+    """Over criterion 2's generator, padded, packed and open, in every form: ``records`` wraps
+    ``run``'s body line for line, takes each line ``run`` takes, with its key, and returns the
+    rest, each line too long to scan as itself and each line ``run`` faults on as the fault,
+    whose message is ``run``'s.  A framed loop writes the frames of the keys the key-list loop
+    appends, behind whatever its buffer already held, and after each line it returns its buffer
+    ends at the last whole frame."""
     seen = set()
     for index in range(2000):
         rng = random.Random(f"loop:{index}")
@@ -497,25 +525,58 @@ def test_the_record_loop_carries_the_body_of_run():
         for _ in range(4):
             doc = to_doc(rng, tree, random_element(rng, tree, length_cap=4))
             texts.append(json.dumps(_splice_bad(rng, doc, _BAD_DOCS) if rng.random() < 0.2 else doc))
+        before = rng.randbytes(rng.randrange(1, 9)) if index % 4 else b""
         for mode in ["padded"] + ["packed"] * prepared.packed_ok + ["open"] * prepared.open_ok:
-            memo = index % 2 == 0
-            run, records = prepared.plan(mode, doc=True), prepared.record_loop(mode, memo=memo)
-            plain, looped = _unwrapped(_function(run.source, "run"), _function(records.source, "records"))
-            assert plain == looped, (tree, mode, memo)
-            expected = []
+            run = prepared.plan(mode, doc=True)
+            expected, left = [], []
             for text in texts:
                 if len(text) >= encoder.SCAN_MAX_LEN:
-                    break
+                    left.append(text)
+                    continue
                 try:
                     expected.append(run(json.loads(text)))
-                except TsokeyError:
-                    break
-            keys = []
-            known = {}
-            records(iter(texts), keys.append, *[known.get, known] * memo)
-            assert keys == expected, (tree, mode, texts)
-            seen.add((mode, memo))
-    assert len(seen) == 6
+                except TsokeyError as exc:
+                    left.append((type(exc), str(exc)))
+            keys, known = [], {}
+            for form in ["memo" if index % 2 else "keys", "framed"]:
+                records = prepared.record_loop(mode, form=form)
+                plain, looped = _unwrapped(_function(run.source, "run"), _function(records.source, "records"))
+                assert plain == looped, (tree, mode, form)
+                if form == "framed":
+                    frames = bytearray(before)
+                    returned, after = _drive(records, texts, frames)
+                    framed = [encoder._FRAME.pack(len(key)) + key for key in keys]
+                    assert frames == before + b"".join(framed), (tree, mode, texts)
+                    assert after == [before + b"".join(framed[:count]) for count in counts], (tree, mode, texts)
+                else:
+                    returned, counts = _drive(records, texts, keys, *[known.get, known] * (form == "memo"))
+                    assert keys == expected, (tree, mode, texts)
+                shown = [(line.cls, f"${line.path}: {line.message}") if type(line) is encoder._Fault else line
+                         for line in returned]
+                assert shown == left, (tree, mode, form, texts)
+                seen.add((mode, form))
+    assert len(seen) == 9
+
+
+def _weak_plan_parts(text):
+    """Weak references to the doc plan of ``text``, to one of its steps and to its framed record loop."""
+    prepared = prepare(parse(text))
+    run = prepared.plan(doc=True)
+    step = next(value for name, value in run.__globals__.items() if name.startswith("step_"))
+    return [weakref.ref(part) for part in (run, step, prepared.record_loop(form="framed"))]
+
+
+def test_a_dropped_plan_is_freed_without_the_cyclic_collector():
+    """No plan function, step or record loop is in a reference cycle, so a plan goes, leaf
+    memos and all, as soon as the ``prepare`` cache lets its order go."""
+    gc.disable()
+    try:
+        parts = _weak_plan_parts("next(2, 3, (int32 desc, lex(0, omega, ([bytes]))))")
+        assert all(part() is not None for part in parts)
+        prepare.cache_clear()
+        assert [part() for part in parts] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("text", ["antilex(0, 1, ([rational]))", "lex(0, 2, (uint8 [rational]))"])

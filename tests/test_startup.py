@@ -176,3 +176,32 @@ def test_commands_on_an_order_without_rationals_never_build_the_rational_tables(
         str(rows),
     )
     assert result == {"codes": [0, 0], "built": 0}
+
+
+def test_each_command_compiles_one_record_loop(tmp_path):
+    # Binary `encode` runs the framed loop only, `encode --hex` the key-list loop, `sort` the memo loop.
+    order = tmp_path / "order.tsodl"
+    order.write_text("next(2, 3, (int32 desc, bytes))\n", encoding="utf-8")
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text('[3,"b"]\n[5,"a"]\n[3,,]\n[3,"a"]\n["x","a"]\n', encoding="utf-8")
+    forms = run_fresh(
+        """
+        import contextlib, io
+        from tsokey import cli, encoder
+        order, rows = sys.argv[1:]
+        compile_loop, forms = encoder._record_loop, []
+        def counted(run, form):
+            forms[-1].append(form)
+            return compile_loop(run, form)
+        encoder._record_loop = counted
+        for argv in (['encode'], ['encode', '--hex'], ['sort', '--output', 'indices']):
+            encoder.prepare.cache_clear()
+            forms.append([])
+            with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+                assert cli.main([argv[0], order, rows, *argv[1:], '--skip-bad']) == 0
+        print(json.dumps(forms))
+        """,
+        str(order),
+        str(rows),
+    )
+    assert forms == [["framed"], ["keys"], ["memo"]]
